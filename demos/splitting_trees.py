@@ -29,7 +29,7 @@ def describe(family: TreeFamily, d: int, r: int) -> None:
             if family is TreeFamily.PROJECTIVE:
                 factors.append(f"reconnections m2 = {m2_reconnection(tree)}")
             print(f"    multiplicity {multiplicity(tree)} ({'; '.join(factors[1:])})")
-            print(f"    pair assignments: {twc.assignment_count}, automorphisms: {twc.aut_count}")
+            print(f"    pair assignments: {twc.assignment_count}")
     print()
 
 

@@ -14,27 +14,19 @@ from .assembly import (
     ChiResult,
     CongruenceReport,
     LedgerRow,
-    LowerBoundReport,
     SignReport,
     admissible_real_counts,
     check_congruence,
     check_sign_law,
     chi,
     chi_polynomial,
-    lower_bound_report,
 )
 from .contact import (
     ContactVector,
     GeometryKind,
     LagrangianKind,
-    deformation_dimension,
-    degree_expected,
-    double_point_bound,
     f_point_count,
-    fredholm_index,
     genus_smooth,
-    intersection_bound,
-    maslov_cotangent,
 )
 from .cotangent import (
     FDerivation,
@@ -102,7 +94,6 @@ __all__ = [
     "InvalidDegreeRealPair",
     "LagrangianKind",
     "LedgerRow",
-    "LowerBoundReport",
     "NegativeDimension",
     "RelativeInvariantTable",
     "RelativeKey",
@@ -125,21 +116,14 @@ __all__ = [
     "check_sign_law",
     "chi",
     "chi_polynomial",
-    "deformation_dimension",
-    "degree_expected",
-    "double_point_bound",
     "enumerate_decorated_trees",
     "enumerate_trees",
     "f_invariant",
     "f_point_count",
-    "fredholm_index",
     "genus_smooth",
-    "intersection_bound",
-    "lower_bound_report",
     "m1_minus",
     "m1_plus",
     "m2_reconnection",
-    "maslov_cotangent",
     "multiplicity",
     "n_three",
     "point_count",

@@ -32,11 +32,12 @@ from .relative import (
     n_three_required_pairs,
 )
 from .trees import (
-    TreeFamily,
+    FAMILY_OF,
     TreeWithCount,
     canonical_form,
     enumerate_trees,
     multiplicity,
+    pair_condition_count,
 )
 
 __all__ = [
@@ -48,17 +49,10 @@ __all__ = [
     "admissible_real_counts",
     "check_congruence",
     "check_sign_law",
-    "lower_bound_report",
     "CongruenceReport",
     "SignReport",
-    "LowerBoundReport",
 ]
 
-_FAMILY = {
-    GeometryKind.PROJECTIVE_PLANE: TreeFamily.PROJECTIVE,
-    GeometryKind.ELLIPSOID_QUADRIC2: TreeFamily.TWO_SPHERICAL,
-    GeometryKind.ELLIPSOID_QUADRIC3: TreeFamily.THREE_SPHERICAL,
-}
 _SURFACE_DEGREE = {
     GeometryKind.PROJECTIVE_PLANE: 4,
     GeometryKind.ELLIPSOID_QUADRIC2: 2,
@@ -117,14 +111,12 @@ def admissible_real_counts(geometry: GeometryKind, d: int) -> list[int]:
     """Real-point counts r for which chi(geometry, d, r) is defined."""
     if d < 1:
         raise InadmissiblePair("degree must be >= 1")
-    if geometry is GeometryKind.ELLIPSOID_QUADRIC3:
-        if d % 2:
-            return []
-        top = 3 * d // 2
-        # r = 0 is excluded: the 3-dimensional invariant needs a real point
-        return [r for r in range(1, top + 1) if (top - r) % 2 == 0]
-    total = (3 if geometry is GeometryKind.PROJECTIVE_PLANE else 4) * d - 1
-    return [r for r in range(0, total + 1) if (total - r) % 2 == 0]
+    total = FAMILY_OF[geometry].rules.point_total(d)
+    if total is None:
+        return []
+    # r = 0 is excluded over the 3-quadric: its invariant needs a real point
+    first = 1 if geometry is GeometryKind.ELLIPSOID_QUADRIC3 else 0
+    return [r for r in range(total % 2, total + 1, 2) if r >= first]
 
 
 def _check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
@@ -183,7 +175,7 @@ def chi(
     _check_admissible(geometry, d, r)
     table = relative_table or builtin_relative_table()
     engine = f_engine or builtin_f_engine()
-    family = _FAMILY[geometry]
+    family = FAMILY_OF[geometry]
     kind: LagrangianKind = geometry.lagrangian
 
     rows: list[LedgerRow] = []
@@ -305,7 +297,7 @@ def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> Cong
     """
     clauses: list[CongruenceClause] = []
     if geometry is GeometryKind.PROJECTIVE_PLANE:
-        r_x = (3 * d - 1 - r) // 2
+        r_x = pair_condition_count(FAMILY_OF[geometry], d, r)
         clauses.append(_clause("pair-gap", r + 1 < r_x, 1 << max(r_x - r - 1, 0), value))
         aligned = r < r_x and (r - (d + 1)) % 4 == 0
         clauses.append(_clause("pair-gap-aligned", aligned, 1 << max(r_x - r, 0), value))
@@ -351,23 +343,3 @@ def check_sign_law(geometry: GeometryKind, d: int, r: int, value: int) -> SignRe
     g = genus_smooth(geometry, d)
     ok = (not applicable) or (-1) ** g * value >= 0
     return SignReport(geometry, d, r, value, applicable, ok, "(-1)^genus * chi >= 0")
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    chi: ChiResult
-    abs_lower_bound: int
-    upper_bound: None = None
-    note: str = "total complex count (upper bound) not computed"
-
-
-def lower_bound_report(
-    geometry: GeometryKind,
-    d: int,
-    r: int,
-    relative_table: RelativeInvariantTable | None = None,
-    f_engine: FInvariantEngine | None = None,
-) -> LowerBoundReport:
-    """|chi^d_r| as a lower bound for real rational interpolating curves."""
-    result = chi(geometry, d, r, relative_table, f_engine)
-    return LowerBoundReport(chi=result, abs_lower_bound=abs(result.value))

@@ -40,18 +40,13 @@ from .errors import (
     WelschingerError,
 )
 from .relative import RelativeInvariantTable, builtin_relative_table
-from .trees import TreeFamily, enumerate_trees, trees_to_json
+from .trees import FAMILY_OF, enumerate_trees, trees_to_json
 from .verification import run_all
 
 _GEOMETRY = {
     "cp2": GeometryKind.PROJECTIVE_PLANE,
     "quadric2": GeometryKind.ELLIPSOID_QUADRIC2,
     "quadric3": GeometryKind.ELLIPSOID_QUADRIC3,
-}
-_FAMILY_OF = {
-    GeometryKind.PROJECTIVE_PLANE: TreeFamily.PROJECTIVE,
-    GeometryKind.ELLIPSOID_QUADRIC2: TreeFamily.TWO_SPHERICAL,
-    GeometryKind.ELLIPSOID_QUADRIC3: TreeFamily.THREE_SPHERICAL,
 }
 _KIND = {k.value: k for k in LagrangianKind}
 
@@ -125,7 +120,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_trees(args) -> int:
     geometry = _GEOMETRY[args.geometry]
-    classes = enumerate_trees(_FAMILY_OF[geometry], args.degree, args.real_points)
+    classes = enumerate_trees(FAMILY_OF[geometry], args.degree, args.real_points)
     print(trees_to_json(classes))
     return 0
 
@@ -174,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_tables(p):
         p.add_argument("--invariant-table", help="JSON override for the relative-invariant table")
         p.add_argument("--f-table", help="JSON override for the cotangent-invariant table")
-        p.add_argument(
-            "--engine",
-            choices=["table", "recursion"],
-            default="table",
-            help="relative-invariant provider (only the curated table is built)",
-        )
 
     def add_geometry(p):
         p.add_argument("--geometry", choices=sorted(_GEOMETRY), required=True)
@@ -228,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "engine", "table") == "recursion":
-        parser.error("the recursion engine is not built; only --engine table is available")
     try:
         return args.func(args)
     except (UnknownInvariant, UnresolvableFKey) as exc:

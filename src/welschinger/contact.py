@@ -1,4 +1,5 @@
-"""Contact vectors, Lagrangian/geometry kinds and closed-form index formulas.
+"""Contact vectors, Lagrangian/geometry kinds, smooth genus and the cotangent
+dimension equation.
 
 All quantities are exact integers.  A *contact vector* records a finite
 multiset of contact orders: ``counts[i]`` is the number of contacts of order
@@ -21,13 +22,7 @@ __all__ = [
     "LagrangianKind",
     "GeometryKind",
     "genus_smooth",
-    "degree_expected",
-    "maslov_cotangent",
-    "deformation_dimension",
-    "double_point_bound",
-    "intersection_bound",
     "f_point_count",
-    "fredholm_index",
 ]
 
 _TERM_RE = re.compile(r"^(\d*)e(\d+)$")
@@ -110,9 +105,6 @@ class ContactVector:
         for i, c in enumerate(self.counts, start=1):
             if c:
                 yield i
-
-    def as_list(self) -> list[int]:
-        return list(self.counts)
 
     def __str__(self) -> str:
         if not self.counts:
@@ -204,71 +196,6 @@ def genus_smooth(geometry: GeometryKind, delta: int) -> int:
     return num // 2
 
 
-def degree_expected(geometry: GeometryKind, delta: int) -> int:
-    """Expected count of point conditions c_d = c1.d - 1."""
-    if delta < 1:
-        raise ValueError("degree must be >= 1")
-    return geometry.chern_degree(delta) - 1
-
-
-def maslov_cotangent(kind: LagrangianKind, n: int, k: int, chi: int) -> int:
-    """Maslov index of a simple curve in T*L against the Reeb trivialization.
-
-    k is the total multiplicity of the asymptotic orbits, chi the Euler
-    characteristic of the punctured curve.  Sphere: 2(n-1)k - 2chi;
-    real projective space: (n-1)k - 2chi; torus: -2chi.
-    """
-    if kind.dimension != n:
-        raise ValueError(f"{kind} has dimension {kind.dimension}, not {n}")
-    if k < 0:
-        raise ValueError("total multiplicity must be >= 0")
-    if kind.is_sphere:
-        return 2 * (n - 1) * k - 2 * chi
-    if kind.is_projective:
-        return (n - 1) * k - 2 * chi
-    return -2 * chi
-
-
-def deformation_dimension(kind: LagrangianKind, n: int, mu: int, g: int, v_minus: int = 0) -> int:
-    """Dimension of the deformation space of a simple curve of Maslov index mu.
-
-    Sphere and real projective space: mu + (n-1)(2-2g).  Torus: the negative
-    punctures sit on rigid orbit families, mu + (n-1)(2-2g-v_minus).
-    """
-    if kind.dimension != n:
-        raise ValueError(f"{kind} has dimension {kind.dimension}, not {n}")
-    if g < 0 or v_minus < 0:
-        raise ValueError("genus and puncture counts must be >= 0")
-    if kind.is_torus:
-        return mu + (n - 1) * (2 - 2 * g - v_minus)
-    return mu + (n - 1) * (2 - 2 * g)
-
-
-def double_point_bound(kind: LagrangianKind, k: int) -> int:
-    """Upper bound on double points of a real rational curve in T*L, dim L = 2.
-
-    k is the total multiplicity of the conjugate puncture pairs.  Sphere:
-    k^2 - 2k + 1; real projective plane: (k^2 - 3k + 2)/2.  In particular a
-    cylinder over a simple orbit (k = 1) is embedded.
-    """
-    if k < 1:
-        raise ValueError("total pair multiplicity must be >= 1")
-    if kind is LagrangianKind.SPHERE2:
-        return k * k - 2 * k + 1
-    if kind is LagrangianKind.RP2:
-        return (k - 1) * (k - 2) // 2
-    raise ValueError(f"double point bound only applies in dimension 2, not to {kind}")
-
-
-def intersection_bound(kind: LagrangianKind, k: int) -> int:
-    """Bound on the intersection of the curve with a generic deformation of itself."""
-    if kind is LagrangianKind.SPHERE2:
-        return 2 * k * k
-    if kind is LagrangianKind.RP2:
-        return k * k
-    raise ValueError(f"intersection bound only applies in dimension 2, not to {kind}")
-
-
 def f_point_count(
     kind: LagrangianKind,
     alpha: ContactVector,
@@ -308,42 +235,3 @@ def f_point_count(
             f"no non-negative real-point count for {kind.value}, alpha={alpha}, beta={beta}, r_L={r_l}"
         )
     return r
-
-
-def fredholm_index(
-    kind: LagrangianKind,
-    n: int,
-    punctures: int,
-    k: int,
-    *,
-    real: bool = False,
-    points: int = 0,
-    pair_points: int = 0,
-    prescribed: int = 0,
-) -> int:
-    """Fredholm index of the universal-moduli projection for rational curves in T*L.
-
-    ``punctures`` and ``k`` count punctures and their total multiplicity (per
-    curve for the complex problem, per conjugate pair for the real one);
-    ``points`` are point conditions (real points in the real problem),
-    ``pair_points`` conjugate point pairs (real problem only) and
-    ``prescribed`` the punctures with prescribed asymptotics.
-    """
-    if kind.dimension != n:
-        raise ValueError(f"{kind} has dimension {kind.dimension}, not {n}")
-    if not real and pair_points:
-        raise ValueError("pair_points only enters the real index")
-    c = n - 1
-    if real:
-        constraint = c * points + 2 * c * pair_points + 2 * c * prescribed
-        if kind.is_sphere:
-            return 2 * c * k + 2 * punctures - 1 - constraint
-        if kind.is_projective:
-            return c * k + 2 * punctures - 1 - constraint
-        return 2 * punctures + n - 3 - c * points - 2 * c * pair_points - c * prescribed
-    constraint = 2 * c * points + 2 * c * prescribed
-    if kind.is_sphere:
-        return 2 * c * k + 2 * punctures - 2 - constraint
-    if kind.is_projective:
-        return c * k + 2 * punctures - 2 - constraint
-    return 2 * punctures + 2 * n - 6 - 2 * c * points - c * prescribed

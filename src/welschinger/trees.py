@@ -30,12 +30,15 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .contact import ContactVector
+from .contact import ContactVector, GeometryKind
 from .errors import InvalidDegreeRealPair
 
 __all__ = [
     "TreeFamily",
+    "FamilyRules",
+    "FAMILY_OF",
     "DecoratedTree",
     "TreeWithCount",
     "TreeClass",
@@ -60,36 +63,98 @@ class TreeFamily(Enum):
     THREE_SPHERICAL = "three-spherical"
 
     @property
-    def genus_coefficient(self) -> int:
-        """Coefficient c in the degree equation  c * sum(g) + k_total = d (scaled)."""
-        return {TreeFamily.PROJECTIVE: 4, TreeFamily.TWO_SPHERICAL: 2, TreeFamily.THREE_SPHERICAL: 2}[self]
+    def rules(self) -> "FamilyRules":
+        return _RULES[self]
+
+
+@dataclass(frozen=True)
+class FamilyRules:
+    """The rules that tell the three tree families apart.
+
+    * Degree equation: ``scale * k_total + genus_coefficient * sum(g) = d``.
+    * Even vertices other than the root are leaves on an edge of multiplicity
+      ``pendant`` (0: no such leaves) or, when ``connectors`` is set, simple
+      bivalent connectors between two odd vertices.
+    * ``point_coefficient`` is the coefficient of g in the point-count
+      equation of an odd vertex (:func:`expected_pair_count`).
+    * The geometry fixes the pair-condition total through its Chern degree
+      and its Lagrangian's dimension, and the root window through the
+      Lagrangian's dimension and orbit weight.
+    """
+
+    geometry: GeometryKind
+    scale: int
+    genus_coefficient: int
+    point_coefficient: int
+    pendant: int
+    connectors: bool
 
     @property
-    def point_coefficient(self) -> int:
-        """Coefficient of g in the per-vertex point-count equation."""
-        return {TreeFamily.PROJECTIVE: 6, TreeFamily.TWO_SPHERICAL: 4, TreeFamily.THREE_SPHERICAL: 3}[self]
+    def even_shapes(self) -> set[tuple[int, ...]]:
+        """Sorted edge multiplicities allowed at an even vertex other than the root."""
+        shapes = {(self.pendant,)} if self.pendant else set()
+        if self.connectors:
+            shapes.add((1, 1))
+        return shapes
+
+    def genus_total(self, d: int, k_total: int) -> int | None:
+        """sum(g) forced by the degree equation; None when no integer >= 0 solves it."""
+        g, rem = divmod(d - self.scale * k_total, self.genus_coefficient)
+        return None if rem or g < 0 else g
+
+    def point_total(self, d: int) -> int | None:
+        """r + 2 r_X in degree d, from (n - 1)(r + 2 r_X) = c1.d + n - 3 with
+        n the dimension of the Lagrangian; None when no integer solves it."""
+        n = self.geometry.lagrangian.dimension
+        total, rem = divmod(self.geometry.chern_degree(d) + n - 3, n - 1)
+        return None if rem else total
+
+
+_RULES = {
+    TreeFamily.PROJECTIVE: FamilyRules(
+        GeometryKind.PROJECTIVE_PLANE, scale=1, genus_coefficient=4, point_coefficient=6, pendant=2, connectors=True
+    ),
+    TreeFamily.TWO_SPHERICAL: FamilyRules(
+        GeometryKind.ELLIPSOID_QUADRIC2, scale=1, genus_coefficient=2, point_coefficient=4, pendant=1, connectors=False
+    ),
+    TreeFamily.THREE_SPHERICAL: FamilyRules(
+        GeometryKind.ELLIPSOID_QUADRIC3, scale=2, genus_coefficient=2, point_coefficient=3, pendant=0, connectors=False
+    ),
+}
+
+FAMILY_OF: dict[GeometryKind, TreeFamily] = {rules.geometry: family for family, rules in _RULES.items()}
 
 
 def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
     """Number r_X of conjugate point pairs imposed together with r real points.
 
     Raises InvalidDegreeRealPair when the bookkeeping equation
-    (r + 2 r_X = c_d, or 2r + 4 r_X = 3d in the three-spherical case) has no
-    non-negative integer solution.
+    r + 2 r_X = :meth:`FamilyRules.point_total` has no non-negative integer
+    solution.
     """
     if d < 1 or r < 0:
         raise InvalidDegreeRealPair(f"need d >= 1 and r >= 0, got d={d}, r={r}")
-    if family is TreeFamily.PROJECTIVE:
-        total = 3 * d - 1
-    elif family is TreeFamily.TWO_SPHERICAL:
-        total = 4 * d - 1
-    else:
-        if (3 * d) % 2:
-            raise InvalidDegreeRealPair(f"3d must be even, got d={d}")
-        total = 3 * d // 2
+    total = family.rules.point_total(d)
+    if total is None:
+        raise InvalidDegreeRealPair(f"{family.value}: no integral point count in degree d={d}")
     if r > total or (total - r) % 2:
         raise InvalidDegreeRealPair(f"{family.value}: no r_X >= 0 with the right parity for d={d}, r={r}")
     return (total - r) // 2
+
+
+def minus_part_size(family: TreeFamily, r: int, k0: int, v0: int) -> int | None:
+    """Size r_L of the minus part of the root partition, or None (root window).
+
+    The root has v0 edges of total multiplicity k0.  With r_L of them minus
+    (prescribed), the root component is rigid on
+    ``eps * k0 + 2 (v0 - r_L) - 1`` real points when L is a surface and on
+    ``eps * k0 + v0 - 2 r_L`` when L = S^3 (eps is the orbit weight: 2 for
+    spheres, 1 for RP^2), as in :func:`~welschinger.contact.f_point_count`.
+    """
+    kind = family.rules.geometry.lagrangian
+    top = kind.epsilon * k0 + (2 * v0 - 1 if kind.dimension == 2 else v0)
+    r_l, odd = divmod(top - r, 2)
+    return None if odd or not 0 <= r_l <= v0 else r_l
 
 
 @dataclass(frozen=True)
@@ -99,7 +164,9 @@ class DecoratedTree:
     ``edges`` are (parent, child, multiplicity) triples; ``genus``, ``signs``
     and ``f_sizes`` are sorted (vertex, value) tuples over odd vertices (signs
     over root-adjacent odd vertices only).  Vertex ids are arbitrary ints;
-    isomorphism is decided by :func:`canonical_form`.
+    isomorphism is decided by :func:`canonical_form`.  The structure derived
+    from these fields is computed once per instance, on first use; the
+    returned lists and dicts are shared and must not be modified.
     """
 
     family: TreeFamily
@@ -126,22 +193,20 @@ class DecoratedTree:
 
     # -- structure ---------------------------------------------------------
 
-    def vertices(self) -> list[int]:
-        seen = {self.root}
+    @cached_property
+    def _adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        verts = {self.root}
         for u, v, _ in self.edges:
-            seen.add(u)
-            seen.add(v)
-        return sorted(seen)
-
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices()}
+            verts.update((u, v))
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in sorted(verts)}
         for u, v, k in self.edges:
             adj[u].append((v, k))
             adj[v].append((u, k))
         return adj
 
-    def depths(self) -> dict[int, int]:
-        adj = self.adjacency()
+    @cached_property
+    def _depths(self) -> dict[int, int]:
+        adj = self._adjacency
         depth = {self.root: 0}
         frontier = [self.root]
         while frontier:
@@ -156,20 +221,42 @@ class DecoratedTree:
             raise ValueError("tree is not connected")
         return depth
 
+    @cached_property
+    def _by_parity(self) -> tuple[list[int], list[int]]:
+        even: list[int] = []
+        odd: list[int] = []
+        for v, p in sorted(self._depths.items()):
+            (odd if p % 2 else even).append(v)
+        return even, odd
+
+    @cached_property
+    def _root_adjacent(self) -> list[int]:
+        return sorted(v for v, _ in self._adjacency[self.root])
+
+    def vertices(self) -> list[int]:
+        return list(self._adjacency)
+
+    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        return self._adjacency
+
+    def depths(self) -> dict[int, int]:
+        """Distance from the root; raises ValueError when the tree is not connected."""
+        return self._depths
+
     def odd_vertices(self) -> list[int]:
-        return sorted(v for v, p in self.depths().items() if p % 2 == 1)
+        return self._by_parity[1]
 
     def even_vertices(self) -> list[int]:
-        return sorted(v for v, p in self.depths().items() if p % 2 == 0)
+        return self._by_parity[0]
 
     def root_adjacent(self) -> list[int]:
-        return sorted(v for v, _ in self.adjacency()[self.root])
+        return self._root_adjacent
 
     def valence(self, v: int) -> int:
-        return len(self.adjacency()[v])
+        return len(self._adjacency[v])
 
     def k_s(self, v: int) -> int:
-        return sum(k for _, k in self.adjacency()[v])
+        return sum(k for _, k in self._adjacency[v])
 
     def k_total(self) -> int:
         return sum(k for _, _, k in self.edges)
@@ -177,51 +264,57 @@ class DecoratedTree:
     def profile(self, v: int) -> ContactVector:
         """Multiset of adjacent-edge multiplicities as a contact vector."""
         out = ContactVector.zero()
-        for _, k in self.adjacency()[v]:
+        for _, k in self._adjacency[v]:
             out = out + ContactVector.e(k)
         return out
 
     def root_edge_multiplicity(self, v: int) -> int:
-        for u, k in self.adjacency()[v]:
+        for u, k in self._adjacency[v]:
             if u == self.root:
                 return k
         raise ValueError(f"vertex {v} is not adjacent to the root")
 
     # -- decorations -------------------------------------------------------
 
+    @cached_property
+    def _genus_map(self) -> dict[int, int]:
+        return dict(self.genus)
+
+    @cached_property
+    def _sign_map(self) -> dict[int, str]:
+        return dict(self.signs)
+
+    @cached_property
+    def _f_map(self) -> dict[int, int]:
+        return dict(self.f_sizes)
+
     def g(self, v: int) -> int:
-        return dict(self.genus)[v]
+        return self._genus_map[v]
 
     def sign(self, v: int):
-        return dict(self.signs).get(v)
+        return self._sign_map.get(v)
 
     def f_size(self, v: int) -> int:
-        return dict(self.f_sizes)[v]
+        return self._f_map[v]
 
     def plus_vertices(self) -> list[int]:
-        return sorted(v for v, s in self.signs if s == PLUS)
+        return [v for v, s in self.signs if s == PLUS]
 
     def minus_vertices(self) -> list[int]:
-        return sorted(v for v, s in self.signs if s == MINUS)
+        return [v for v, s in self.signs if s == MINUS]
 
     def is_plus(self, v: int) -> bool:
-        return dict(self.signs).get(v) == PLUS
+        return self._sign_map.get(v) == PLUS
 
     def bivalent_connectors(self) -> list[int]:
-        depth = self.depths()
-        return sorted(
-            v
-            for v in self.even_vertices()
-            if v != self.root and depth[v] % 2 == 0 and self.valence(v) == 2
-        )
+        return [v for v in self.even_vertices() if v != self.root and self.valence(v) == 2]
 
     def root_profiles(self) -> tuple[ContactVector, ContactVector]:
         """(alpha_minus, beta_plus): root-edge multiplicities toward the minus
         and plus parts of the partition."""
         alpha = ContactVector.zero()
         beta = ContactVector.zero()
-        for v in self.root_adjacent():
-            k = self.root_edge_multiplicity(v)
+        for v, k in self._adjacency[self.root]:
             if self.is_plus(v):
                 beta = beta + ContactVector.e(k)
             else:
@@ -240,88 +333,42 @@ class DecoratedTree:
 
     def validate(self) -> list[str]:
         """Return the list of violated constraints (empty for a valid tree)."""
-        problems: list[str] = []
         try:
-            depth = self.depths()
+            self.depths()
         except ValueError as exc:
             return [str(exc)]
-        verts = self.vertices()
-        if len(self.edges) != len(verts) - 1:
+        problems: list[str] = []
+        if len(self.edges) != len(self._adjacency) - 1:
             problems.append("edge count is not vertex count minus one")
         if any(k < 1 for _, _, k in self.edges):
             problems.append("edge multiplicities must be >= 1")
 
-        odd = set(self.odd_vertices())
-        gmap = dict(self.genus)
-        fmap = dict(self.f_sizes)
-        smap = dict(self.signs)
-        if set(gmap) != odd or set(fmap) != odd:
+        odd = self.odd_vertices()
+        if set(self._genus_map) != set(odd) or set(self._f_map) != set(odd):
             problems.append("genus and pair counts must decorate exactly the odd vertices")
             return problems
-        if set(smap) != set(self.root_adjacent()):
+        if set(self._sign_map) != set(self.root_adjacent()):
             problems.append("sign partition must cover exactly the root-adjacent vertices")
 
-        # Family-specific shape of the even vertices (the root is exempt).
+        rules = self.family.rules
         for v in self.even_vertices():
-            if v == self.root:
-                continue
-            mults = sorted(k for _, k in self.adjacency()[v])
-            if self.family is TreeFamily.PROJECTIVE:
-                if mults not in ([2], [1, 1]):
-                    problems.append(f"even vertex {v} must be a double-edge leaf or a simple connector")
-            elif self.family is TreeFamily.TWO_SPHERICAL:
-                if mults != [1]:
-                    problems.append(f"even vertex {v} must be a simple-edge leaf")
-            else:
-                problems.append(f"three-spherical trees have no even vertex besides the root ({v})")
-        if self.family is TreeFamily.THREE_SPHERICAL:
-            for v in odd:
-                if depth[v] != 1 or self.valence(v) != 1:
-                    problems.append(f"vertex {v} must be a leaf adjacent to the root")
+            if v != self.root and tuple(sorted(k for _, k in self._adjacency[v])) not in rules.even_shapes:
+                problems.append(f"even vertex {v} has a shape the {self.family.value} family does not allow")
 
         # Degree-0 components must be single fibres: a vertex with g = 0 and
         # total contact multiplicity >= 2 would represent a multiple fibre
         # class, which carries no irreducible rational curve.
         for v in odd:
-            if gmap[v] == 0 and self.k_s(v) > 1:
+            if self.g(v) == 0 and self.k_s(v) > 1:
                 problems.append(f"vertex {v} has degree 0 but contact multiplicity {self.k_s(v)}")
 
-        # Root window, parity and the size of the minus part.
-        k0 = sum(self.root_edge_multiplicity(v) for v in self.root_adjacent())
-        v0 = len(self.root_adjacent())
-        if self.family is TreeFamily.PROJECTIVE:
-            lo = k0 - 1
-            if not (lo <= self.r <= lo + 2 * v0) or (self.r - lo) % 2:
-                problems.append("real-point count outside the root window")
-            r_l2 = k0 - 1 + 2 * v0 - self.r
-        elif self.family is TreeFamily.TWO_SPHERICAL:
-            lo = 2 * k0 - 1
-            if not (lo <= self.r <= lo + 2 * v0):
-                problems.append("real-point count outside the root window")
-            r_l2 = 2 * k0 - 1 + 2 * v0 - self.r
-        else:
-            if not (4 * k0 - 2 * v0 <= 2 * self.r <= 4 * k0 + 2 * v0) or (self.r - v0) % 2:
-                problems.append("real-point count outside the root window")
-            r_l2 = (4 * k0 + 2 * v0 - 2 * self.r) // 2
-        if r_l2 % 2:
-            problems.append("root window does not give an integral conjugate-pair count")
-        else:
-            r_l = r_l2 // 2
-            if not (0 <= r_l <= v0):
-                problems.append("conjugate-pair count of the root outside [0, valence]")
-            elif len(self.minus_vertices()) != r_l:
-                problems.append("minus part of the partition has the wrong size")
+        r_l = minus_part_size(self.family, self.r, self.k_s(self.root), self.valence(self.root))
+        if r_l is None:
+            problems.append("real-point count outside the root window")
+        elif len(self.minus_vertices()) != r_l:
+            problems.append("minus part of the partition has the wrong size")
 
-        # Degree equation.
-        total_g = sum(gmap.values())
-        k = self.k_total()
-        if self.family is TreeFamily.PROJECTIVE:
-            ok = k + 4 * total_g == self.d
-        elif self.family is TreeFamily.TWO_SPHERICAL:
-            ok = k + 2 * total_g == self.d
-        else:
-            ok = 2 * k + 2 * total_g == self.d
-        if not ok:
+        if rules.genus_total(self.d, self.k_total()) != sum(self._genus_map.values()):
             problems.append("degree equation fails")
 
         # Per-vertex point counts and their sum.
@@ -331,10 +378,10 @@ class DecoratedTree:
             problems.append(str(exc))
             return problems
         for v in odd:
-            expect = expected_pair_count(self.family, gmap[v], self.k_s(v), self.valence(v), self.is_plus(v))
-            if expect is None or expect != fmap[v]:
+            expect = expected_pair_count(self.family, self.g(v), self.k_s(v), self.valence(v), self.is_plus(v))
+            if expect is None or expect != self.f_size(v):
                 problems.append(f"pair count at vertex {v} violates the point-count equation")
-        if sum(fmap.values()) != r_x:
+        if sum(self._f_map.values()) != r_x:
             problems.append("total assigned pairs differ from the pair-condition count")
         return problems
 
@@ -345,12 +392,13 @@ def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus
     Returns None when no non-negative integer solves it.  Plus vertices give
     up one condition to their prescribed asymptotic.
     """
+    points = family.rules.point_coefficient * g + k_s
     if family is TreeFamily.THREE_SPHERICAL:
-        num = 3 * g + k_s + 1 - (2 if plus else 0)
+        num = points + 1 - (2 if plus else 0)
         if num < 0 or num % 2:
             return None
         return num // 2
-    base = family.point_coefficient * g + k_s + valence - 1 - (1 if plus else 0)
+    base = points + valence - 1 - (1 if plus else 0)
     return base if base >= 0 else None
 
 
@@ -359,9 +407,8 @@ def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus
 
 
 def _encode(tree: DecoratedTree, v: int, parent: int, k_in: int, with_signs: bool, with_f: bool):
-    depth_odd = v != tree.root and v in set(tree.odd_vertices())
-    if depth_odd:
-        label = (dict(tree.genus)[v], tree.sign(v) if with_signs else None, tree.f_size(v) if with_f else None)
+    if tree.depths()[v] % 2:
+        label = (tree.g(v), tree.sign(v) if with_signs else None, tree.f_size(v) if with_f else None)
     else:
         label = None
     children = sorted(
@@ -564,7 +611,6 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
 class TreeWithCount:
     tree: DecoratedTree
     assignment_count: int
-    aut_count: int
 
     @property
     def multiplicity(self) -> int:
@@ -607,32 +653,14 @@ def _decorate(family, d, r, root, edges, gmap, r_x):
     """Attach every admissible sign partition (pair counts are then forced)."""
     base = DecoratedTree.build(family, d, r, root, edges, gmap, {}, {v: 0 for v in gmap})
     try:
-        depth = base.depths()
+        base.depths()
     except ValueError:
         return
     if len(base.edges) != len(base.vertices()) - 1:
         return
     adjacent = base.root_adjacent()
-    k0 = sum(base.root_edge_multiplicity(v) for v in adjacent)
-    v0 = len(adjacent)
-    if family is TreeFamily.PROJECTIVE:
-        lo = k0 - 1
-        if not (lo <= r <= lo + 2 * v0) or (r - lo) % 2:
-            return
-        r_l2 = lo + 2 * v0 - r
-    elif family is TreeFamily.TWO_SPHERICAL:
-        lo = 2 * k0 - 1
-        if not (lo <= r <= lo + 2 * v0):
-            return
-        r_l2 = lo + 2 * v0 - r
-    else:
-        if not (4 * k0 - 2 * v0 <= 2 * r <= 4 * k0 + 2 * v0) or (r - v0) % 2:
-            return
-        r_l2 = (4 * k0 + 2 * v0 - 2 * r) // 2
-    if r_l2 % 2:
-        return
-    r_l = r_l2 // 2
-    if not (0 <= r_l <= v0):
+    r_l = minus_part_size(family, r, base.k_s(root), len(adjacent))
+    if r_l is None:
         return
     odd = base.odd_vertices()
     for minus_set in itertools.combinations(adjacent, r_l):
@@ -657,23 +685,19 @@ def _candidate_graphs(family: TreeFamily, d: int):
     """Yield (edges, genus map) for every structural candidate of degree d.
 
     Odd vertices are 1..m attached to the root 0 directly or, in the
-    projective family, through simple connectors; projective odd vertices may
-    also carry double-edge pendant leaves.  Even helper vertices get ids
+    projective family, through simple connectors; odd vertices may also
+    carry the family's pendant even leaves.  Even helper vertices get ids
     above 100.
     """
-    coeff = family.genus_coefficient
-    scale = 2 if family is TreeFamily.THREE_SPHERICAL else 1
-    # pendant even leaves: multiplicity-2 edges (projective), simple edges
-    # (two-spherical), none in the star family
-    pendant_cost = 2 if family is TreeFamily.PROJECTIVE else 1
-    k_max = d // scale
+    rules = family.rules
+    k_max = d // rules.scale
     for m in range(1, k_max + 1):
         for parents in _skeletons(m):
             root_children = [i + 1 for i in range(m) if parents[i] == 0]
             if not root_children:
                 continue
             connectors = [(parents[i], i + 1) for i in range(m) if parents[i] != 0]
-            if connectors and family is not TreeFamily.PROJECTIVE:
+            if connectors and not rules.connectors:
                 continue
             base_k = 2 * len(connectors)
             rc = len(root_children)
@@ -681,14 +705,14 @@ def _candidate_graphs(family: TreeFamily, d: int):
                 continue
             for k_direct in range(rc, k_max - base_k + 1):
                 budget = k_max - base_k - k_direct
-                max_pendants = 0 if family is TreeFamily.THREE_SPHERICAL else budget // pendant_cost
+                max_pendants = budget // rules.pendant if rules.pendant else 0
                 for mults in _compositions(k_direct, rc, 1):
                     for pendants in itertools.product(range(max_pendants + 1), repeat=m):
-                        k_tot = base_k + k_direct + pendant_cost * sum(pendants)
-                        if k_tot > k_max or (d - scale * k_tot) % coeff:
+                        k_tot = base_k + k_direct + rules.pendant * sum(pendants)
+                        if k_tot > k_max:
                             continue
-                        g_total = (d - scale * k_tot) // coeff
-                        if g_total < 0:
+                        g_total = rules.genus_total(d, k_tot)
+                        if g_total is None:
                             continue
                         edges = []
                         nxt = 101
@@ -700,7 +724,7 @@ def _candidate_graphs(family: TreeFamily, d: int):
                             nxt += 1
                         for v, count in zip(range(1, m + 1), pendants):
                             for _ in range(count):
-                                edges.append((v, nxt, pendant_cost))
+                                edges.append((v, nxt, rules.pendant))
                                 nxt += 1
                         for gs in _compositions(g_total, m, 0):
                             yield edges, dict(zip(range(1, m + 1), gs))
@@ -716,17 +740,7 @@ def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWi
             continue
         for tree in _decorate(family, d, r, 0, edges, gmap, r_x):
             seen.setdefault(canonical_form(tree), tree)
-    out = []
-    for key in sorted(seen):
-        tree = seen[key]
-        out.append(
-            TreeWithCount(
-                tree=tree,
-                assignment_count=assignment_count(tree, r_x),
-                aut_count=len(automorphisms(tree)),
-            )
-        )
-    return out
+    return [TreeWithCount(tree=seen[key], assignment_count=assignment_count(seen[key], r_x)) for key in sorted(seen)]
 
 
 def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:

@@ -284,9 +284,4 @@ def run_all(verbose: bool = False, stream=None) -> bool:
         if verbose or not passed:
             for line in details:
                 print(f"    {line}", file=stream)
-    print(
-        "recursion-engine gate: skipped (no recursion engine is built; "
-        "the curated table is the single provider)",
-        file=stream,
-    )
     return overall

@@ -19,9 +19,3 @@ def test_acceptance_criterion(name, check, capsys):
     with capsys.disabled():
         print(f"\n[{'PASS' if passed else 'FAIL'}] {name}")
     assert passed, f"criterion failed: {name}\n" + "\n".join(details)
-
-
-def test_recursion_engine_gate_not_applicable(capsys):
-    # the optional recursion engine is not built; the gate is skipped by design
-    with capsys.disabled():
-        print("\n[SKIP] recursion-engine gate (no engine built; curated table only)")

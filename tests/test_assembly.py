@@ -12,7 +12,6 @@ from welschinger import (
     check_sign_law,
     chi,
     chi_polynomial,
-    lower_bound_report,
 )
 from welschinger.verification import GOLDEN_VALUES
 
@@ -142,14 +141,6 @@ def test_sign_law_examples():
     assert not check_sign_law(G.ELLIPSOID_QUADRIC3, 10, 1, 896).passed
     # not applicable beyond one real point
     assert check_sign_law(G.PROJECTIVE_PLANE, 7, 2, 11776).applicable is False
-
-
-def test_lower_bound_report():
-    assert lower_bound_report(G.PROJECTIVE_PLANE, 6, 1).abs_lower_bound == 1024
-    assert lower_bound_report(G.PROJECTIVE_PLANE, 4, 1).abs_lower_bound == 0
-    report = lower_bound_report(G.ELLIPSOID_QUADRIC3, 2, 1)
-    assert report.abs_lower_bound == 1
-    assert report.upper_bound is None
 
 
 def test_json_uses_decimal_strings_beyond_int64():

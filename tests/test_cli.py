@@ -85,12 +85,6 @@ def test_exit_2_on_bad_flags(capsys):
     assert exc.value.code == 2
 
 
-def test_recursion_engine_not_built(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--engine", "recursion"])
-    assert exc.value.code == 2
-
-
 def test_frontier(capsys):
     code, out, _ = run(capsys, "frontier", "--max-degree", "5")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Foundation formulas: contact vectors, index/dimension/bound computations."""
+"""Foundation formulas: contact vectors, smooth genus and the cotangent dimension equation."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,14 +9,8 @@ from welschinger import (
     LagrangianKind,
     NegativeDimension,
     TorusPrescribedOrbit,
-    deformation_dimension,
-    degree_expected,
-    double_point_bound,
     f_point_count,
-    fredholm_index,
     genus_smooth,
-    intersection_bound,
-    maslov_cotangent,
 )
 
 CV = ContactVector
@@ -71,58 +65,6 @@ def test_genus_smooth_plane_closed_form(delta):
 def test_genus_smooth_rejects_threefold():
     with pytest.raises(ValueError):
         genus_smooth(G.ELLIPSOID_QUADRIC3, 2)
-
-
-def test_degree_expected_examples():
-    assert degree_expected(G.PROJECTIVE_PLANE, 6) == 17
-    assert degree_expected(G.ELLIPSOID_QUADRIC2, 2) == 7
-    assert degree_expected(G.ELLIPSOID_QUADRIC3, 2) == 5
-
-
-# -- Maslov / deformation / bounds ------------------------------------------
-
-
-def test_maslov_cotangent_examples():
-    assert maslov_cotangent(K.SPHERE2, 2, 1, 0) == 2
-    assert maslov_cotangent(K.RP2, 2, 2, 0) == 2
-    assert maslov_cotangent(K.TORUS2, 2, 3, 0) == 0
-
-
-def test_maslov_cotangent_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        maslov_cotangent(K.SPHERE3, 2, 1, 0)
-
-
-@given(st.integers(min_value=0, max_value=30), st.integers(min_value=-6, max_value=6))
-def test_maslov_double_cover_gap(k, chi):
-    # the sphere double-covers the projective plane: the indices differ by k
-    assert maslov_cotangent(K.SPHERE2, 2, k, chi) - maslov_cotangent(K.RP2, 2, k, chi) == k
-
-
-def test_deformation_dimension_examples():
-    assert deformation_dimension(K.SPHERE2, 2, mu=2, g=0) == 4
-    assert deformation_dimension(K.SPHERE3, 3, mu=0, g=0) == 4
-    assert deformation_dimension(K.TORUS2, 2, mu=0, g=0, v_minus=2) == 0
-
-
-def test_double_point_bound_examples():
-    assert double_point_bound(K.SPHERE2, 1) == 0
-    assert double_point_bound(K.SPHERE2, 2) == 1
-    assert double_point_bound(K.RP2, 2) == 0
-    with pytest.raises(ValueError):
-        double_point_bound(K.SPHERE3, 1)
-
-
-def test_intersection_bound_examples():
-    assert intersection_bound(K.SPHERE2, 2) == 8
-    assert intersection_bound(K.RP2, 3) == 9
-    assert intersection_bound(K.SPHERE2, 1) == 2
-
-
-@given(st.sampled_from([K.SPHERE2, K.RP2]), st.integers(min_value=1, max_value=40))
-def test_bounds_consistency(kind, k):
-    assert double_point_bound(kind, k) >= 0
-    assert intersection_bound(kind, k) >= 2 * double_point_bound(kind, k)
 
 
 # -- the dimension equation --------------------------------------------------
@@ -191,25 +133,3 @@ def test_f_point_count_trades_pairs_for_real_points(kind, alpha, beta, r_l):
         assert base - 2 * r_l < 0
         return
     assert shifted + 2 * r_l == base
-
-
-# -- Fredholm indices --------------------------------------------------------
-
-
-def test_fredholm_index_complex_sphere():
-    assert fredholm_index(K.SPHERE2, 2, punctures=2, k=2) == 6
-
-
-def test_fredholm_index_real_sphere_rigid_cylinder():
-    assert fredholm_index(K.SPHERE2, 2, punctures=1, k=1, real=True, points=1, prescribed=1) == 0
-
-
-def test_fredholm_index_real_projective_rigid():
-    # oracle: (n-1)k + 2v - 1 - (n-1)r - 2(n-1)r_L - 2(n-1)v_minus
-    #       = 1*2  + 2   - 1 - 1      - 0           - 2            = 0
-    assert fredholm_index(K.RP2, 2, punctures=1, k=2, real=True, points=1, prescribed=1) == 0
-
-
-def test_fredholm_index_torus_cases():
-    assert fredholm_index(K.TORUS2, 2, punctures=2, k=2) == 2 * 2 + 2 * 2 - 6
-    assert fredholm_index(K.TORUS3, 3, punctures=2, k=2, real=True, points=1, pair_points=0) == 2

@@ -321,3 +321,58 @@ def test_profiles_as_contact_vectors():
     tree = next(v.tree for c in enumerate_trees(F.PROJECTIVE, 6, 1) for v in c.variants if len(v.tree.vertices()) == 2)
     (vertex,) = tree.odd_vertices()
     assert tree.profile(vertex) == ContactVector.e(2)
+
+
+# a valid projective tree for (d, r) = (5, 0): one minus vertex of degree 1
+_VALID = dict(
+    family=F.PROJECTIVE, d=5, r=0, root=0,
+    edges=[(0, 1, 1)], genus={1: 1}, signs={1: MINUS}, f_sizes={1: 7},
+)
+
+
+@pytest.mark.parametrize(
+    "changes,problem",
+    [
+        ({"edges": [(0, 1, 1), (2, 3, 1)], "genus": {1: 1, 3: 0}, "f_sizes": {1: 7, 3: 0}}, "tree is not connected"),
+        ({"r": 4}, "outside the root window"),
+        ({"signs": {1: PLUS}}, "minus part of the partition has the wrong size"),
+        ({"genus": {1: 2}}, "degree equation fails"),
+        ({"edges": [(0, 1, 1), (1, 2, 1)]}, "even vertex 2 has a shape"),
+        (
+            {"family": F.TWO_SPHERICAL, "d": 3, "r": 1, "edges": [(0, 1, 1), (1, 2, 2)], "f_sizes": {1: 6}},
+            "even vertex 2 has a shape",
+        ),
+        (
+            {"family": F.THREE_SPHERICAL, "d": 4, "r": 1, "edges": [(0, 1, 1), (1, 2, 1)], "f_sizes": {1: 3}},
+            "even vertex 2 has a shape",
+        ),
+        ({"edges": [(0, 1, 5)], "genus": {1: 0}}, "degree 0 but contact multiplicity 5"),
+        ({"f_sizes": {1: 6}}, "total assigned pairs differ"),
+    ],
+    ids=[
+        "disconnected",
+        "root-window",
+        "minus-part-size",
+        "degree-equation",
+        "even-shape-projective",
+        "even-shape-two-spherical",
+        "even-shape-three-spherical",
+        "degree-zero-multiple-contact",
+        "pair-total",
+    ],
+)
+def test_validate_rejects_each_broken_rule(changes, problem):
+    assert DecoratedTree.build(**_VALID).validate() == []
+    problems = DecoratedTree.build(**{**_VALID, **changes}).validate()
+    assert problems and any(problem in p for p in problems), problems
+    if problem == "tree is not connected":
+        assert problems == [problem]
+
+
+def test_structure_is_computed_once_and_lazily():
+    tree = DecoratedTree.build(**_VALID)
+    assert "_adjacency" not in vars(tree)
+    assert tree.adjacency() is tree.adjacency()
+    assert tree.depths() is tree.depths()
+    assert tree.odd_vertices() is tree.odd_vertices()
+    assert tree.root_adjacent() is tree.root_adjacent()
