@@ -4,14 +4,17 @@
 with plane and 2-quadric degree at most 7 and 3-quadric degree at most 12,
 the number of decorated trees, the sha256 of their sorted canonical forms
 and the sorted (assignment_count, multiplicity) pairs, plus
-``admissible_real_counts`` for every geometry up to degree 12.  Refactors of
-the enumerator must reproduce it exactly; the file is never regenerated to
-make a change pass.  ``python tests/test_tree_fingerprint.py`` prints the
-fingerprint of the current code.
+``admissible_real_counts`` for every geometry up to degree 12.
+``tests/data/tree_fingerprint_wide.json`` records the same per-tree data for
+plane degrees 8, 9, 10 and 2-quadric degree 8.  Refactors of the enumerator
+must reproduce both exactly; the files are never regenerated to make a
+change pass.  ``python tests/test_tree_fingerprint.py [narrow|wide]`` prints
+the fingerprint of the current code (narrow by default).
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from welschinger import (
@@ -25,14 +28,16 @@ from welschinger import (
 )
 
 DATA = Path(__file__).parent / "data" / "tree_fingerprint.json"
-MAX_DEGREE = {TreeFamily.PROJECTIVE: 7, TreeFamily.TWO_SPHERICAL: 7, TreeFamily.THREE_SPHERICAL: 12}
+WIDE_DATA = Path(__file__).parent / "data" / "tree_fingerprint_wide.json"
+DEGREES = {TreeFamily.PROJECTIVE: range(1, 8), TreeFamily.TWO_SPHERICAL: range(1, 8), TreeFamily.THREE_SPHERICAL: range(1, 13)}
+WIDE_DEGREES = {TreeFamily.PROJECTIVE: range(8, 11), TreeFamily.TWO_SPHERICAL: range(8, 9)}
 MAX_ADMISSIBLE_DEGREE = 12
 
 
-def tree_fingerprint() -> dict:
+def tree_fingerprint(degrees=DEGREES) -> dict:
     out = {}
-    for family, top in MAX_DEGREE.items():
-        for d in range(1, top + 1):
+    for family, ds in degrees.items():
+        for d in ds:
             for r in range(0, 4 * d + 1):
                 try:
                     twcs = enumerate_decorated_trees(family, d, r)
@@ -61,10 +66,19 @@ def test_tree_fingerprint():
     assert tree_fingerprint() == expected
 
 
+def test_tree_fingerprint_wide():
+    expected = json.loads(WIDE_DATA.read_text())["trees"]
+    assert len(expected) == 57
+    assert tree_fingerprint(WIDE_DEGREES) == expected
+
+
 def test_admissible_real_counts_fingerprint():
     assert admissible_fingerprint() == json.loads(DATA.read_text())["admissible_real_counts"]
 
 
 if __name__ == "__main__":
-    payload = {"trees": tree_fingerprint(), "admissible_real_counts": admissible_fingerprint()}
+    if sys.argv[1:] == ["wide"]:
+        payload = {"trees": tree_fingerprint(WIDE_DEGREES)}
+    else:
+        payload = {"trees": tree_fingerprint(), "admissible_real_counts": admissible_fingerprint()}
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
