@@ -192,7 +192,8 @@ def genus_smooth(geometry: GeometryKind, delta: int) -> int:
     if delta < 1:
         raise ValueError("degree must be >= 1")
     num = geometry.self_intersection(delta) - geometry.chern_degree(delta) + 2
-    assert num % 2 == 0
+    if num % 2:
+        raise ValueError(f"odd numerator {num} in the smooth genus of degree {delta}")
     return num // 2
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -577,30 +578,41 @@ def multiplicity(tree: DecoratedTree) -> int:
 
 def assignment_count(tree: DecoratedTree, r_x: int) -> int:
     """Number of isomorphism classes of pair assignments with the tree's
-    pair-count profile.
+    pair-count profile f.
 
     Assignments are functions from odd vertices to disjoint subsets of the
-    r_x conjugate pairs.  The multinomial count is corrected by Burnside
-    averaging over the automorphisms of the tree that preserve degree and
-    sign decorations (an automorphism fixes an assignment iff it fixes every
-    vertex holding a non-empty subset).
+    r_x conjugate pairs, identified under the automorphisms that preserve
+    degree and sign decorations.  The class of an assignment with profile f
+    meets those assignments in one orbit of H, the automorphisms that also
+    preserve f, and H/K acts freely on that orbit, K being the subgroup that
+    fixes every vertex holding pairs.  So the count is
+    ``multinomial(r_x; f) * |K| / |H|``.  Both orders come from one AHU pass:
+    the product over vertices of c! for every c children with identical
+    codes, where K's codes give each vertex holding pairs a label of its own.
     """
     fmap = dict(tree.f_sizes)
     if sum(fmap.values()) != r_x:
         raise ValueError("pair counts do not sum to the pair-condition count")
-    multinomial = math.factorial(r_x)
-    for f in fmap.values():
-        multinomial //= math.factorial(f)
-    group = automorphisms(tree, with_signs=True, with_f=False)
-    orbit = {tuple(sorted((pi[v], f) for v, f in fmap.items())) for pi in group}
-    hits = 0
-    for pi in group:
-        fixed = {v for v in fmap if pi[v] == v}
-        for profile in orbit:
-            if all(v in fixed for v, f in profile if f > 0):
-                hits += 1
-    assert (multinomial * hits) % len(group) == 0
-    return multinomial * hits // len(group)
+    multinomial = math.factorial(r_x) // math.prod(math.factorial(f) for f in fmap.values())
+    adj = tree.adjacency()
+    orders = [1, 1]  # |H|, |K|
+
+    def codes(v, parent, k_in):
+        children = [codes(w, v, k) for w, k in adj[v] if w != parent]
+        label = (tree.g(v), tree.sign(v), fmap[v]) if v in fmap else None
+        out = []
+        for i, column in enumerate(zip(*children) if children else ((), ())):
+            counts = Counter(column)
+            orders[i] *= math.prod(math.factorial(c) for c in counts.values())
+            pinned = label + (v,) if i and fmap.get(v) else label
+            out.append((k_in, pinned, frozenset(counts.items())))
+        return out
+
+    codes(tree.root, -1, 0)
+    h, k = orders
+    if multinomial * k % h:
+        raise ValueError(f"[H:K] = {h // k} does not divide the multinomial {multinomial}")
+    return multinomial * k // h
 
 
 # ---------------------------------------------------------------------------
@@ -626,27 +638,6 @@ class TreeClass:
 
     shape_key: bytes
     variants: tuple[TreeWithCount, ...]
-
-
-def _skeletons(n_odd: int):
-    """Trees on {root=0, 1..n_odd}: vertex i+1 gets a parent in {0..i}.
-
-    Every rooted tree admits such an increasing labeling, so every shape is
-    produced (duplicates are removed later by canonical form).
-    """
-    if n_odd == 0:
-        return
-    yield from itertools.product(*[range(i + 1) for i in range(n_odd)])
-
-
-def _compositions(total: int, parts: int, minimum: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
 
 
 def _decorate(family, d, r, root, edges, gmap, r_x):
@@ -681,53 +672,64 @@ def _decorate(family, d, r, root, edges, gmap, r_x):
             yield tree
 
 
-def _candidate_graphs(family: TreeFamily, d: int):
-    """Yield (edges, genus map) for every structural candidate of degree d.
+def _forests(rules: FamilyRules, budget: int, via_connector: bool, items=None, start: int = 0):
+    """Every multiset of odd subtrees whose costs sum to ``budget``, once, as
+    a non-decreasing tuple.  Root children take any edge multiplicity; a
+    connector child enters on a simple edge and also pays for the
+    connector's upper simple edge."""
+    if budget == 0:
+        yield ()
+        return
+    if items is None and via_connector:
+        top = budget - rules.scale if rules.connectors else 0
+        items = [(rules.scale + c, t) for c in range(1, top + 1) for t in _odd_subtrees(rules, c, 1)]
+    elif items is None:
+        items = [(c, t) for c in range(1, budget + 1) for k in range(1, c // rules.scale + 1) for t in _odd_subtrees(rules, c, k)]
+    for j in range(start, len(items)):
+        cost, subtree = items[j]
+        if cost <= budget:
+            for rest in _forests(rules, budget - cost, via_connector, items, j):
+                yield (subtree,) + rest
 
-    Odd vertices are 1..m attached to the root 0 directly or, in the
-    projective family, through simple connectors; odd vertices may also
-    carry the family's pendant even leaves.  Even helper vertices get ids
-    above 100.
-    """
+
+def _odd_subtrees(rules: FamilyRules, cost: int, k_in: int):
+    """Every odd subtree entered by an edge of multiplicity k_in whose share
+    ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
+    as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
+    leaf on a simple edge: :meth:`DecoratedTree.validate` rejects any other
+    (a multiple fibre class)."""
+    rest = cost - rules.scale * k_in
+    if rest == 0 and k_in == 1:
+        yield (1, 0, 0, ())
+    step = rules.scale * rules.pendant
+    for g in range(1, rest // rules.genus_coefficient + 1):
+        left = rest - rules.genus_coefficient * g
+        for pendants in range(left // step + 1 if step else 1):
+            for children in _forests(rules, left - step * pendants, True):
+                yield (k_in, g, pendants, children)
+
+
+def _candidate_graphs(family: TreeFamily, d: int):
+    """Yield (edges, genus map) once for every candidate shape of degree d:
+    a root 0 carrying a multiset of odd subtrees whose costs sum to d."""
     rules = family.rules
-    k_max = d // rules.scale
-    for m in range(1, k_max + 1):
-        for parents in _skeletons(m):
-            root_children = [i + 1 for i in range(m) if parents[i] == 0]
-            if not root_children:
-                continue
-            connectors = [(parents[i], i + 1) for i in range(m) if parents[i] != 0]
-            if connectors and not rules.connectors:
-                continue
-            base_k = 2 * len(connectors)
-            rc = len(root_children)
-            if base_k + rc > k_max:
-                continue
-            for k_direct in range(rc, k_max - base_k + 1):
-                budget = k_max - base_k - k_direct
-                max_pendants = budget // rules.pendant if rules.pendant else 0
-                for mults in _compositions(k_direct, rc, 1):
-                    for pendants in itertools.product(range(max_pendants + 1), repeat=m):
-                        k_tot = base_k + k_direct + rules.pendant * sum(pendants)
-                        if k_tot > k_max:
-                            continue
-                        g_total = rules.genus_total(d, k_tot)
-                        if g_total is None:
-                            continue
-                        edges = []
-                        nxt = 101
-                        for child, k in zip(root_children, mults):
-                            edges.append((0, child, k))
-                        for u, v in connectors:
-                            edges.append((u, nxt, 1))
-                            edges.append((nxt, v, 1))
-                            nxt += 1
-                        for v, count in zip(range(1, m + 1), pendants):
-                            for _ in range(count):
-                                edges.append((v, nxt, rules.pendant))
-                                nxt += 1
-                        for gs in _compositions(g_total, m, 0):
-                            yield edges, dict(zip(range(1, m + 1), gs))
+
+    def attach(parent, subtree, edges, gmap):
+        k_in, g, pendants, children = subtree
+        v = len(edges) + 1
+        edges.append((parent, v, k_in))
+        gmap[v] = g
+        edges.extend((v, v + 1 + i, rules.pendant) for i in range(pendants))
+        for child in children:
+            edges.append((v, len(edges) + 1, 1))
+            attach(len(edges), child, edges, gmap)  # below the connector just added
+
+    for forest in _forests(rules, d, False):
+        edges: list[tuple[int, int, int]] = []
+        gmap: dict[int, int] = {}
+        for subtree in forest:
+            attach(0, subtree, edges, gmap)
+        yield edges, gmap
 
 
 def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWithCount]:
@@ -735,9 +737,6 @@ def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWi
     r_x = pair_condition_count(family, d, r)
     seen: dict[bytes, DecoratedTree] = {}
     for edges, gmap in _candidate_graphs(family, d):
-        # quick realizability cut before decorating
-        if any(gmap[v] == 0 and sum(k for a, b, k in edges if v in (a, b)) > 1 for v in gmap):
-            continue
         for tree in _decorate(family, d, r, 0, edges, gmap, r_x):
             seen.setdefault(canonical_form(tree), tree)
     return [TreeWithCount(tree=seen[key], assignment_count=assignment_count(seen[key], r_x)) for key in sorted(seen)]

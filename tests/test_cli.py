@@ -1,6 +1,10 @@
 """Command-line interface: outputs, exit codes, table overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,12 @@ def test_verify_exits_zero(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert out.count("[PASS]") == 8
+
+
+def test_verify_passes_with_asserts_stripped():
+    # python -O removes assert statements; every invariant check must be a raise
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-O", "-m", "welschinger.cli", "verify"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

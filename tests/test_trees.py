@@ -20,7 +20,16 @@ from welschinger import (
     m2_reconnection,
     multiplicity,
 )
-from welschinger.trees import MINUS, PLUS, tree_to_json_dict, trees_to_json
+from welschinger.trees import (
+    MINUS,
+    PLUS,
+    _candidate_graphs,
+    automorphisms,
+    pair_condition_count,
+    shape_form,
+    tree_to_json_dict,
+    trees_to_json,
+)
 
 F = TreeFamily
 
@@ -107,6 +116,50 @@ def test_assignment_count_multinomial_oracle():
             labelings.add((frozenset({a, b}), tuple(sorted(big))))
     assert len(twins) == 2 and tree.g(heavy) == 1
     assert assignment_count(tree, 9) == len(labelings) == 36
+
+
+def burnside_assignment_count(tree, r_x):
+    """Reference count: Burnside averaging over the listed automorphisms that
+    preserve degree and sign decorations (an automorphism fixes an assignment
+    iff it fixes every vertex holding a non-empty subset)."""
+    fmap = dict(tree.f_sizes)
+    multinomial = math.factorial(r_x)
+    for f in fmap.values():
+        multinomial //= math.factorial(f)
+    group = automorphisms(tree, with_f=False)
+    orbit = {tuple(sorted((pi[v], f) for v, f in fmap.items())) for pi in group}
+    hits = sum(1 for pi in group for profile in orbit if all(pi[v] == v for v, f in profile if f > 0))
+    assert (multinomial * hits) % len(group) == 0
+    return multinomial * hits // len(group)
+
+
+def _valid_keys(top_degrees):
+    for family, top in top_degrees.items():
+        for d in range(1, top + 1):
+            for r in range(0, 4 * d + 1):
+                try:
+                    yield family, d, r, pair_condition_count(family, d, r)
+                except InvalidDegreeRealPair:
+                    continue
+
+
+def test_assignment_count_matches_burnside():
+    checked = 0
+    for family, d, r, r_x in _valid_keys({F.PROJECTIVE: 8, F.TWO_SPHERICAL: 8, F.THREE_SPHERICAL: 12}):
+        for twc in enumerate_decorated_trees(family, d, r):
+            assert twc.assignment_count == burnside_assignment_count(twc.tree, r_x), (family, d, r)
+            checked += 1
+    assert checked == 645
+
+
+@pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
+def test_each_candidate_shape_is_generated_once(family, top):
+    for d in range(1, top + 1):
+        shapes = [
+            shape_form(DecoratedTree.build(family, d, 0, 0, edges, gmap, {}, {}))
+            for edges, gmap in _candidate_graphs(family, d)
+        ]
+        assert len(shapes) == len(set(shapes)), (family, d)
 
 
 def test_assignment_count_single_vertex():
