@@ -133,7 +133,7 @@ def _cmd_verify(args) -> int:
 def _cmd_derive(args) -> int:
     _, engine = _load_tables(args)
     kind = _KIND[args.kind]
-    key = FKey(kind, ContactVector.parse(args.alpha), ContactVector.parse(args.beta), args.pairs)
+    key = FKey(kind, args.alpha, args.beta, args.pairs)
     print(engine.derive(key))
     return 0
 
@@ -157,6 +157,13 @@ def _cmd_frontier(args) -> int:
                 gap = ",".join(map(str, missing)) or "-"
                 print(f"  d={d}: computable r: {ok}; missing tables for r: {gap}")
     return 0
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derive = sub.add_parser("derive", help="print a cotangent-invariant derivation chain")
     p_derive.add_argument("--kind", choices=sorted(_KIND), required=True)
-    p_derive.add_argument("--alpha", default="0", help='prescribed profile, e.g. "e2" or "2e1"')
-    p_derive.add_argument("--beta", default="0", help='free profile, e.g. "e1+e2"')
-    p_derive.add_argument("--pairs", type=int, default=0, help="conjugate point pairs")
+    profile = ContactVector.parse
+    p_derive.add_argument("--alpha", type=profile, default="0", help='prescribed profile, e.g. "e2" or "2e1"')
+    p_derive.add_argument("--beta", type=profile, default="0", help='free profile, e.g. "e1+e2"')
+    p_derive.add_argument("--pairs", type=_non_negative_int, default=0, help="conjugate point pairs")
     add_tables(p_derive)
     p_derive.set_defaults(func=_cmd_derive)
 

@@ -34,6 +34,7 @@ from importlib import resources
 
 from .contact import ContactVector, LagrangianKind, f_point_count
 from .errors import EmptyBeta, InsufficientRealPoints, UnresolvableFKey
+from .tables import read_json, table_entries
 
 __all__ = [
     "FKey",
@@ -133,25 +134,21 @@ class FInvariantEngine:
         return (key.kind.value, key.alpha.counts, key.beta.counts, key.r_l, key.crosses)
 
     @classmethod
-    def from_json_payload(cls, payload: dict, basis_only: bool = False) -> "FInvariantEngine":
-        entries = {}
-        for row in payload["entries"]:
-            if basis_only and not row.get("basis", False):
-                continue
-            key = (
-                row["kind"],
-                ContactVector(tuple(row["alpha"])).counts,
-                ContactVector(tuple(row["beta"])).counts,
-                row.get("r_l", 0),
-                row.get("crosses", 0),
-            )
-            entries[key] = int(row["value"])
-        return cls(entries, version=payload.get("version", 1))
+    def from_json_payload(cls, payload: dict, basis_only: bool = False, where: str = "F table") -> "FInvariantEngine":
+        fields = [("kind", str), ("alpha", list), ("beta", list)]
+        fields += [("r_l", int, 0), ("crosses", int, 0), ("basis", bool, False)]
+
+        def key_of(kind, alpha, beta, r_l, crosses, basis):
+            if basis_only and not basis:
+                return None
+            alpha, beta = ContactVector(tuple(alpha)), ContactVector(tuple(beta))
+            return (kind, alpha.counts, beta.counts, r_l, crosses)
+
+        return cls(table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
 
     @classmethod
     def from_path(cls, path, basis_only: bool = False) -> "FInvariantEngine":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_payload(json.load(fh), basis_only=basis_only)
+        return cls.from_json_payload(read_json(path), basis_only=basis_only, where=str(path))
 
     def lookup(self, key: FKey):
         return self._entries.get(self._table_key(key))

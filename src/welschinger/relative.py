@@ -22,6 +22,7 @@ from importlib import resources
 
 from .contact import ContactVector
 from .errors import DimensionMismatch, UnknownInvariant
+from .tables import read_json, table_entries
 
 __all__ = [
     "RuledSurfaceClass",
@@ -104,18 +105,17 @@ class RelativeInvariantTable:
         return (n, a, b, alpha.counts, beta.counts)
 
     @classmethod
-    def from_json_payload(cls, payload: dict) -> "RelativeInvariantTable":
-        entries = {}
-        for row in payload["entries"]:
-            alpha = ContactVector(tuple(row["alpha"]))
-            beta = ContactVector(tuple(row["beta"]))
-            entries[cls._key(row["n"], row["a"], row["b"], alpha, beta)] = int(row["value"])
-        return cls(entries, version=payload.get("version", 1))
+    def from_json_payload(cls, payload: dict, where: str = "relative table") -> "RelativeInvariantTable":
+        fields = [("n", int), ("a", int), ("b", int), ("alpha", list), ("beta", list)]
+
+        def key_of(n, a, b, alpha, beta):
+            return cls._key(n, a, b, ContactVector(tuple(alpha)), ContactVector(tuple(beta)))
+
+        return cls(table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
 
     @classmethod
     def from_path(cls, path) -> "RelativeInvariantTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_payload(json.load(fh))
+        return cls.from_json_payload(read_json(path), where=str(path))
 
     def n_sigma(self, key: RelativeKey) -> int:
         if point_count(key) < 0:

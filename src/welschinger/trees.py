@@ -490,22 +490,12 @@ def m1_minus(tree: DecoratedTree) -> int:
 
 def m1_plus(tree: DecoratedTree) -> int:
     """Number of injections from plus vertices with assigned pairs into the
-    plus root edges, matching multiplicities (1 for an empty source)."""
-    sources = [v for v in tree.plus_vertices() if tree.f_size(v) > 0]
-    targets = tree.plus_vertices()
-
-    def count(i, used):
-        if i == len(sources):
-            return 1
-        total = 0
-        k_need = tree.root_edge_multiplicity(sources[i])
-        for t in targets:
-            if t in used or tree.root_edge_multiplicity(t) != k_need:
-                continue
-            total += count(i + 1, used | {t})
-        return total
-
-    return count(0, frozenset())
+    plus root edges, matching multiplicities (1 for an empty source): the
+    product over k of perm(t_k, s_k), for t_k plus root edges of multiplicity
+    k of which s_k lead to vertices holding pairs."""
+    targets = Counter(tree.root_edge_multiplicity(v) for v in tree.plus_vertices())
+    sources = Counter(tree.root_edge_multiplicity(v) for v in tree.plus_vertices() if tree.f_size(v) > 0)
+    return math.prod(math.perm(targets[k], s) for k, s in sources.items())
 
 
 def m2_reconnection(tree: DecoratedTree) -> int:
@@ -640,34 +630,23 @@ class TreeClass:
     variants: tuple[TreeWithCount, ...]
 
 
-def _decorate(family, d, r, root, edges, gmap, r_x):
-    """Attach every admissible sign partition (pair counts are then forced)."""
-    base = DecoratedTree.build(family, d, r, root, edges, gmap, {}, {v: 0 for v in gmap})
-    try:
-        base.depths()
-    except ValueError:
-        return
-    if len(base.edges) != len(base.vertices()) - 1:
-        return
-    adjacent = base.root_adjacent()
-    r_l = minus_part_size(family, r, base.k_s(root), len(adjacent))
+def _decorate(family, d, r, edges, gmap, runs):
+    """Attach one sign partition per isomorphism class (pair counts are then
+    forced): each run of identical root subtrees gets a minus count, taken
+    by its first children, and the counts sum to the root window's r_L."""
+    base = DecoratedTree.build(family, d, r, 0, edges, gmap, {}, {v: 0 for v in gmap})
+    r_l = minus_part_size(family, r, base.k_s(0), base.valence(0))
     if r_l is None:
         return
-    odd = base.odd_vertices()
-    for minus_set in itertools.combinations(adjacent, r_l):
-        signs = {v: (MINUS if v in minus_set else PLUS) for v in adjacent}
-        fmap = {}
-        ok = True
-        for v in odd:
-            plus = signs.get(v) == PLUS
-            f = expected_pair_count(family, gmap[v], base.k_s(v), base.valence(v), plus)
-            if f is None:
-                ok = False
-                break
-            fmap[v] = f
-        if not ok or sum(fmap.values()) != r_x:
+    for minus_counts in itertools.product(*(range(len(run) + 1) for run in runs)):
+        if sum(minus_counts) != r_l:
             continue
-        tree = DecoratedTree.build(family, d, r, root, edges, gmap, signs, fmap)
+        signs = {v: MINUS if i < m else PLUS for run, m in zip(runs, minus_counts) for i, v in enumerate(run)}
+        plus = {v for v, s in signs.items() if s == PLUS}
+        fmap = {v: expected_pair_count(family, g, base.k_s(v), base.valence(v), v in plus) for v, g in gmap.items()}
+        if None in fmap.values():
+            continue
+        tree = DecoratedTree.build(family, d, r, 0, edges, gmap, signs, fmap)
         if not tree.validate():
             yield tree
 
@@ -710,8 +689,10 @@ def _odd_subtrees(rules: FamilyRules, cost: int, k_in: int):
 
 
 def _candidate_graphs(family: TreeFamily, d: int):
-    """Yield (edges, genus map) once for every candidate shape of degree d:
-    a root 0 carrying a multiset of odd subtrees whose costs sum to d."""
+    """Yield (edges, genus map, runs) once for every candidate shape of
+    degree d: a root 0 carrying a multiset of odd subtrees whose costs sum to
+    d.  ``runs`` lists the root children, grouped into runs of identical
+    subtrees (consecutive in the non-decreasing forest)."""
     rules = family.rules
 
     def attach(parent, subtree, edges, gmap):
@@ -723,38 +704,36 @@ def _candidate_graphs(family: TreeFamily, d: int):
         for child in children:
             edges.append((v, len(edges) + 1, 1))
             attach(len(edges), child, edges, gmap)  # below the connector just added
+        return v
 
     for forest in _forests(rules, d, False):
         edges: list[tuple[int, int, int]] = []
         gmap: dict[int, int] = {}
-        for subtree in forest:
-            attach(0, subtree, edges, gmap)
-        yield edges, gmap
+        runs = [[attach(0, subtree, edges, gmap) for subtree in run] for _, run in itertools.groupby(forest)]
+        yield edges, gmap, runs
 
 
 def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWithCount]:
-    """All isomorphism classes of fully decorated trees for (family, d, r)."""
+    """All isomorphism classes of fully decorated trees for (family, d, r),
+    sorted by canonical form; each class is generated exactly once."""
     r_x = pair_condition_count(family, d, r)
-    seen: dict[bytes, DecoratedTree] = {}
-    for edges, gmap in _candidate_graphs(family, d):
-        for tree in _decorate(family, d, r, 0, edges, gmap, r_x):
-            seen.setdefault(canonical_form(tree), tree)
-    return [TreeWithCount(tree=seen[key], assignment_count=assignment_count(seen[key], r_x)) for key in sorted(seen)]
+    trees = sorted(
+        (tree for shape in _candidate_graphs(family, d) for tree in _decorate(family, d, r, *shape)),
+        key=canonical_form,
+    )
+    return [TreeWithCount(tree=tree, assignment_count=assignment_count(tree, r_x)) for tree in trees]
 
 
 def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:
     """Decorated trees for (family, d, r), grouped into shape classes.
 
     Deterministic: classes are sorted by shape encoding, variants by full
-    canonical form.
+    canonical form (the order they arrive in).
     """
     groups: dict[bytes, list[TreeWithCount]] = {}
     for twc in enumerate_decorated_trees(family, d, r):
         groups.setdefault(shape_form(twc.tree), []).append(twc)
-    return [
-        TreeClass(shape_key=key, variants=tuple(sorted(groups[key], key=lambda t: canonical_form(t.tree))))
-        for key in sorted(groups)
-    ]
+    return [TreeClass(shape_key=key, variants=tuple(groups[key])) for key in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,51 @@ def test_table_override_via_flag(tmp_path, capsys):
     assert code == 3 and "outside the curated table" in err
 
 
+RELATIVE_TABLE = Path(__file__).resolve().parent.parent / "src" / "welschinger" / "tables" / "relative_invariants.json"
+
+
+def _table_with_extra_row(path, change):
+    payload = json.loads(RELATIVE_TABLE.read_text())
+    row = dict(payload["entries"][0])  # N4^{e+f}(0, e1) = 1
+    change(row)
+    payload["entries"].append(row)
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("duplicate key", "lists a key again with value 7, not 1"),
+        ("row without alpha", "missing field 'alpha'"),
+        ("missing file", "cannot read table"),
+        ("invalid JSON", "cannot read table"),
+    ],
+)
+def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
+    path = tmp_path / "table.json"
+    if case == "duplicate key":
+        _table_with_extra_row(path, lambda row: row.update(value=7))
+    elif case == "row without alpha":
+        _table_with_extra_row(path, lambda row: row.pop("alpha"))
+    elif case == "invalid JSON":
+        path.write_text('{"entries": [')
+    args = ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--invariant-table", str(path))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and message in err
+    if case in ("duplicate key", "row without alpha"):
+        assert "row 22" in err  # the appended row, after the 22 built-in ones
+
+
+@pytest.mark.parametrize("argv", [("--beta", "foo"), ("--beta", "e0"), ("--pairs", "-1")])
+def test_derive_rejects_bad_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", "--kind", "rp2", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}" in err and "Traceback" not in err
+
+
 def test_table_override_via_env(tmp_path, capsys, monkeypatch):
     table = {"version": 1, "entries": []}
     (tmp_path / "relative_invariants.json").write_text(json.dumps(table))

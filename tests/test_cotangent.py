@@ -5,10 +5,12 @@ import pytest
 from welschinger import (
     ContactVector,
     EmptyBeta,
+    FInvariantEngine,
     FKey,
     InsufficientRealPoints,
     LagrangianKind,
     UnresolvableFKey,
+    WelschingerError,
     basis_f_engine,
     builtin_f_engine,
     f_invariant,
@@ -175,3 +177,23 @@ def test_reductions_preserve_dimension_bookkeeping():
     key = FKey(K.SPHERE2, zero, e2)
     for _, child in reduce_real_pair_to_cross(key):
         assert child.r == key.r - 2
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ({"kind": "rp2", "alpha": [], "beta": [1], "value": 2}, "row 1 lists a key again with value 2, not 1"),
+        ({"kind": "rp2", "alpha": [], "beta": [True], "value": 1}, "row 1: field 'beta' must be a list of ints"),
+        ({"kind": "rp2", "alpha": [], "beta": [1], "value": "1"}, "row 1: field 'value' must be int"),
+        ({"kind": "rp2", "alpha": [], "beta": [1], "r_l": 1.0, "value": 1}, "row 1: field 'r_l' must be int"),
+        ({"kind": "rp2", "alpha": [-1], "beta": [1], "value": 1}, "row 1: contact multiplicities must be non-negative"),
+    ],
+)
+def test_f_table_rejects_bad_rows(row, message):
+    # the first row is F[rp2](0, e1) = 1; a repeat with the same value is allowed
+    first = {"kind": "rp2", "alpha": [], "beta": [1, 0], "value": 1}
+    engine = FInvariantEngine.from_json_payload({"entries": [first, dict(first, beta=[1])]})
+    assert engine.lookup(FKey(K.RP2, zero, e1)) == 1
+    with pytest.raises(WelschingerError) as exc:
+        FInvariantEngine.from_json_payload({"entries": [first, row]}, where="f.json")
+    assert str(exc.value).startswith("f.json: ") and message in str(exc.value)

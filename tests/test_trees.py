@@ -24,6 +24,7 @@ from welschinger.trees import (
     MINUS,
     PLUS,
     _candidate_graphs,
+    _decorate,
     automorphisms,
     pair_condition_count,
     shape_form,
@@ -155,11 +156,13 @@ def test_assignment_count_matches_burnside():
 @pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
 def test_each_candidate_shape_is_generated_once(family, top):
     for d in range(1, top + 1):
-        shapes = [
-            shape_form(DecoratedTree.build(family, d, 0, 0, edges, gmap, {}, {}))
-            for edges, gmap in _candidate_graphs(family, d)
-        ]
+        graphs = _candidate_graphs(family, d)
+        shapes = [shape_form(DecoratedTree.build(family, d, 0, 0, e, g, {}, {})) for e, g, _ in graphs]
         assert len(shapes) == len(set(shapes)), (family, d)
+    # and each decorated tree: no two that the decoration step yields are isomorphic
+    for _, d, r, _ in _valid_keys({family: top}):
+        forms = [canonical_form(t) for shape in _candidate_graphs(family, d) for t in _decorate(family, d, r, *shape)]
+        assert len(forms) == len(set(forms)), (family, d, r)
 
 
 def test_assignment_count_single_vertex():
