@@ -34,7 +34,7 @@ from importlib import resources
 
 from .contact import ContactVector, LagrangianKind, f_point_count
 from .errors import EmptyBeta, InsufficientRealPoints, UnresolvableFKey
-from .tables import read_json, table_entries
+from .tables import _read_json, _table_entries
 
 __all__ = [
     "FKey",
@@ -144,11 +144,11 @@ class FInvariantEngine:
             alpha, beta = ContactVector(tuple(alpha)), ContactVector(tuple(beta))
             return (kind, alpha.counts, beta.counts, r_l, crosses)
 
-        return cls(table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
+        return cls(_table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
 
     @classmethod
     def from_path(cls, path, basis_only: bool = False) -> "FInvariantEngine":
-        return cls.from_json_payload(read_json(path), basis_only=basis_only, where=str(path))
+        return cls.from_json_payload(_read_json(path), basis_only=basis_only, where=str(path))
 
     def lookup(self, key: FKey):
         return self._entries.get(self._table_key(key))

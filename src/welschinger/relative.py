@@ -22,7 +22,7 @@ from importlib import resources
 
 from .contact import ContactVector
 from .errors import DimensionMismatch, UnknownInvariant
-from .tables import read_json, table_entries
+from .tables import _read_json, _table_entries
 
 __all__ = [
     "RuledSurfaceClass",
@@ -111,11 +111,11 @@ class RelativeInvariantTable:
         def key_of(n, a, b, alpha, beta):
             return cls._key(n, a, b, ContactVector(tuple(alpha)), ContactVector(tuple(beta)))
 
-        return cls(table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
+        return cls(_table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
 
     @classmethod
     def from_path(cls, path) -> "RelativeInvariantTable":
-        return cls.from_json_payload(read_json(path), where=str(path))
+        return cls.from_json_payload(_read_json(path), where=str(path))
 
     def n_sigma(self, key: RelativeKey) -> int:
         if point_count(key) < 0:

@@ -9,7 +9,7 @@ import json
 
 from ..errors import WelschingerError
 
-def read_json(path):
+def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -26,7 +26,7 @@ def _field(row: dict, name: str, kind: type, default=None):
     raise ValueError(f"field {name!r} must be {'a list of ints' if kind is list else kind.__name__}, got {value!r}")
 
 
-def table_entries(payload, fields, key_of, where: str) -> dict:
+def _table_entries(payload, fields, key_of, where: str) -> dict:
     """``{key_of(*fields): value}`` over the rows of a table payload.
 
     ``fields`` lists ``(name, type)`` for each mandatory field a key is made
