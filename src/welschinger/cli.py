@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="compute all coefficients up to a bound")
     add_geometry(p_poly)
-    p_poly.add_argument("--real-points-max", type=int, default=None)
+    p_poly.add_argument("--real-points-max", type=_non_negative_int, default=None)
     p_poly.add_argument("--format", choices=["text", "json", "csv"], default="text")
     add_tables(p_poly)
     p_poly.set_defaults(func=_cmd_poly)
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=_cmd_derive)
 
     p_frontier = sub.add_parser("frontier", help="computable (d, r) range per geometry")
-    p_frontier.add_argument("--max-degree", type=int, default=8)
+    p_frontier.add_argument("--max-degree", type=_non_negative_int, default=8)
     add_tables(p_frontier)
     p_frontier.set_defaults(func=_cmd_frontier)
 

@@ -166,11 +166,7 @@ class GeometryKind(Enum):
 
     @property
     def lagrangian(self) -> LagrangianKind:
-        return {
-            GeometryKind.PROJECTIVE_PLANE: LagrangianKind.RP2,
-            GeometryKind.ELLIPSOID_QUADRIC2: LagrangianKind.SPHERE2,
-            GeometryKind.ELLIPSOID_QUADRIC3: LagrangianKind.SPHERE3,
-        }[self]
+        return _LAGRANGIAN_OF[self]
 
     def self_intersection(self, delta: int) -> int:
         if self is GeometryKind.PROJECTIVE_PLANE:
@@ -185,6 +181,13 @@ class GeometryKind(Enum):
         if self is GeometryKind.ELLIPSOID_QUADRIC2:
             return 4 * delta
         return 3 * delta
+
+
+_LAGRANGIAN_OF = {
+    GeometryKind.PROJECTIVE_PLANE: LagrangianKind.RP2,
+    GeometryKind.ELLIPSOID_QUADRIC2: LagrangianKind.SPHERE2,
+    GeometryKind.ELLIPSOID_QUADRIC3: LagrangianKind.SPHERE3,
+}
 
 
 def genus_smooth(geometry: GeometryKind, delta: int) -> int:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .contact import ContactVector, LagrangianKind, f_point_count
@@ -135,16 +136,8 @@ class FInvariantEngine:
 
     @classmethod
     def from_json_payload(cls, payload: dict, basis_only: bool = False, where: str = "F table") -> "FInvariantEngine":
-        fields = [("kind", str), ("alpha", list), ("beta", list)]
-        fields += [("r_l", int, 0), ("crosses", int, 0), ("basis", bool, False)]
-
-        def key_of(kind, alpha, beta, r_l, crosses, basis):
-            if basis_only and not basis:
-                return None
-            alpha, beta = ContactVector(tuple(alpha)), ContactVector(tuple(beta))
-            return (kind, alpha.counts, beta.counts, r_l, crosses)
-
-        return cls(_table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
+        entries, basis = _checked_rows(payload, where)
+        return cls(basis if basis_only else entries, version=payload.get("version", 1))
 
     @classmethod
     def from_path(cls, path, basis_only: bool = False) -> "FInvariantEngine":
@@ -192,32 +185,42 @@ class FInvariantEngine:
         return out
 
 
-_PAYLOAD = None
+def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tuple, int]]:
+    """The checked entries of an F-table payload, and those of its basis rows."""
+    fields = [("kind", str), ("alpha", list), ("beta", list)]
+    fields += [("r_l", int, 0), ("crosses", int, 0), ("basis", bool, False)]
+    basis_keys = set()
+
+    def key_of(kind, alpha, beta, r_l, crosses, basis):
+        alpha, beta = ContactVector(tuple(alpha)), ContactVector(tuple(beta))
+        key = (kind, alpha.counts, beta.counts, r_l, crosses)
+        if basis:
+            basis_keys.add(key)
+        return key
+
+    entries = _table_entries(payload, fields, key_of, where)
+    return entries, {key: entries[key] for key in basis_keys}
 
 
-def _payload() -> dict:
-    global _PAYLOAD
-    if _PAYLOAD is None:
-        _PAYLOAD = json.loads(
-            resources.files("welschinger.tables").joinpath("f_invariants.json").read_text()
-        )
-    return _PAYLOAD
+@cache
+def _packaged_table() -> tuple[int, dict[tuple, int], dict[tuple, int]]:
+    """(version, entries, basis entries) of the packaged F table, read and
+    checked once per process."""
+    payload = json.loads(resources.files("welschinger.tables").joinpath("f_invariants.json").read_text())
+    return (payload.get("version", 1), *_checked_rows(payload, "F table"))
 
 
-_BUILTIN: FInvariantEngine | None = None
-
-
+@cache
 def builtin_f_engine() -> FInvariantEngine:
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = FInvariantEngine.from_json_payload(_payload())
-    return _BUILTIN
+    version, entries, _ = _packaged_table()
+    return FInvariantEngine(entries, version)
 
 
 def basis_f_engine() -> FInvariantEngine:
-    """Engine seeded with the curated basis only (cross-marked, vanishing and
-    rigid geometric entries); everything else must be derived."""
-    return FInvariantEngine.from_json_payload(_payload(), basis_only=True)
+    """A fresh engine seeded with the curated basis only (cross-marked,
+    vanishing and rigid geometric entries); everything else must be derived."""
+    version, _, basis = _packaged_table()
+    return FInvariantEngine(basis, version)
 
 
 def f_invariant(

@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 from .contact import ContactVector, GeometryKind
 from .errors import InvalidDegreeRealPair
@@ -612,7 +612,12 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
 @dataclass(frozen=True)
 class TreeWithCount:
     tree: DecoratedTree
-    assignment_count: int
+
+    @cached_property
+    def assignment_count(self) -> int:
+        """Pair-assignment classes of the tree, counted on first read."""
+        tree = self.tree
+        return assignment_count(tree, pair_condition_count(tree.family, tree.d, tree.r))
 
     @property
     def multiplicity(self) -> int:
@@ -630,11 +635,29 @@ class TreeClass:
     variants: tuple[TreeWithCount, ...]
 
 
-def _decorate(family, d, r, edges, gmap, runs):
+def _base_tree(family, d, edges, gmap) -> DecoratedTree:
+    return DecoratedTree.build(family, d, 0, 0, edges, gmap, {}, {v: 0 for v in dict(gmap)})
+
+
+@cache
+def _shapes(family: TreeFamily, d: int) -> tuple:
+    """The candidate shapes of (family, d), generated once per process since
+    they do not depend on r: per shape, the edges, genus map and runs of
+    :func:`_candidate_graphs` as tuples, then its undecorated base tree,
+    the one source of k_s and valence."""
+    return tuple(
+        (tuple(edges), tuple(gmap.items()), tuple(map(tuple, runs)), _base_tree(family, d, edges, gmap))
+        for edges, gmap, runs in _candidate_graphs(family, d)
+    )
+
+
+def _decorate(family, d, r, edges, gmap, runs, base=None):
     """Attach one sign partition per isomorphism class (pair counts are then
     forced): each run of identical root subtrees gets a minus count, taken
-    by its first children, and the counts sum to the root window's r_L."""
-    base = DecoratedTree.build(family, d, r, 0, edges, gmap, {}, {v: 0 for v in gmap})
+    by its first children, and the counts sum to the root window's r_L.
+    Without the shape's base tree, one is built here."""
+    if base is None:
+        base = _base_tree(family, d, edges, gmap)
     r_l = minus_part_size(family, r, base.k_s(0), base.valence(0))
     if r_l is None:
         return
@@ -643,7 +666,7 @@ def _decorate(family, d, r, edges, gmap, runs):
             continue
         signs = {v: MINUS if i < m else PLUS for run, m in zip(runs, minus_counts) for i, v in enumerate(run)}
         plus = {v for v, s in signs.items() if s == PLUS}
-        fmap = {v: expected_pair_count(family, g, base.k_s(v), base.valence(v), v in plus) for v, g in gmap.items()}
+        fmap = {v: expected_pair_count(family, g, base.k_s(v), base.valence(v), v in plus) for v, g in base.genus}
         if None in fmap.values():
             continue
         tree = DecoratedTree.build(family, d, r, 0, edges, gmap, signs, fmap)
@@ -715,13 +738,12 @@ def _candidate_graphs(family: TreeFamily, d: int):
 
 def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWithCount]:
     """All isomorphism classes of fully decorated trees for (family, d, r),
-    sorted by canonical form; each class is generated exactly once."""
-    r_x = pair_condition_count(family, d, r)
-    trees = sorted(
-        (tree for shape in _candidate_graphs(family, d) for tree in _decorate(family, d, r, *shape)),
-        key=canonical_form,
-    )
-    return [TreeWithCount(tree=tree, assignment_count=assignment_count(tree, r_x)) for tree in trees]
+    sorted by canonical form; each class is generated exactly once.  Shapes
+    come from the per-process cache of (family, d); each tree's
+    pair-assignment count is computed when it is first read."""
+    pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
+    trees = sorted((tree for shape in _shapes(family, d) for tree in _decorate(family, d, r, *shape)), key=canonical_form)
+    return [TreeWithCount(tree) for tree in trees]
 
 
 def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:

@@ -157,6 +157,22 @@ def test_derive_rejects_bad_arguments(capsys, argv):
     assert f"argument {argv[0]}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poly", "--geometry", "cp2", "--degree", "5", "--real-points-max", "-2"),
+        ("frontier", "--max-degree", "-1"),
+    ],
+)
+def test_negative_bounds_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be >= 0" in captured.err and "Traceback" not in captured.err
+
+
 def test_table_override_via_env(tmp_path, capsys, monkeypatch):
     table = {"version": 1, "entries": []}
     (tmp_path / "relative_invariants.json").write_text(json.dumps(table))

@@ -197,3 +197,22 @@ def test_f_table_rejects_bad_rows(row, message):
     with pytest.raises(WelschingerError) as exc:
         FInvariantEngine.from_json_payload({"entries": [first, row]}, where="f.json")
     assert str(exc.value).startswith("f.json: ") and message in str(exc.value)
+
+
+def test_packaged_table_is_checked_once_and_each_basis_engine_is_fresh(monkeypatch):
+    from welschinger import cotangent
+
+    calls = []
+    check = cotangent._checked_rows
+
+    def counted(payload, where):
+        calls.append(where)
+        return check(payload, where)
+
+    monkeypatch.setattr(cotangent, "_checked_rows", counted)
+    cotangent._packaged_table.cache_clear()
+    first, second = basis_f_engine(), basis_f_engine()
+    assert calls == ["F table"]
+    assert first is not second and first._entries == second._entries
+    first._entries.clear()
+    assert len(second._entries) == len(basis_f_engine()._entries) == 30

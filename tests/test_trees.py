@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from welschinger import (
     m2_reconnection,
     multiplicity,
 )
+from welschinger import trees as trees_module
 from welschinger.trees import (
     MINUS,
     PLUS,
@@ -163,6 +165,43 @@ def test_each_candidate_shape_is_generated_once(family, top):
     for _, d, r, _ in _valid_keys({family: top}):
         forms = [canonical_form(t) for shape in _candidate_graphs(family, d) for t in _decorate(family, d, r, *shape)]
         assert len(forms) == len(set(forms)), (family, d, r)
+
+
+def test_shapes_are_generated_once_per_family_and_degree(monkeypatch):
+    calls = Counter()
+    generate = trees_module._candidate_graphs
+
+    def counted(family, d):
+        calls[family, d] += 1
+        return generate(family, d)
+
+    monkeypatch.setattr(trees_module, "_candidate_graphs", counted)
+    trees_module._shapes.cache_clear()
+    enumerated = 0
+    for family in (F.PROJECTIVE, F.TWO_SPHERICAL):
+        for r in range(0, 4 * 8 + 1):
+            try:
+                enumerate_trees(family, 8, r)
+            except InvalidDegreeRealPair:
+                continue
+            enumerated += 1
+    assert enumerated == 12 + 16  # r = 1, 3, ..., 23 and r = 1, 3, ..., 31
+    assert calls == {(F.PROJECTIVE, 8): 1, (F.TWO_SPHERICAL, 8): 1}
+
+
+def test_assignment_counts_are_computed_when_read(monkeypatch):
+    calls = []
+
+    def counted(tree, r_x):
+        calls.append(tree)
+        return assignment_count(tree, r_x)
+
+    monkeypatch.setattr(trees_module, "assignment_count", counted)
+    twcs = enumerate_decorated_trees(F.PROJECTIVE, 8, 1)
+    assert twcs and calls == []
+    r_x = pair_condition_count(F.PROJECTIVE, 8, 1)
+    assert [twc.assignment_count for twc in twcs] == [assignment_count(twc.tree, r_x) for twc in twcs]
+    assert [twc.assignment_count for twc in twcs] and calls == [twc.tree for twc in twcs]
 
 
 def test_assignment_count_single_vertex():
