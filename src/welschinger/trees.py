@@ -645,10 +645,11 @@ def _shapes(family: TreeFamily, d: int) -> tuple:
     they do not depend on r: per shape, the edges, genus map and runs of
     :func:`_candidate_graphs` as tuples, then its undecorated base tree,
     the one source of k_s and valence."""
-    return tuple(
-        (tuple(edges), tuple(gmap.items()), tuple(map(tuple, runs)), _base_tree(family, d, edges, gmap))
-        for edges, gmap, runs in _candidate_graphs(family, d)
-    )
+    shapes = []
+    for edges, gmap, runs in _candidate_graphs(family, d):
+        base = _base_tree(family, d, edges, gmap)
+        shapes.append((base.edges, base.genus, tuple(map(tuple, runs)), base))
+    return tuple(shapes)
 
 
 def _decorate(family, d, r, edges, gmap, runs, base=None):
