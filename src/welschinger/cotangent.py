@@ -135,13 +135,13 @@ class FInvariantEngine:
         return (key.kind.value, key.alpha.counts, key.beta.counts, key.r_l, key.crosses)
 
     @classmethod
-    def from_json_payload(cls, payload: dict, basis_only: bool = False, where: str = "F table") -> "FInvariantEngine":
-        entries, basis = _checked_rows(payload, where)
-        return cls(basis if basis_only else entries, version=payload.get("version", 1))
+    def from_json_payload(cls, payload: dict, where: str = "F table") -> "FInvariantEngine":
+        entries, _ = _checked_rows(payload, where)
+        return cls(entries, version=payload.get("version", 1))
 
     @classmethod
-    def from_path(cls, path, basis_only: bool = False) -> "FInvariantEngine":
-        return cls.from_json_payload(_read_json(path), basis_only=basis_only, where=str(path))
+    def from_path(cls, path) -> "FInvariantEngine":
+        return cls.from_json_payload(_read_json(path), where=str(path))
 
     def lookup(self, key: FKey):
         return self._entries.get(self._table_key(key))
