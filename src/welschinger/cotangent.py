@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 
 from .contact import ContactVector, LagrangianKind, f_point_count
@@ -57,9 +57,10 @@ class FKey:
     r_l: int = 0
     crosses: int = 0
 
-    @property
+    @cached_property
     def r(self) -> int:
-        """Real points left after each imposed double point consumes two."""
+        """Real points left after each imposed double point consumes two;
+        computed once per key (the fields above alone decide equality)."""
         base = f_point_count(self.kind, self.alpha, self.beta, self.r_l)
         return base - 2 * self.crosses
 

@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 
 from .contact import ContactVector, GeometryKind
 from .errors import InvalidDegreeRealPair
@@ -53,6 +53,22 @@ __all__ = [
     "assignment_count",
     "tree_to_json_dict",
 ]
+
+
+class _cached:
+    """``functools.cached_property`` without the lock that it takes on every
+    first read before Python 3.12; the value is stored in the instance's
+    ``__dict__``, which shadows this descriptor on later reads."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
 
 PLUS = "+"
 MINUS = "-"
@@ -166,7 +182,9 @@ class DecoratedTree:
     and ``f_sizes`` are sorted (vertex, value) tuples over odd vertices (signs
     over root-adjacent odd vertices only).  Vertex ids are arbitrary ints;
     isomorphism is decided by :func:`canonical_form`.  The structure derived
-    from these fields is computed once per instance, on first use; the
+    from these fields is computed once per instance, on first use, and the
+    part that depends on root, edges and genus only (``_SHARED``) is taken
+    from the shape's base tree by the trees :func:`_decorate` builds; the
     returned lists and dicts are shared and must not be modified.
     """
 
@@ -194,7 +212,7 @@ class DecoratedTree:
 
     # -- structure ---------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _adjacency(self) -> dict[int, list[tuple[int, int]]]:
         verts = {self.root}
         for u, v, _ in self.edges:
@@ -205,7 +223,7 @@ class DecoratedTree:
             adj[v].append((u, k))
         return adj
 
-    @cached_property
+    @_cached
     def _depths(self) -> dict[int, int]:
         adj = self._adjacency
         depth = {self.root: 0}
@@ -222,7 +240,7 @@ class DecoratedTree:
             raise ValueError("tree is not connected")
         return depth
 
-    @cached_property
+    @_cached
     def _by_parity(self) -> tuple[list[int], list[int]]:
         even: list[int] = []
         odd: list[int] = []
@@ -230,9 +248,41 @@ class DecoratedTree:
             (odd if p % 2 else even).append(v)
         return even, odd
 
-    @cached_property
+    @_cached
     def _root_adjacent(self) -> list[int]:
         return sorted(v for v, _ in self._adjacency[self.root])
+
+    @_cached
+    def _k_s(self) -> dict[int, int]:
+        return {v: sum(k for _, k in nbrs) for v, nbrs in self._adjacency.items()}
+
+    @_cached
+    def _bottom_up(self) -> list[tuple[int, int, list[int]]]:
+        """(vertex, multiplicity of the edge from its parent, children), every
+        vertex after its children."""
+        k_in = {self.root: 0}
+        out = []
+        for v in self._depths:  # breadth-first: a parent before its children
+            children = []
+            for w, k in self._adjacency[v]:
+                if w not in k_in:
+                    k_in[w] = k
+                    children.append(w)
+            out.append((v, k_in[v], children))
+        out.reverse()
+        return out
+
+    @_cached
+    def _shape_body(self) -> str:
+        return _codes(self, with_signs=False, with_f=False)[self.root]
+
+    @_cached
+    def _canonical(self) -> bytes:
+        return _form(self, _codes(self, with_signs=True, with_f=True)[self.root])
+
+    @_cached
+    def _shape(self) -> bytes:
+        return _form(self, self._shape_body)
 
     def vertices(self) -> list[int]:
         return list(self._adjacency)
@@ -257,7 +307,7 @@ class DecoratedTree:
         return len(self._adjacency[v])
 
     def k_s(self, v: int) -> int:
-        return sum(k for _, k in self._adjacency[v])
+        return self._k_s[v]
 
     def k_total(self) -> int:
         return sum(k for _, _, k in self.edges)
@@ -277,15 +327,15 @@ class DecoratedTree:
 
     # -- decorations -------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _genus_map(self) -> dict[int, int]:
         return dict(self.genus)
 
-    @cached_property
+    @_cached
     def _sign_map(self) -> dict[int, str]:
         return dict(self.signs)
 
-    @cached_property
+    @_cached
     def _f_map(self) -> dict[int, int]:
         return dict(self.f_sizes)
 
@@ -352,24 +402,26 @@ class DecoratedTree:
             problems.append("sign partition must cover exactly the root-adjacent vertices")
 
         rules = self.family.rules
+        even_shapes = rules.even_shapes
         for v in self.even_vertices():
-            if v != self.root and tuple(sorted(k for _, k in self._adjacency[v])) not in rules.even_shapes:
+            if v != self.root and tuple(sorted(k for _, k in self._adjacency[v])) not in even_shapes:
                 problems.append(f"even vertex {v} has a shape the {self.family.value} family does not allow")
 
         # Degree-0 components must be single fibres: a vertex with g = 0 and
         # total contact multiplicity >= 2 would represent a multiple fibre
         # class, which carries no irreducible rational curve.
+        genus, k_s = self._genus_map, self._k_s
         for v in odd:
-            if self.g(v) == 0 and self.k_s(v) > 1:
-                problems.append(f"vertex {v} has degree 0 but contact multiplicity {self.k_s(v)}")
+            if genus[v] == 0 and k_s[v] > 1:
+                problems.append(f"vertex {v} has degree 0 but contact multiplicity {k_s[v]}")
 
-        r_l = minus_part_size(self.family, self.r, self.k_s(self.root), self.valence(self.root))
+        r_l = minus_part_size(self.family, self.r, k_s[self.root], self.valence(self.root))
         if r_l is None:
             problems.append("real-point count outside the root window")
         elif len(self.minus_vertices()) != r_l:
             problems.append("minus part of the partition has the wrong size")
 
-        if rules.genus_total(self.d, self.k_total()) != sum(self._genus_map.values()):
+        if rules.genus_total(self.d, self.k_total()) != sum(genus.values()):
             problems.append("degree equation fails")
 
         # Per-vertex point counts and their sum.
@@ -379,12 +431,17 @@ class DecoratedTree:
             problems.append(str(exc))
             return problems
         for v in odd:
-            expect = expected_pair_count(self.family, self.g(v), self.k_s(v), self.valence(v), self.is_plus(v))
+            expect = expected_pair_count(self.family, genus[v], k_s[v], self.valence(v), self.is_plus(v))
             if expect is None or expect != self.f_size(v):
                 problems.append(f"pair count at vertex {v} violates the point-count equation")
         if sum(self._f_map.values()) != r_x:
             problems.append("total assigned pairs differ from the pair-condition count")
         return problems
+
+
+# What a decorated tree takes from its shape's base tree: all of it depends on
+# root, edges and genus only.
+_SHARED = ("_adjacency", "_depths", "_by_parity", "_root_adjacent", "_k_s", "_bottom_up", "_genus_map", "_shape_body")
 
 
 def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus: bool):
@@ -407,55 +464,61 @@ def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus
 # canonical forms, automorphisms
 
 
-def _encode(tree: DecoratedTree, v: int, parent: int, k_in: int, with_signs: bool, with_f: bool):
-    if tree.depths()[v] % 2:
-        label = (tree.g(v), tree.sign(v) if with_signs else None, tree.f_size(v) if with_f else None)
-    else:
-        label = None
-    children = sorted(
-        (_encode(tree, w, v, k, with_signs, with_f) for w, k in tree.adjacency()[v] if w != parent),
-        key=repr,
-    )
-    return (k_in, label, tuple(children))
+def _codes(tree: DecoratedTree, with_signs: bool, with_f: bool) -> dict[int, str]:
+    """Rooted AHU code of every vertex's subtree, built bottom-up as the
+    ``repr`` of the nested tuple ``(k_in, label, sorted child codes)``: the
+    label of an odd vertex is ``(g, sign, f)`` (sign and f None unless
+    selected), that of an even vertex None."""
+    labels = {
+        v: f"({tree.g(v)}, {tree.sign(v) if with_signs else None!r}, {tree.f_size(v) if with_f else None})"
+        for v in tree.odd_vertices()
+    }
+    codes: dict[int, str] = {}
+    for v, k_in, children in tree._bottom_up:
+        kids = sorted([codes[w] for w in children])
+        codes[v] = f"({k_in}, {labels.get(v)}, ({', '.join(kids)}{',' if len(kids) == 1 else ''}))"
+    return codes
+
+
+def _form(tree: DecoratedTree, body: str) -> bytes:
+    return f"({tree.family.value!r}, {tree.d}, {tree.r}, {body})".encode()
 
 
 def canonical_form(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool = True) -> bytes:
     """Isomorphism-invariant encoding (rooted AHU with decorations as labels).
 
     Two decorated trees are isomorphic iff their encodings agree; relabeling
-    vertices never changes the encoding.
+    vertices never changes the encoding.  The full and the shape encoding
+    are computed once per tree.
     """
-    code = (tree.family.value, tree.d, tree.r, _encode(tree, tree.root, -1, 0, with_signs, with_f))
-    return repr(code).encode()
+    if with_signs and with_f:
+        return tree._canonical
+    if not (with_signs or with_f):
+        return tree._shape
+    return _form(tree, _codes(tree, with_signs, with_f)[tree.root])
 
 
 def shape_form(tree: DecoratedTree) -> bytes:
     """Encoding of the underlying weighted tree with its degree decoration only."""
-    return canonical_form(tree, with_signs=False, with_f=False)
+    return tree._shape
 
 
 def automorphisms(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool = True) -> list[dict[int, int]]:
     """All root-fixing automorphisms preserving the selected decorations."""
     adj = tree.adjacency()
-    enc_cache: dict[tuple[int, int], object] = {}
-
-    def enc(v, parent, k_in):
-        key = (v, parent)
-        if key not in enc_cache:
-            enc_cache[key] = _encode(tree, v, parent, k_in, with_signs, with_f)
-        return enc_cache[key]
+    codes = _codes(tree, with_signs, with_f)
 
     def extend(v, w, pv, pw, mapping):
         # map subtree rooted at v (parent pv) onto subtree at w (parent pw)
         mapping[v] = w
-        cv = [(x, k) for x, k in adj[v] if x != pv]
-        cw = [(x, k) for x, k in adj[w] if x != pw]
-        groups: dict[object, list[int]] = {}
-        for x, k in cw:
-            groups.setdefault(enc(x, w, k), []).append(x)
+        cv = [x for x, _ in adj[v] if x != pv]
+        cw = [x for x, _ in adj[w] if x != pw]
+        groups: dict[str, list[int]] = {}
+        for x in cw:
+            groups.setdefault(codes[x], []).append(x)
         out = [mapping]
-        for x, k in cv:
-            code = enc(x, v, k)
+        for x in cv:
+            code = codes[x]
             if code not in groups:
                 return []
             new_out = []
@@ -612,12 +675,12 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
 @dataclass(frozen=True)
 class TreeWithCount:
     tree: DecoratedTree
+    r_x: int  # pair_condition_count of the tree's (family, d, r)
 
-    @cached_property
+    @_cached
     def assignment_count(self) -> int:
         """Pair-assignment classes of the tree, counted on first read."""
-        tree = self.tree
-        return assignment_count(tree, pair_condition_count(tree.family, tree.d, tree.r))
+        return assignment_count(self.tree, self.r_x)
 
     @property
     def multiplicity(self) -> int:
@@ -644,7 +707,7 @@ def _shapes(family: TreeFamily, d: int) -> tuple:
     """The candidate shapes of (family, d), generated once per process since
     they do not depend on r: per shape, the edges, genus map and runs of
     :func:`_candidate_graphs` as tuples, then its undecorated base tree,
-    the one source of k_s and valence."""
+    whose structure every decorated tree of the shape shares."""
     shapes = []
     for edges, gmap, runs in _candidate_graphs(family, d):
         base = _base_tree(family, d, edges, gmap)
@@ -656,12 +719,14 @@ def _decorate(family, d, r, edges, gmap, runs, base=None):
     """Attach one sign partition per isomorphism class (pair counts are then
     forced): each run of identical root subtrees gets a minus count, taken
     by its first children, and the counts sum to the root window's r_L.
-    Without the shape's base tree, one is built here."""
+    Without the shape's base tree, one is built here.  Every tree shares
+    the base tree's structure, and each is validated."""
     if base is None:
         base = _base_tree(family, d, edges, gmap)
     r_l = minus_part_size(family, r, base.k_s(0), base.valence(0))
     if r_l is None:
         return
+    shared = {name: getattr(base, name) for name in _SHARED}
     for minus_counts in itertools.product(*(range(len(run) + 1) for run in runs)):
         if sum(minus_counts) != r_l:
             continue
@@ -671,11 +736,12 @@ def _decorate(family, d, r, edges, gmap, runs, base=None):
         if None in fmap.values():
             continue
         tree = DecoratedTree.build(family, d, r, 0, edges, gmap, signs, fmap)
+        vars(tree).update(shared)  # where _cached stores; same root, edges and genus
         if not tree.validate():
             yield tree
 
 
-def _forests(rules: FamilyRules, budget: int, via_connector: bool, items=None, start: int = 0):
+def _forests(rules: FamilyRules, memo: dict, budget: int, via_connector: bool, items=None, start: int = 0):
     """Every multiset of odd subtrees whose costs sum to ``budget``, once, as
     a non-decreasing tuple.  Root children take any edge multiplicity; a
     connector child enters on a simple edge and also pays for the
@@ -685,31 +751,37 @@ def _forests(rules: FamilyRules, budget: int, via_connector: bool, items=None, s
         return
     if items is None and via_connector:
         top = budget - rules.scale if rules.connectors else 0
-        items = [(rules.scale + c, t) for c in range(1, top + 1) for t in _odd_subtrees(rules, c, 1)]
+        items = [(rules.scale + c, t) for c in range(1, top + 1) for t in _odd_subtrees(rules, memo, c, 1)]
     elif items is None:
-        items = [(c, t) for c in range(1, budget + 1) for k in range(1, c // rules.scale + 1) for t in _odd_subtrees(rules, c, k)]
+        items = [
+            (c, t) for c in range(1, budget + 1) for k in range(1, c // rules.scale + 1) for t in _odd_subtrees(rules, memo, c, k)
+        ]
     for j in range(start, len(items)):
         cost, subtree = items[j]
-        if cost <= budget:
-            for rest in _forests(rules, budget - cost, via_connector, items, j):
-                yield (subtree,) + rest
+        if cost > budget:
+            break  # items come in non-decreasing cost
+        for rest in _forests(rules, memo, budget - cost, via_connector, items, j):
+            yield (subtree,) + rest
 
 
-def _odd_subtrees(rules: FamilyRules, cost: int, k_in: int):
+def _odd_subtrees(rules: FamilyRules, memo: dict, cost: int, k_in: int) -> list:
     """Every odd subtree entered by an edge of multiplicity k_in whose share
     ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
     as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
     leaf on a simple edge: :meth:`DecoratedTree.validate` rejects any other
-    (a multiple fibre class)."""
+    (a multiple fibre class).  Each list is built once per ``memo``, which
+    lives for one :func:`_candidate_graphs` run."""
+    if (cost, k_in) in memo:
+        return memo[cost, k_in]
     rest = cost - rules.scale * k_in
-    if rest == 0 and k_in == 1:
-        yield (1, 0, 0, ())
+    out = [(1, 0, 0, ())] if rest == 0 and k_in == 1 else []
     step = rules.scale * rules.pendant
     for g in range(1, rest // rules.genus_coefficient + 1):
         left = rest - rules.genus_coefficient * g
         for pendants in range(left // step + 1 if step else 1):
-            for children in _forests(rules, left - step * pendants, True):
-                yield (k_in, g, pendants, children)
+            out.extend((k_in, g, pendants, children) for children in _forests(rules, memo, left - step * pendants, True))
+    memo[cost, k_in] = out
+    return out
 
 
 def _candidate_graphs(family: TreeFamily, d: int):
@@ -730,7 +802,7 @@ def _candidate_graphs(family: TreeFamily, d: int):
             attach(len(edges), child, edges, gmap)  # below the connector just added
         return v
 
-    for forest in _forests(rules, d, False):
+    for forest in _forests(rules, {}, d, False):
         edges: list[tuple[int, int, int]] = []
         gmap: dict[int, int] = {}
         runs = [[attach(0, subtree, edges, gmap) for subtree in run] for _, run in itertools.groupby(forest)]
@@ -742,9 +814,9 @@ def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWi
     sorted by canonical form; each class is generated exactly once.  Shapes
     come from the per-process cache of (family, d); each tree's
     pair-assignment count is computed when it is first read."""
-    pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
+    r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
     trees = sorted((tree for shape in _shapes(family, d) for tree in _decorate(family, d, r, *shape)), key=canonical_form)
-    return [TreeWithCount(tree) for tree in trees]
+    return [TreeWithCount(tree, r_x) for tree in trees]
 
 
 def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:
@@ -764,18 +836,17 @@ def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:
 
 
 def _canonical_order(tree: DecoratedTree) -> list[int]:
+    """Vertices depth-first from the root, children in code order."""
+    codes = _codes(tree, with_signs=True, with_f=True)
+    children = {v: sorted(kids, key=codes.__getitem__) for v, _, kids in tree._bottom_up}
     order: list[int] = []
 
-    def walk(v, parent):
+    def walk(v):
         order.append(v)
-        children = sorted(
-            ((w, k) for w, k in tree.adjacency()[v] if w != parent),
-            key=lambda wk: repr(_encode(tree, wk[0], v, wk[1], True, True)),
-        )
-        for w, _ in children:
-            walk(w, v)
+        for w in children[v]:
+            walk(w)
 
-    walk(tree.root, -1)
+    walk(tree.root)
     return order
 
 

@@ -216,3 +216,22 @@ def test_packaged_table_is_checked_once_and_each_basis_engine_is_fresh(monkeypat
     assert first is not second and first._entries == second._entries
     first._entries.clear()
     assert len(second._entries) == len(basis_f_engine()._entries) == 30
+
+
+def test_real_point_count_is_computed_once_per_key(monkeypatch):
+    from welschinger import cotangent
+
+    calls = []
+    count = cotangent.f_point_count
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(cotangent, "f_point_count", counted)
+    key = FKey(K.RP2, zero, e1 + e2, crosses=1)
+    assert key.r == key.r == 4 and str(key) == "F[rp2]_(4+x,0)(0, e1+e2)"
+    assert len(calls) == 1
+    # the cached value takes no part in equality, hashing or repr
+    fresh = FKey(K.RP2, zero, e1 + e2, crosses=1)
+    assert fresh == key and hash(fresh) == hash(key) and repr(fresh) == repr(key)

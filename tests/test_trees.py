@@ -167,6 +167,39 @@ def test_each_candidate_shape_is_generated_once(family, top):
         assert len(forms) == len(set(forms)), (family, d, r)
 
 
+def reference_form(tree, *, with_signs=True, with_f=True):
+    """Reference encoder: the repr of the nested tuple (k_in, label, sorted
+    children) of every subtree, children sorted by their repr, which the
+    production encoder must reproduce byte for byte."""
+    adj, depth = tree.adjacency(), tree.depths()
+
+    def encode(v, parent, k_in):
+        label = None
+        if depth[v] % 2:
+            label = (tree.g(v), tree.sign(v) if with_signs else None, tree.f_size(v) if with_f else None)
+        children = sorted((encode(w, v, k) for w, k in adj[v] if w != parent), key=repr)
+        return (k_in, label, tuple(children))
+
+    return repr((tree.family.value, tree.d, tree.r, encode(tree.root, -1, 0))).encode()
+
+
+@pytest.mark.parametrize(
+    "family,top,trees", [(F.PROJECTIVE, 10, 292), (F.TWO_SPHERICAL, 8, 444), (F.THREE_SPHERICAL, 12, 101)]
+)
+def test_encodings_match_the_nested_tuple_reference(family, top, trees):
+    checked = 0
+    for _, d, r, _ in _valid_keys({family: top}):
+        for cls in enumerate_trees(family, d, r):
+            assert cls.shape_key == reference_form(cls.variants[0].tree, with_signs=False, with_f=False)
+            for twc in cls.variants:
+                tree = twc.tree
+                assert canonical_form(tree) == reference_form(tree), (family, d, r)
+                assert shape_form(tree) == cls.shape_key
+                assert canonical_form(tree, with_f=False) == reference_form(tree, with_f=False)
+                checked += 1
+    assert checked == trees
+
+
 def test_shapes_are_generated_once_per_family_and_degree(monkeypatch):
     calls = Counter()
     generate = trees_module._candidate_graphs
@@ -200,6 +233,8 @@ def test_assignment_counts_are_computed_when_read(monkeypatch):
     twcs = enumerate_decorated_trees(F.PROJECTIVE, 8, 1)
     assert twcs and calls == []
     r_x = pair_condition_count(F.PROJECTIVE, 8, 1)
+    # reading a count reuses the r_X the enumeration computed
+    monkeypatch.setattr(trees_module, "pair_condition_count", None)
     assert [twc.assignment_count for twc in twcs] == [assignment_count(twc.tree, r_x) for twc in twcs]
     [twc.assignment_count for twc in twcs]  # a second read is cached
     assert calls == [twc.tree for twc in twcs]
@@ -465,10 +500,41 @@ def test_validate_rejects_each_broken_rule(changes, problem):
         assert problems == [problem]
 
 
-def test_structure_is_computed_once_and_lazily():
+def test_structure_is_computed_once_and_lazily(monkeypatch):
     tree = DecoratedTree.build(**_VALID)
     assert "_adjacency" not in vars(tree)
     assert tree.adjacency() is tree.adjacency()
     assert tree.depths() is tree.depths()
     assert tree.odd_vertices() is tree.odd_vertices()
     assert tree.root_adjacent() is tree.root_adjacent()
+
+    # a decorated tree built from a cached shape shares its base tree's structure
+    pairs = [
+        (decorated, base)
+        for edges, genus, runs, base in trees_module._shapes(F.PROJECTIVE, 8)
+        for decorated in _decorate(F.PROJECTIVE, 8, 1, edges, genus, runs, base)
+    ]
+    assert len(pairs) == 4
+    for decorated, base in pairs:
+        assert decorated.adjacency() is base.adjacency() and decorated.depths() is base.depths()
+        assert decorated.odd_vertices() is base.odd_vertices()
+        assert decorated.even_vertices() is base.even_vertices()
+        assert decorated.root_adjacent() is base.root_adjacent()
+        assert all(getattr(decorated, name) is getattr(base, name) for name in trees_module._SHARED)
+
+    # each encoding is computed once per tree
+    encoded = []
+    codes = trees_module._codes
+
+    def counted(tree, with_signs, with_f):
+        encoded.append((with_signs, with_f))
+        return codes(tree, with_signs, with_f)
+
+    monkeypatch.setattr(trees_module, "_codes", counted)
+    fresh = DecoratedTree.build(**_VALID)
+    assert canonical_form(fresh) is canonical_form(fresh)
+    assert shape_form(fresh) is shape_form(fresh)
+    assert encoded == [(True, True), (False, False)]
+    decorated, base = pairs[0]
+    assert shape_form(decorated).endswith(b", 8, 1, " + base._shape_body.encode() + b")")
+    assert encoded == [(True, True), (False, False)]  # the shape body came with the base tree
