@@ -45,7 +45,6 @@ from .errors import (
     InsufficientRealPoints,
     InvalidDegreeRealPair,
     NegativeDimension,
-    TorusPrescribedOrbit,
     UnknownInvariant,
     UnresolvableFKey,
     WelschingerError,
@@ -99,7 +98,6 @@ __all__ = [
     "RelativeKey",
     "RuledSurfaceClass",
     "SignReport",
-    "TorusPrescribedOrbit",
     "TreeClass",
     "TreeFamily",
     "TreeWithCount",

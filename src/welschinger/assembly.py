@@ -53,12 +53,6 @@ __all__ = [
     "SignReport",
 ]
 
-_SURFACE_DEGREE = {
-    GeometryKind.PROJECTIVE_PLANE: 4,
-    GeometryKind.ELLIPSOID_QUADRIC2: 2,
-}
-
-
 def _json_int(value: int):
     """Exactness-preserving JSON value: decimal string beyond 64-bit range."""
     return value if -(2**63) <= value < 2**63 else str(value)
@@ -128,7 +122,7 @@ def _surface_factors(
     geometry: GeometryKind, twc: TreeWithCount, table: RelativeInvariantTable
 ) -> list[int]:
     tree = twc.tree
-    n = _SURFACE_DEGREE[geometry]
+    n = geometry.surface_degree
     factors = []
     root_adjacent = set(tree.root_adjacent())
     for v in tree.odd_vertices():

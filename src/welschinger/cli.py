@@ -43,11 +43,7 @@ from .relative import RelativeInvariantTable, builtin_relative_table
 from .trees import FAMILY_OF, enumerate_trees, trees_to_json
 from .verification import run_all
 
-_GEOMETRY = {
-    "cp2": GeometryKind.PROJECTIVE_PLANE,
-    "quadric2": GeometryKind.ELLIPSOID_QUADRIC2,
-    "quadric3": GeometryKind.ELLIPSOID_QUADRIC3,
-}
+_GEOMETRY = {g.value: g for g in GeometryKind}
 _KIND = {k.value: k for k in LagrangianKind}
 
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NegativeDimension, TorusPrescribedOrbit
+from .errors import NegativeDimension
 
 __all__ = [
     "ContactVector",
@@ -119,82 +119,54 @@ class ContactVector:
 
 
 class LagrangianKind(Enum):
-    """The six constant-curvature Lagrangians whose cotangent bundles occur."""
+    """The three constant-curvature Lagrangians whose cotangent bundles occur,
+    each with its dimension and its orbit-space weight ``epsilon`` in the
+    dimension equation (2 for a sphere, 1 for RP^2)."""
 
-    SPHERE2 = "sphere2"
-    RP2 = "rp2"
-    SPHERE3 = "sphere3"
-    RP3 = "rp3"
-    TORUS2 = "torus2"
-    TORUS3 = "torus3"
+    SPHERE2 = ("sphere2", 2, 2)
+    RP2 = ("rp2", 2, 1)
+    SPHERE3 = ("sphere3", 3, 2)
 
-    @property
-    def dimension(self) -> int:
-        return 2 if self in (LagrangianKind.SPHERE2, LagrangianKind.RP2, LagrangianKind.TORUS2) else 3
-
-    @property
-    def is_sphere(self) -> bool:
-        return self in (LagrangianKind.SPHERE2, LagrangianKind.SPHERE3)
-
-    @property
-    def is_projective(self) -> bool:
-        return self in (LagrangianKind.RP2, LagrangianKind.RP3)
-
-    @property
-    def is_torus(self) -> bool:
-        return self in (LagrangianKind.TORUS2, LagrangianKind.TORUS3)
-
-    @property
-    def epsilon(self) -> int:
-        """Orbit-space weight in the dimension equation: 2 (sphere) or 1 (RP^n)."""
-        if self.is_torus:
-            raise ValueError("torus dimension bookkeeping carries no epsilon factor")
-        return 2 if self.is_sphere else 1
+    def __new__(cls, value: str, dimension: int, epsilon: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.dimension = dimension
+        member.epsilon = epsilon
+        return member
 
 
 class GeometryKind(Enum):
     """Ambient real symplectic manifolds with computable invariants.
 
-    Each kind fixes the pairing constants of the degree-``delta`` class d
-    (a multiple of the line / plane-section / hyperplane-section class):
-    ``d^2`` and ``c1(X).d``.  The 3-dimensional quadric has no ``d^2``.
+    Each kind fixes its real Lagrangian and the pairing constants of the
+    degree-``delta`` class d (a multiple of the line / plane-section /
+    hyperplane-section class): ``c1(X).d = c1 * delta`` and
+    ``d^2 = square * delta^2``; the 3-dimensional quadric has no ``d^2``.
+    ``surface_degree`` is the degree n of the ruled surface that carries
+    the relative counts (None over the 3-quadric).
     """
 
-    PROJECTIVE_PLANE = "cp2"
-    ELLIPSOID_QUADRIC2 = "quadric2"
-    ELLIPSOID_QUADRIC3 = "quadric3"
+    PROJECTIVE_PLANE = ("cp2", LagrangianKind.RP2, 3, 1, 4)
+    ELLIPSOID_QUADRIC2 = ("quadric2", LagrangianKind.SPHERE2, 4, 2, 2)
+    ELLIPSOID_QUADRIC3 = ("quadric3", LagrangianKind.SPHERE3, 3, None, None)
 
-    @property
-    def lagrangian(self) -> LagrangianKind:
-        return _LAGRANGIAN_OF[self]
-
-    def self_intersection(self, delta: int) -> int:
-        if self is GeometryKind.PROJECTIVE_PLANE:
-            return delta * delta
-        if self is GeometryKind.ELLIPSOID_QUADRIC2:
-            return 2 * delta * delta
-        raise ValueError("no intersection pairing of 2-cycles in a 6-manifold")
-
-    def chern_degree(self, delta: int) -> int:
-        if self is GeometryKind.PROJECTIVE_PLANE:
-            return 3 * delta
-        if self is GeometryKind.ELLIPSOID_QUADRIC2:
-            return 4 * delta
-        return 3 * delta
-
-
-_LAGRANGIAN_OF = {
-    GeometryKind.PROJECTIVE_PLANE: LagrangianKind.RP2,
-    GeometryKind.ELLIPSOID_QUADRIC2: LagrangianKind.SPHERE2,
-    GeometryKind.ELLIPSOID_QUADRIC3: LagrangianKind.SPHERE3,
-}
+    def __new__(cls, value: str, lagrangian: LagrangianKind, c1: int, square: int | None, surface_degree: int | None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.lagrangian = lagrangian
+        member.c1 = c1
+        member.square = square
+        member.surface_degree = surface_degree
+        return member
 
 
 def genus_smooth(geometry: GeometryKind, delta: int) -> int:
     """Smooth genus g_d = (d^2 - c1.d + 2)/2 of the degree-``delta`` class."""
     if delta < 1:
         raise ValueError("degree must be >= 1")
-    num = geometry.self_intersection(delta) - geometry.chern_degree(delta) + 2
+    if geometry.square is None:
+        raise ValueError("no intersection pairing of 2-cycles in a 6-manifold")
+    num = geometry.square * delta * delta - geometry.c1 * delta + 2
     if num % 2:
         raise ValueError(f"odd numerator {num} in the smooth genus of degree {delta}")
     return num // 2
@@ -216,21 +188,11 @@ def f_point_count(
         sphere, n=2:   r = 2|beta| + 2(Ia+Ib) - 1 - 2 r_L
         RP^2:          r = 2|beta| +   Ia+Ib  - 1 - 2 r_L
         sphere, n=3:   r = |beta| - |alpha| + 2(Ia+Ib) - 2 r_L
-        RP^3:          r = |beta| - |alpha| +   Ia+Ib  - 2 r_L
-        torus:         r = 2|beta| - 1 - 2 r_L  (n=2),  |beta| - 2 r_L  (n=3),
-                       with alpha = 0 required.
     """
     if r_l < 0:
         raise ValueError("conjugate pair count must be >= 0")
     weight = alpha.weight + beta.weight
-    if kind.is_torus:
-        if alpha:
-            raise TorusPrescribedOrbit("torus asymptotics cannot be prescribed (alpha must be 0)")
-        if kind.dimension == 2:
-            r = 2 * beta.size - 1 - 2 * r_l
-        else:
-            r = beta.size - 2 * r_l
-    elif kind.dimension == 2:
+    if kind.dimension == 2:
         r = 2 * beta.size + kind.epsilon * weight - 1 - 2 * r_l
     else:
         r = beta.size - alpha.size + kind.epsilon * weight - 2 * r_l

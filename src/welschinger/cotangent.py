@@ -127,8 +127,7 @@ class FDerivation:
 class FInvariantEngine:
     """Resolve F-keys against a table, falling back to the reduction rules."""
 
-    def __init__(self, entries: dict[tuple, int], version: int = 1):
-        self.version = version
+    def __init__(self, entries: dict[tuple, int]):
         self._entries = dict(entries)
 
     @staticmethod
@@ -138,7 +137,7 @@ class FInvariantEngine:
     @classmethod
     def from_json_payload(cls, payload: dict, where: str = "F table") -> "FInvariantEngine":
         entries, _ = _checked_rows(payload, where)
-        return cls(entries, version=payload.get("version", 1))
+        return cls(entries)
 
     @classmethod
     def from_path(cls, path) -> "FInvariantEngine":
@@ -194,6 +193,8 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 
     def key_of(kind, alpha, beta, r_l, crosses, basis):
         alpha, beta = ContactVector(tuple(alpha)), ContactVector(tuple(beta))
+        if crosses < 0 or FKey(LagrangianKind(kind), alpha, beta, r_l, crosses).r < 0:
+            raise ValueError("crosses and the real-point count must be >= 0")
         key = (kind, alpha.counts, beta.counts, r_l, crosses)
         if basis:
             basis_keys.add(key)
@@ -204,24 +205,24 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 
 
 @cache
-def _packaged_table() -> tuple[int, dict[tuple, int], dict[tuple, int]]:
-    """(version, entries, basis entries) of the packaged F table, read and
-    checked once per process."""
+def _packaged_table() -> tuple[dict[tuple, int], dict[tuple, int]]:
+    """(entries, basis entries) of the packaged F table, read and checked
+    once per process."""
     payload = json.loads(resources.files("welschinger.tables").joinpath("f_invariants.json").read_text())
-    return (payload.get("version", 1), *_checked_rows(payload, "F table"))
+    return _checked_rows(payload, "F table")
 
 
 @cache
 def builtin_f_engine() -> FInvariantEngine:
-    version, entries, _ = _packaged_table()
-    return FInvariantEngine(entries, version)
+    entries, _ = _packaged_table()
+    return FInvariantEngine(entries)
 
 
 def basis_f_engine() -> FInvariantEngine:
     """A fresh engine seeded with the curated basis only (cross-marked,
     vanishing and rigid geometric entries); everything else must be derived."""
-    version, _, basis = _packaged_table()
-    return FInvariantEngine(basis, version)
+    _, basis = _packaged_table()
+    return FInvariantEngine(basis)
 
 
 def f_invariant(

@@ -14,10 +14,6 @@ class NegativeDimension(WelschingerError):
     """No non-negative real-point count solves the dimension equation."""
 
 
-class TorusPrescribedOrbit(WelschingerError):
-    """Torus fibres admit free asymptotics only (prescribed profile must be 0)."""
-
-
 class InvalidDegreeRealPair(WelschingerError):
     """(degree, real points) admits no non-negative conjugate-pair count."""
 

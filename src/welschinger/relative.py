@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .contact import ContactVector
@@ -96,8 +97,7 @@ class RelativeInvariantTable:
     table; otherwise UnknownInvariant is raised (never a silent zero).
     """
 
-    def __init__(self, entries: dict[tuple, int], version: int = 1):
-        self.version = version
+    def __init__(self, entries: dict[tuple, int]):
         self._entries = dict(entries)
 
     @staticmethod
@@ -109,9 +109,11 @@ class RelativeInvariantTable:
         fields = [("n", int), ("a", int), ("b", int), ("alpha", list), ("beta", list)]
 
         def key_of(n, a, b, alpha, beta):
-            return cls._key(n, a, b, ContactVector(tuple(alpha)), ContactVector(tuple(beta)))
+            # RelativeKey's weight rule also keeps point_count = (n+2)a + b - 1 + |beta| >= 0
+            key = RelativeKey(RuledSurfaceClass(n, a, b), ContactVector(tuple(alpha)), ContactVector(tuple(beta)))
+            return cls._key(n, a, b, key.alpha, key.beta)
 
-        return cls(_table_entries(payload, fields, key_of, where), version=payload.get("version", 1))
+        return cls(_table_entries(payload, fields, key_of, where))
 
     @classmethod
     def from_path(cls, path) -> "RelativeInvariantTable":
@@ -141,17 +143,10 @@ class RelativeInvariantTable:
         return out
 
 
-_BUILTIN: RelativeInvariantTable | None = None
-
-
+@cache
 def builtin_relative_table() -> RelativeInvariantTable:
-    global _BUILTIN
-    if _BUILTIN is None:
-        payload = json.loads(
-            resources.files("welschinger.tables").joinpath("relative_invariants.json").read_text()
-        )
-        _BUILTIN = RelativeInvariantTable.from_json_payload(payload)
-    return _BUILTIN
+    payload = json.loads(resources.files("welschinger.tables").joinpath("relative_invariants.json").read_text())
+    return RelativeInvariantTable.from_json_payload(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The curated JSON tables, and the checks every table file passes on load.
 
 A bad table is rejected whole, never half-read: an unreadable file, invalid
-JSON, a row with a missing or mistyped field, and a key listed twice with
-different values each raise WelschingerError naming the file and the row.
+JSON, a row with a missing or mistyped field, a row whose key means nothing
+(a ruled surface or Lagrangian that does not occur, a contact weight that
+differs from the class, a negative real-point count), and a key listed twice
+with different values each raise WelschingerError naming the file and the row.
 """
 
 import json
 
-from ..errors import WelschingerError
+from ..errors import NegativeDimension, WelschingerError
 
 def _read_json(path):
     try:
@@ -32,7 +34,7 @@ def _table_entries(payload, fields, key_of, where: str) -> dict:
     ``fields`` lists ``(name, type)`` for each mandatory field a key is made
     of and ``(name, type, default)`` for each optional one; the type is int,
     str, bool or list (of ints).  Every row also needs an int ``value``.
-    key_of returns None for a row the caller skips, after the row is checked.
+    key_of raises ValueError or NegativeDimension for a key that means nothing.
     """
     rows = payload.get("entries") if isinstance(payload, dict) else None
     if type(rows) is not list:
@@ -44,8 +46,8 @@ def _table_entries(payload, fields, key_of, where: str) -> dict:
                 raise ValueError("a row must be an object")
             value = _field(row, "value", int)
             key = key_of(*[_field(row, *spec) for spec in fields])
-        except ValueError as exc:
+        except (ValueError, NegativeDimension) as exc:
             raise WelschingerError(f"{where}: row {i}: {exc}") from None
-        if key is not None and entries.setdefault(key, value) != value:
+        if entries.setdefault(key, value) != value:
             raise WelschingerError(f"{where}: row {i} lists a key again with value {value}, not {entries[key]}")
     return entries

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .contact import ContactVector, GeometryKind
-from .errors import InvalidDegreeRealPair
+from .contact import ContactVector, GeometryKind, f_point_count
+from .errors import InvalidDegreeRealPair, NegativeDimension
 
 __all__ = [
     "TreeFamily",
@@ -72,16 +72,6 @@ class _cached:
 
 PLUS = "+"
 MINUS = "-"
-
-
-class TreeFamily(Enum):
-    PROJECTIVE = "projective"
-    TWO_SPHERICAL = "two-spherical"
-    THREE_SPHERICAL = "three-spherical"
-
-    @property
-    def rules(self) -> "FamilyRules":
-        return _RULES[self]
 
 
 @dataclass(frozen=True)
@@ -123,23 +113,34 @@ class FamilyRules:
         """r + 2 r_X in degree d, from (n - 1)(r + 2 r_X) = c1.d + n - 3 with
         n the dimension of the Lagrangian; None when no integer solves it."""
         n = self.geometry.lagrangian.dimension
-        total, rem = divmod(self.geometry.chern_degree(d) + n - 3, n - 1)
+        total, rem = divmod(self.geometry.c1 * d + n - 3, n - 1)
         return None if rem else total
 
 
-_RULES = {
-    TreeFamily.PROJECTIVE: FamilyRules(
-        GeometryKind.PROJECTIVE_PLANE, scale=1, genus_coefficient=4, point_coefficient=6, pendant=2, connectors=True
-    ),
-    TreeFamily.TWO_SPHERICAL: FamilyRules(
-        GeometryKind.ELLIPSOID_QUADRIC2, scale=1, genus_coefficient=2, point_coefficient=4, pendant=1, connectors=False
-    ),
-    TreeFamily.THREE_SPHERICAL: FamilyRules(
-        GeometryKind.ELLIPSOID_QUADRIC3, scale=2, genus_coefficient=2, point_coefficient=3, pendant=0, connectors=False
-    ),
-}
+class TreeFamily(Enum):
+    """The three tree families, each with its :class:`FamilyRules`."""
 
-FAMILY_OF: dict[GeometryKind, TreeFamily] = {rules.geometry: family for family, rules in _RULES.items()}
+    PROJECTIVE = (
+        "projective",
+        FamilyRules(GeometryKind.PROJECTIVE_PLANE, scale=1, genus_coefficient=4, point_coefficient=6, pendant=2, connectors=True),
+    )
+    TWO_SPHERICAL = (
+        "two-spherical",
+        FamilyRules(GeometryKind.ELLIPSOID_QUADRIC2, scale=1, genus_coefficient=2, point_coefficient=4, pendant=1, connectors=False),
+    )
+    THREE_SPHERICAL = (
+        "three-spherical",
+        FamilyRules(GeometryKind.ELLIPSOID_QUADRIC3, scale=2, genus_coefficient=2, point_coefficient=3, pendant=0, connectors=False),
+    )
+
+    def __new__(cls, value: str, rules: FamilyRules):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.rules = rules
+        return member
+
+
+FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.rules.geometry: family for family in TreeFamily}
 
 
 def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
@@ -159,17 +160,13 @@ def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
     return (total - r) // 2
 
 
-def minus_part_size(family: TreeFamily, r: int, k0: int, v0: int) -> int | None:
+def minus_part_size(top: int, r: int, v0: int) -> int | None:
     """Size r_L of the minus part of the root partition, or None (root window).
 
-    The root has v0 edges of total multiplicity k0.  With r_L of them minus
-    (prescribed), the root component is rigid on
-    ``eps * k0 + 2 (v0 - r_L) - 1`` real points when L is a surface and on
-    ``eps * k0 + v0 - 2 r_L`` when L = S^3 (eps is the orbit weight: 2 for
-    spheres, 1 for RP^2), as in :func:`~welschinger.contact.f_point_count`.
+    The root has v0 edges, and ``top`` real points make the root component
+    rigid when all of them are plus (free): :attr:`DecoratedTree._window_top`.
+    Each of the r_L minus (prescribed) edges lowers that count by 2.
     """
-    kind = family.rules.geometry.lagrangian
-    top = kind.epsilon * k0 + (2 * v0 - 1 if kind.dimension == 2 else v0)
     r_l, odd = divmod(top - r, 2)
     return None if odd or not 0 <= r_l <= v0 else r_l
 
@@ -273,6 +270,13 @@ class DecoratedTree:
         return out
 
     @_cached
+    def _window_top(self) -> int:
+        """Real-point count that makes the root component rigid when every
+        root edge is free: :func:`~welschinger.contact.f_point_count` of the
+        root profile."""
+        return f_point_count(self.family.rules.geometry.lagrangian, ContactVector.zero(), self.profile(self.root))
+
+    @_cached
     def _shape_body(self) -> str:
         return _codes(self, with_signs=False, with_f=False)[self.root]
 
@@ -314,10 +318,10 @@ class DecoratedTree:
 
     def profile(self, v: int) -> ContactVector:
         """Multiset of adjacent-edge multiplicities as a contact vector."""
-        out = ContactVector.zero()
-        for _, k in self._adjacency[v]:
-            out = out + ContactVector.e(k)
-        return out
+        ks = [k for _, k in self._adjacency[v]]
+        if min(ks, default=1) < 1:
+            raise ValueError("contact order must be >= 1")
+        return ContactVector(tuple(ks.count(i) for i in range(1, max(ks, default=0) + 1)))
 
     def root_edge_multiplicity(self, v: int) -> int:
         for u, k in self._adjacency[v]:
@@ -415,7 +419,10 @@ class DecoratedTree:
             if genus[v] == 0 and k_s[v] > 1:
                 problems.append(f"vertex {v} has degree 0 but contact multiplicity {k_s[v]}")
 
-        r_l = minus_part_size(self.family, self.r, k_s[self.root], self.valence(self.root))
+        try:
+            r_l = minus_part_size(self._window_top, self.r, self.valence(self.root))
+        except (ValueError, NegativeDimension):  # a root edge of multiplicity 0, or no root edge
+            r_l = None
         if r_l is None:
             problems.append("real-point count outside the root window")
         elif len(self.minus_vertices()) != r_l:
@@ -441,7 +448,9 @@ class DecoratedTree:
 
 # What a decorated tree takes from its shape's base tree: all of it depends on
 # root, edges and genus only.
-_SHARED = ("_adjacency", "_depths", "_by_parity", "_root_adjacent", "_k_s", "_bottom_up", "_genus_map", "_shape_body")
+_SHARED = (
+    "_adjacency", "_depths", "_by_parity", "_root_adjacent", "_k_s", "_bottom_up", "_genus_map", "_window_top", "_shape_body"
+)
 
 
 def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus: bool):
@@ -723,7 +732,7 @@ def _decorate(family, d, r, edges, gmap, runs, base=None):
     the base tree's structure, and each is validated."""
     if base is None:
         base = _base_tree(family, d, edges, gmap)
-    r_l = minus_part_size(family, r, base.k_s(0), base.valence(0))
+    r_l = minus_part_size(base._window_top, r, base.valence(0))
     if r_l is None:
         return
     shared = {name: getattr(base, name) for name in _SHARED}
@@ -735,7 +744,7 @@ def _decorate(family, d, r, edges, gmap, runs, base=None):
         fmap = {v: expected_pair_count(family, g, base.k_s(v), base.valence(v), v in plus) for v, g in base.genus}
         if None in fmap.values():
             continue
-        tree = DecoratedTree.build(family, d, r, 0, edges, gmap, signs, fmap)
+        tree = DecoratedTree(family, d, r, 0, base.edges, base.genus, tuple(sorted(signs.items())), tuple(fmap.items()))
         vars(tree).update(shared)  # where _cached stores; same root, edges and genus
         if not tree.validate():
             yield tree

@@ -227,8 +227,8 @@ def _property_suite():
 
     f_raised = 0
     for _ in range(100):
-        kind = rng.choice([LagrangianKind.SPHERE3, LagrangianKind.RP3, LagrangianKind.TORUS2])
-        beta = ContactVector.e(rng.randint(1, 3), rng.randint(2, 4))
+        kind = rng.choice(list(LagrangianKind))
+        beta = ContactVector.e(rng.randint(2, 3), rng.randint(2, 4))  # orders >= 2: off-table for every kind
         key = FKey(kind, ContactVector.zero(), beta, 0, 0)
         try:
             engine.value(key)

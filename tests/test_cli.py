@@ -129,6 +129,9 @@ def _table_with_extra_row(path, change):
         ("row without alpha", "missing field 'alpha'"),
         ("missing file", "cannot read table"),
         ("invalid JSON", "cannot read table"),
+        ("ruled surface of degree 3", "only the degree-2 and degree-4 ruled surfaces occur"),
+        ("negative section coefficient", "class coefficients must be non-negative"),
+        ("contact weight not b", "contact weight 2 differs from b=1"),
     ],
 )
 def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
@@ -140,6 +143,12 @@ def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
         row = _table_with_extra_row(path, lambda row: row.pop("alpha"))
     elif case == "invalid JSON":
         path.write_text('{"entries": [')
+    elif case == "ruled surface of degree 3":
+        row = _table_with_extra_row(path, lambda row: row.update(n=3))
+    elif case == "negative section coefficient":
+        row = _table_with_extra_row(path, lambda row: row.update(a=-1))
+    elif case == "contact weight not b":
+        row = _table_with_extra_row(path, lambda row: row.update(beta=[0, 1]))
     args = ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--invariant-table", str(path))
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
@@ -148,7 +157,7 @@ def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
         assert f"row {row}" in err
 
 
-@pytest.mark.parametrize("argv", [("--beta", "foo"), ("--beta", "e0"), ("--pairs", "-1")])
+@pytest.mark.parametrize("argv", [("--beta", "foo"), ("--beta", "e0"), ("--pairs", "-1"), ("--kind", "torus2")])
 def test_derive_rejects_bad_arguments(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["derive", "--kind", "rp2", *argv])

@@ -1,14 +1,18 @@
-"""Foundation formulas: contact vectors, smooth genus and the cotangent dimension equation."""
+"""Foundation formulas: contact vectors, smooth genus and the cotangent dimension
+equation; every exported name resolves."""
+
+import importlib
+import pkgutil
 
 import pytest
 from hypothesis import given, strategies as st
 
+import welschinger
 from welschinger import (
     ContactVector,
     GeometryKind,
     LagrangianKind,
     NegativeDimension,
-    TorusPrescribedOrbit,
     f_point_count,
     genus_smooth,
 )
@@ -91,19 +95,6 @@ def test_f_point_count_lemma_values():
     assert f_point_count(K.RP2, CV.zero(), CV.e(1, 3)) == 8
 
 
-def test_f_point_count_rp3_follows_dimension_equation():
-    # RP^3 carries orbit-space weight 1, half the 3-sphere's
-    assert f_point_count(K.RP3, CV.e(1), CV.zero()) == 0
-    assert f_point_count(K.SPHERE3, CV.e(1), CV.zero()) == 1
-
-
-def test_f_point_count_torus():
-    assert f_point_count(K.TORUS2, CV.zero(), CV.e(1, 2)) == 3
-    assert f_point_count(K.TORUS3, CV.zero(), CV.e(1, 4)) == 4
-    with pytest.raises(TorusPrescribedOrbit):
-        f_point_count(K.TORUS2, CV.e(1), CV.zero())
-
-
 def test_f_point_count_negative_dimension():
     with pytest.raises(NegativeDimension):
         f_point_count(K.SPHERE2, CV.e(1), CV.zero(), r_l=3)
@@ -116,7 +107,7 @@ _profiles = st.builds(
 
 
 @given(
-    st.sampled_from([K.SPHERE2, K.RP2, K.SPHERE3, K.RP3]),
+    st.sampled_from([K.SPHERE2, K.RP2, K.SPHERE3]),
     _profiles,
     _profiles,
     st.integers(min_value=0, max_value=4),
@@ -133,3 +124,15 @@ def test_f_point_count_trades_pairs_for_real_points(kind, alpha, beta, r_l):
         assert base - 2 * r_l < 0
         return
     assert shifted + 2 * r_l == base
+
+
+# -- exports ------------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    modules = [welschinger] + [
+        importlib.import_module(info.name) for info in pkgutil.walk_packages(welschinger.__path__, "welschinger.")
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__

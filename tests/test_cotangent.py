@@ -163,10 +163,6 @@ def test_unresolvable_keys_raise():
     with pytest.raises(UnresolvableFKey):
         engine.value(FKey(K.SPHERE3, CV.e(1, 2), zero))
     with pytest.raises(UnresolvableFKey):
-        engine.value(FKey(K.RP3, zero, e1))
-    with pytest.raises(UnresolvableFKey):
-        engine.value(FKey(K.TORUS2, zero, CV.e(1, 2)))
-    with pytest.raises(UnresolvableFKey):
         f_invariant(K.RP2, CV.e(4), zero)
 
 
@@ -187,6 +183,10 @@ def test_reductions_preserve_dimension_bookkeeping():
         ({"kind": "rp2", "alpha": [], "beta": [1], "value": "1"}, "row 1: field 'value' must be int"),
         ({"kind": "rp2", "alpha": [], "beta": [1], "r_l": 1.0, "value": 1}, "row 1: field 'r_l' must be int"),
         ({"kind": "rp2", "alpha": [-1], "beta": [1], "value": 1}, "row 1: contact multiplicities must be non-negative"),
+        ({"kind": "rp_2", "alpha": [], "beta": [1], "value": 1}, "row 1: 'rp_2' is not a valid LagrangianKind"),
+        ({"kind": "sphere2", "alpha": [1], "beta": [], "r_l": 3, "value": 1}, "row 1: no non-negative real-point count"),
+        ({"kind": "rp2", "alpha": [1], "beta": [], "crosses": 1, "value": 1}, "row 1: crosses and the real-point count"),
+        ({"kind": "rp2", "alpha": [], "beta": [1], "crosses": -1, "value": 1}, "row 1: crosses and the real-point count"),
     ],
 )
 def test_f_table_rejects_bad_rows(row, message):

@@ -479,6 +479,7 @@ _VALID = dict(
         ),
         ({"edges": [(0, 1, 5)], "genus": {1: 0}}, "degree 0 but contact multiplicity 5"),
         ({"f_sizes": {1: 6}}, "total assigned pairs differ"),
+        ({"edges": [(0, 1, 0)]}, "edge multiplicities must be >= 1"),
     ],
     ids=[
         "disconnected",
@@ -490,6 +491,7 @@ _VALID = dict(
         "even-shape-three-spherical",
         "degree-zero-multiple-contact",
         "pair-total",
+        "zero-multiplicity",
     ],
 )
 def test_validate_rejects_each_broken_rule(changes, problem):
