@@ -6,13 +6,15 @@ For each decorated tree the contribution is
 
 where F is the cotangent invariant of the root component (keyed by the
 root-edge profiles toward the minus and plus parts) and each odd vertex
-contributes a relative count on the ruled surface (degree 4 over the plane,
-degree 2 over the 2-quadric) or, over the 3-quadric, a sum of ruled-3-fold
-counts over bidegree splittings of its degree.
+contributes one relative count.  A vertex's profile splits into alpha, the
+edge to the root for a plus vertex, and beta, the rest; the count is that of
+the ruled surface of the geometry's ``surface_degree`` (4 over the plane,
+2 over the 2-quadric) or, over the 3-quadric, a sum of ruled-3-fold counts
+over bidegree splittings of its degree.
 
-The sign is (-1)^(#even vertices + 1) for the surface geometries and +1 for
-the 3-quadric.  Missing table values abort the computation with the
-offending tree in the message; a partial sum is never reported.
+The sign is (-1)^(#even vertices + 1) in every geometry.  Missing table
+values abort the computation with the offending tree in the message; a
+partial sum is never reported.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .contact import ContactVector, GeometryKind, LagrangianKind, genus_smooth
+from .contact import ContactVector, GeometryKind, genus_smooth
 from .cotangent import FInvariantEngine, FKey, builtin_f_engine
 from .errors import InadmissiblePair, UnknownInvariant, UnresolvableFKey
 from .relative import (
@@ -33,7 +35,7 @@ from .relative import (
 )
 from .trees import (
     FAMILY_OF,
-    TreeWithCount,
+    DecoratedTree,
     canonical_form,
     enumerate_trees,
     multiplicity,
@@ -118,43 +120,25 @@ def _check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
         raise InadmissiblePair(f"({geometry.value}, d={d}, r={r}) is not an admissible pair")
 
 
-def _surface_factors(
-    geometry: GeometryKind, twc: TreeWithCount, table: RelativeInvariantTable
-) -> list[int]:
-    tree = twc.tree
-    n = geometry.surface_degree
+def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: RelativeInvariantTable) -> list[int]:
+    """The relative count of each odd vertex, in vertex order."""
     factors = []
-    root_adjacent = set(tree.root_adjacent())
     for v in tree.odd_vertices():
-        profile = tree.profile(v)
-        surface = RuledSurfaceClass(n, tree.g(v), tree.k_s(v))
-        if v in root_adjacent and tree.is_plus(v):
-            k_root = tree.root_edge_multiplicity(v)
-            alpha = ContactVector.e(k_root)
-            beta = profile - alpha
+        plus, g, k_s = tree.is_plus(v), tree.g(v), tree.k_s(v)
+        alpha = ContactVector.e(tree.root_edge_multiplicity(v)) if plus else ContactVector.zero()
+        beta = tree.profile(v) - alpha
+        if geometry.surface_degree is not None:
+            factors.append(table.n_sigma(RelativeKey(RuledSurfaceClass(geometry.surface_degree, g, k_s), alpha, beta)))
         else:
-            alpha = ContactVector.zero()
-            beta = profile
-        factors.append(table.n_sigma(RelativeKey(surface, alpha, beta)))
-    return factors
-
-
-def _threefold_factors(twc: TreeWithCount, table: RelativeInvariantTable) -> list[int]:
-    tree = twc.tree
-    factors = []
-    for v in tree.odd_vertices():
-        plus = tree.is_plus(v)
-        k_s = tree.k_s(v)
-        contact = ContactVector.e(k_s)
-        alpha, beta = (contact, ContactVector.zero()) if plus else (ContactVector.zero(), contact)
-        total = 0
-        for a in range(tree.g(v) + 1):
-            b = tree.g(v) - a
             # a bidegree term only counts when the vertex's point pairs make
             # both the quadric projection and the ruled-surface curve rigid
-            if tree.f_size(v) == n_three_required_pairs(a, b, plus):
-                total += n_three(a, b, k_s, alpha, beta, table)
-        factors.append(total)
+            factors.append(
+                sum(
+                    n_three(a, g - a, k_s, alpha, beta, table)
+                    for a in range(g + 1)
+                    if tree.f_size(v) == n_three_required_pairs(a, g - a, plus)
+                )
+            )
     return factors
 
 
@@ -170,7 +154,7 @@ def chi(
     table = relative_table or builtin_relative_table()
     engine = f_engine or builtin_f_engine()
     family = FAMILY_OF[geometry]
-    kind: LagrangianKind = geometry.lagrangian
+    kind = geometry.lagrangian
 
     rows: list[LedgerRow] = []
     total = 0
@@ -181,10 +165,7 @@ def chi(
             alpha_minus, beta_plus = tree.root_profiles()
             try:
                 f_value = engine.value(FKey(kind, alpha_minus, beta_plus))
-                if geometry is GeometryKind.ELLIPSOID_QUADRIC3:
-                    factors = _threefold_factors(twc, table)
-                else:
-                    factors = _surface_factors(geometry, twc, table)
+                factors = _vertex_factors(geometry, tree, table)
             except (UnknownInvariant, UnresolvableFKey) as exc:
                 raise type(exc)(f"{exc} [required by tree {label}]") from exc
             mult = multiplicity(tree)

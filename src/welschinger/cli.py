@@ -25,6 +25,7 @@ import os
 import sys
 
 from .assembly import (
+    _check_admissible,
     admissible_real_counts,
     chi,
     chi_polynomial,
@@ -116,6 +117,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_trees(args) -> int:
     geometry = _GEOMETRY[args.geometry]
+    _check_admissible(geometry, args.degree, args.real_points)
     classes = enumerate_trees(FAMILY_OF[geometry], args.degree, args.real_points)
     print(trees_to_json(classes))
     return 0

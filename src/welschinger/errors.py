@@ -31,7 +31,8 @@ class UnknownInvariant(WelschingerError):
 
 
 class DimensionMismatch(WelschingerError):
-    """A relative invariant key has a negative point count."""
+    """A relative invariant key has a negative point count.  Nothing in the
+    package raises it: every valid key's point count is >= 0."""
 
 
 class UnresolvableFKey(WelschingerError):

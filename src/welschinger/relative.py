@@ -22,7 +22,7 @@ from functools import cache
 from importlib import resources
 
 from .contact import ContactVector
-from .errors import DimensionMismatch, UnknownInvariant
+from .errors import UnknownInvariant
 from .tables import _read_json, _table_entries
 
 __all__ = [
@@ -120,8 +120,6 @@ class RelativeInvariantTable:
         return cls.from_json_payload(_read_json(path), where=str(path))
 
     def n_sigma(self, key: RelativeKey) -> int:
-        if point_count(key) < 0:
-            raise DimensionMismatch(f"{key} has negative point count")
         s = key.surface
         if s.a == 0:
             # a curve with zero section coefficient is a union of fibres;

@@ -21,6 +21,17 @@ of assigned conjugate point pairs; root-adjacent odd vertices are split into
 a plus/minus partition recording whether their asymptotic orbit stays free
 or is prescribed by the root component.  Odd vertices at distance >= 3
 behave like minus vertices in every formula.
+
+The counting rules are the same for every family; they read the family's
+:class:`FamilyRules` and the dimension n of its Lagrangian:
+
+* point count: an odd vertex of degree g, total contact k_s and valence v
+  holds the f >= 0 pairs with (n - 1)(f - v + [plus]) = point_coefficient * g
+  + k_s - 1;
+* sign: (-1)^(#even vertices + 1);
+* multiplicity: 2^(sum over odd vertices of f if plus, else max(f - 1, 0),
+  plus the even non-root vertices whose edges are all simple), times
+  m1_plus * m1_minus * m2 and the product of the edge multiplicities.
 """
 
 from __future__ import annotations
@@ -318,10 +329,7 @@ class DecoratedTree:
 
     def profile(self, v: int) -> ContactVector:
         """Multiset of adjacent-edge multiplicities as a contact vector."""
-        ks = [k for _, k in self._adjacency[v]]
-        if min(ks, default=1) < 1:
-            raise ValueError("contact order must be >= 1")
-        return ContactVector(tuple(ks.count(i) for i in range(1, max(ks, default=0) + 1)))
+        return _contact([k for _, k in self._adjacency[v]])
 
     def root_edge_multiplicity(self, v: int) -> int:
         for u, k in self._adjacency[v]:
@@ -367,21 +375,16 @@ class DecoratedTree:
     def root_profiles(self) -> tuple[ContactVector, ContactVector]:
         """(alpha_minus, beta_plus): root-edge multiplicities toward the minus
         and plus parts of the partition."""
-        alpha = ContactVector.zero()
-        beta = ContactVector.zero()
-        for v, k in self._adjacency[self.root]:
-            if self.is_plus(v):
-                beta = beta + ContactVector.e(k)
-            else:
-                alpha = alpha + ContactVector.e(k)
-        return alpha, beta
+        edges = self._adjacency[self.root]
+        return (
+            _contact([k for v, k in edges if not self.is_plus(v)]),
+            _contact([k for v, k in edges if self.is_plus(v)]),
+        )
 
     def sign_factor(self) -> int:
-        """Global sign of the tree's contribution: (-1)^(#even vertices + 1)
-        for the surface families (each even component adds one real double
-        point to the glued curve), +1 in the three-spherical family."""
-        if self.family is TreeFamily.THREE_SPHERICAL:
-            return 1
+        """Global sign of the tree's contribution, (-1)^(#even vertices + 1):
+        each even component adds one real double point to the glued curve
+        (a three-spherical tree has one even vertex, its root)."""
         return -1 if len(self.even_vertices()) % 2 == 0 else 1
 
     # -- validation --------------------------------------------------------
@@ -453,20 +456,22 @@ _SHARED = (
 )
 
 
-def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus: bool):
-    """Pair count forced on an odd vertex by the point-count equation.
+def _contact(ks: list[int]) -> ContactVector:
+    """The multiset of edge multiplicities ``ks`` as a contact vector."""
+    if min(ks, default=1) < 1:
+        raise ValueError("contact order must be >= 1")
+    return ContactVector(tuple(ks.count(i) for i in range(1, max(ks, default=0) + 1)))
 
-    Returns None when no non-negative integer solves it.  Plus vertices give
-    up one condition to their prescribed asymptotic.
-    """
-    points = family.rules.point_coefficient * g + k_s
-    if family is TreeFamily.THREE_SPHERICAL:
-        num = points + 1 - (2 if plus else 0)
-        if num < 0 or num % 2:
-            return None
-        return num // 2
-    base = points + valence - 1 - (1 if plus else 0)
-    return base if base >= 0 else None
+
+def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus: bool):
+    """Pair count f forced on an odd vertex by the point-count equation
+    ``(n - 1)(f - valence + plus) = point_coefficient * g + k_s - 1``, n the
+    dimension of the Lagrangian: a plus vertex gives up one condition to its
+    prescribed asymptotic.  None when no integer f >= 0 solves it."""
+    rules = family.rules
+    q, rem = divmod(rules.point_coefficient * g + k_s - 1, rules.geometry.lagrangian.dimension - 1)
+    f = q + valence - plus
+    return None if rem or f < 0 else f
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +577,12 @@ def m1_plus(tree: DecoratedTree) -> int:
 
 def m2_reconnection(tree: DecoratedTree) -> int:
     """Ways to re-pair the half-edges across the removed simple connectors so
-    that the result is a tree isomorphic to the original (projective family).
+    that the result is a tree isomorphic to the original (1 without
+    connectors, so in every family but the projective one).
 
     Computed by brute force over perfect matchings: the trees in play never
     have more than a handful of connectors.
     """
-    if tree.family is not TreeFamily.PROJECTIVE:
-        raise ValueError("reconnection count is defined for projective trees only")
     connectors = tree.bivalent_connectors()
     if not connectors:
         return 1
@@ -622,20 +626,17 @@ def m2_reconnection(tree: DecoratedTree) -> int:
 
 
 def multiplicity(tree: DecoratedTree) -> int:
-    """Gluing multiplicity of the tree (without the pair-assignment count)."""
-    plus = set(tree.plus_vertices())
-    exponent = 0
+    """Gluing multiplicity of the tree (without the pair-assignment count):
+    2^(sum over odd vertices of f if plus, else max(f - 1, 0), plus the even
+    non-root vertices whose edges are all simple) * m1_plus * m1_minus * m2
+    * the product of the edge multiplicities."""
+    adj = tree.adjacency()
+    exponent = sum(1 for v in tree.even_vertices() if v != tree.root and all(k == 1 for _, k in adj[v]))
     for v in tree.odd_vertices():
         f = tree.f_size(v)
-        exponent += f if v in plus else max(f - 1, 0)
+        exponent += f if tree.is_plus(v) else max(f - 1, 0)
     factors = math.prod(k for _, _, k in tree.edges)
-    if tree.family is TreeFamily.PROJECTIVE:
-        exponent += len(tree.bivalent_connectors())
-        return (1 << exponent) * m1_plus(tree) * m1_minus(tree) * m2_reconnection(tree) * factors
-    if tree.family is TreeFamily.TWO_SPHERICAL:
-        exponent += len(tree.even_vertices()) - 1
-        return (1 << exponent) * m1_plus(tree) * m1_minus(tree) * factors
-    return (1 << exponent) * m1_plus(tree) * factors
+    return (1 << exponent) * m1_plus(tree) * m1_minus(tree) * m2_reconnection(tree) * factors
 
 
 def assignment_count(tree: DecoratedTree, r_x: int) -> int:
@@ -707,31 +708,24 @@ class TreeClass:
     variants: tuple[TreeWithCount, ...]
 
 
-def _base_tree(family, d, edges, gmap) -> DecoratedTree:
-    return DecoratedTree.build(family, d, 0, 0, edges, gmap, {}, {v: 0 for v in dict(gmap)})
-
-
 @cache
 def _shapes(family: TreeFamily, d: int) -> tuple:
     """The candidate shapes of (family, d), generated once per process since
-    they do not depend on r: per shape, the edges, genus map and runs of
-    :func:`_candidate_graphs` as tuples, then its undecorated base tree,
-    whose structure every decorated tree of the shape shares."""
-    shapes = []
-    for edges, gmap, runs in _candidate_graphs(family, d):
-        base = _base_tree(family, d, edges, gmap)
-        shapes.append((base.edges, base.genus, tuple(map(tuple, runs)), base))
-    return tuple(shapes)
+    they do not depend on r: per shape, the runs of :func:`_candidate_graphs`
+    as tuples and the undecorated base tree, whose structure every decorated
+    tree of the shape shares."""
+    return tuple(
+        (tuple(map(tuple, runs)), DecoratedTree.build(family, d, 0, 0, edges, gmap, {}, {v: 0 for v in gmap}))
+        for edges, gmap, runs in _candidate_graphs(family, d)
+    )
 
 
-def _decorate(family, d, r, edges, gmap, runs, base=None):
+def _decorate(family, d, r, runs, base):
     """Attach one sign partition per isomorphism class (pair counts are then
     forced): each run of identical root subtrees gets a minus count, taken
     by its first children, and the counts sum to the root window's r_L.
-    Without the shape's base tree, one is built here.  Every tree shares
-    the base tree's structure, and each is validated."""
-    if base is None:
-        base = _base_tree(family, d, edges, gmap)
+    Every tree shares the shape's base tree's structure, and each is
+    validated."""
     r_l = minus_part_size(base._window_top, r, base.valence(0))
     if r_l is None:
         return

@@ -81,6 +81,12 @@ def test_exit_3_on_missing_invariant(capsys):
 def test_exit_2_on_inadmissible(capsys):
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "1")
     assert code == 2 and "error" in err
+    # trees rejects the pairs chi rejects, with the same message
+    argv = ("--geometry", "quadric3", "--degree", "4", "--real-points", "0")
+    for command in ("chi", "trees"):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: (quadric3, d=4, r=0) is not an admissible pair\n"
 
 
 def test_exit_2_on_bad_flags(capsys):

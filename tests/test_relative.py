@@ -127,8 +127,8 @@ def test_table_keys_have_consistent_dimension():
 )
 def test_point_count_never_negative_on_valid_keys(n, a, b, data):
     # with the contact-weight invariant the count collapses to
-    # (n+2)a + b - 1 + |beta|, which is non-negative for every valid key;
-    # the DimensionMismatch guard in n_sigma is purely defensive
+    # (n+2)a + b - 1 + |beta|, which is non-negative for every valid key,
+    # so n_sigma needs no guard against a negative count
     if (a, b) == (0, 0):
         return
     orders = data.draw(

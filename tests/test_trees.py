@@ -163,7 +163,7 @@ def test_each_candidate_shape_is_generated_once(family, top):
         assert len(shapes) == len(set(shapes)), (family, d)
     # and each decorated tree: no two that the decoration step yields are isomorphic
     for _, d, r, _ in _valid_keys({family: top}):
-        forms = [canonical_form(t) for shape in _candidate_graphs(family, d) for t in _decorate(family, d, r, *shape)]
+        forms = [canonical_form(t) for shape in trees_module._shapes(family, d) for t in _decorate(family, d, r, *shape)]
         assert len(forms) == len(set(forms)), (family, d, r)
 
 
@@ -406,6 +406,32 @@ def test_multiplicity_divisible_by_edge_product():
                 assert multiplicity(twc.tree) % product == 0
 
 
+def reference_pair_count(family, g, k_s, valence, plus):
+    """The per-family point-count formulas that the one equation of
+    ``expected_pair_count`` replaced."""
+    if family is F.PROJECTIVE:
+        f = 6 * g + k_s + valence - 1 - plus
+    elif family is F.TWO_SPHERICAL:
+        f = 4 * g + k_s + valence - 1 - plus
+    else:  # every odd vertex is a leaf on the root
+        num = 3 * g + k_s + 1 - 2 * plus
+        return None if num < 0 or num % 2 else num // 2
+    return f if f >= 0 else None
+
+
+def test_pair_count_equation_matches_the_per_family_formulas():
+    outcomes = Counter()
+    for family in F:
+        valences = (1,) if family is F.THREE_SPHERICAL else range(1, 5)
+        for g, k_s, valence, plus in itertools.product(range(5), range(6), valences, (False, True)):
+            expect = reference_pair_count(family, g, k_s, valence, plus)
+            got = trees_module.expected_pair_count(family, g, k_s, valence, plus)
+            assert got == expect, (family, g, k_s, valence, plus)
+            outcomes[family, expect is None] += 1
+    # the grid reaches both a solution and no solution in every family
+    assert all(outcomes[family, True] and outcomes[family, False] for family in F)
+
+
 def test_pair_totals_match_the_bookkeeping():
     from welschinger.trees import pair_condition_count
 
@@ -452,6 +478,11 @@ def test_profiles_as_contact_vectors():
     tree = next(v.tree for c in enumerate_trees(F.PROJECTIVE, 6, 1) for v in c.variants if len(v.tree.vertices()) == 2)
     (vertex,) = tree.odd_vertices()
     assert tree.profile(vertex) == ContactVector.e(2)
+    # an edge of multiplicity 0 is no contact, toward the root or not
+    zero = DecoratedTree.build(**{**_VALID, "edges": [(0, 1, 0)]})
+    for profiles in (lambda: zero.profile(1), zero.root_profiles):
+        with pytest.raises(ValueError, match="contact order must be >= 1"):
+            profiles()
 
 
 # a valid projective tree for (d, r) = (5, 0): one minus vertex of degree 1
@@ -513,8 +544,8 @@ def test_structure_is_computed_once_and_lazily(monkeypatch):
     # a decorated tree built from a cached shape shares its base tree's structure
     pairs = [
         (decorated, base)
-        for edges, genus, runs, base in trees_module._shapes(F.PROJECTIVE, 8)
-        for decorated in _decorate(F.PROJECTIVE, 8, 1, edges, genus, runs, base)
+        for runs, base in trees_module._shapes(F.PROJECTIVE, 8)
+        for decorated in _decorate(F.PROJECTIVE, 8, 1, runs, base)
     ]
     assert len(pairs) == 4
     for decorated, base in pairs:
