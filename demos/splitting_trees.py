@@ -15,12 +15,12 @@ def describe(family: TreeFamily, d: int, r: int) -> None:
     print(f"{family.value}, d={d}, r={r}: {len(classes)} tree class(es)")
     for i, cls in enumerate(classes, start=1):
         for twc in cls.variants:
-            tree = twc.tree
-            edges = ", ".join(f"{u}-{v} (x{k})" for u, v, k in tree.edges)
+            tree, shape = twc.tree, twc.tree.shape
+            edges = ", ".join(f"{u}-{v} (x{k})" for u, v, k in shape.edges)
             decorations = ", ".join(
-                f"v{v}: g={tree.g(v)}, pairs={tree.f_size(v)}"
+                f"v{v}: g={shape.genus[v]}, pairs={tree.f_size(v)}"
                 + (f", {'+' if tree.is_plus(v) else '-'}" if tree.sign(v) else "")
-                for v in tree.odd_vertices()
+                for v in shape.odd_vertices
             )
             print(f"  class {i}: edges [{edges}]")
             print(f"    {decorations}")

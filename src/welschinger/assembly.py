@@ -123,10 +123,11 @@ def _check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
 def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: RelativeInvariantTable) -> list[int]:
     """The relative count of each odd vertex, in vertex order."""
     factors = []
-    for v in tree.odd_vertices():
-        plus, g, k_s = tree.is_plus(v), tree.g(v), tree.k_s(v)
-        alpha = ContactVector.e(tree.root_edge_multiplicity(v)) if plus else ContactVector.zero()
-        beta = tree.profile(v) - alpha
+    shape = tree.shape
+    for v in shape.odd_vertices:
+        plus, g, k_s = tree.is_plus(v), shape.genus[v], shape.k_s[v]
+        alpha = ContactVector.e(shape.root_edge_multiplicity(v)) if plus else ContactVector.zero()
+        beta = shape.profile(v) - alpha
         if geometry.surface_degree is not None:
             factors.append(table.n_sigma(RelativeKey(RuledSurfaceClass(geometry.surface_degree, g, k_s), alpha, beta)))
         else:

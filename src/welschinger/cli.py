@@ -97,9 +97,10 @@ def _cmd_chi(args) -> int:
 def _cmd_poly(args) -> int:
     table, engine = _load_tables(args)
     geometry = _GEOMETRY[args.geometry]
-    r_max = args.real_points_max
-    if r_max is None:
-        r_max = max(admissible_real_counts(geometry, args.degree), default=0)
+    admissible = admissible_real_counts(geometry, args.degree)
+    if not admissible:
+        raise InadmissiblePair(f"{geometry.value} has no admissible real-point count in degree {args.degree}")
+    r_max = max(admissible) if args.real_points_max is None else args.real_points_max
     poly = chi_polynomial(geometry, args.degree, r_max, table, engine)
     if args.format == "json":
         print(json.dumps(poly.to_json_dict(), sort_keys=True, separators=(",", ":")))

@@ -150,6 +150,9 @@ class FInvariantEngine:
         return self.derive(key, order_seed=order_seed).value
 
     def derive(self, key: FKey, order_seed: int | None = None) -> FDerivation:
+        # Both reductions preserve r, so a negative real-point count can only
+        # start at the asked key: raise NegativeDimension naming it.
+        key.r
         rng = random.Random(order_seed) if order_seed is not None else None
         return self._resolve(key, {}, rng)
 

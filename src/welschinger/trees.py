@@ -16,11 +16,16 @@ Three families occur, one per Lagrangian:
 * ``THREE_SPHERICAL`` (L = S^3): every non-root vertex is a leaf adjacent to
   the root.
 
-Decorations: every odd vertex carries a genus-like degree g >= 0 and a count
-of assigned conjugate point pairs; root-adjacent odd vertices are split into
-a plus/minus partition recording whether their asymptotic orbit stays free
-or is prescribed by the root component.  Odd vertices at distance >= 3
-behave like minus vertices in every formula.
+A tree has two parts.  Its :class:`Shape` holds the components and the
+orbits they share, with a genus-like degree g >= 0 on every odd vertex; the
+structure derived from it is computed once, and every tree decorated from a
+shape shares it.  A :class:`DecoratedTree` adds r and the decorations:
+root-adjacent odd vertices are split into a plus/minus partition recording
+whether their asymptotic orbit stays free or is prescribed by the root
+component, and every odd vertex holds a count of assigned conjugate point
+pairs.  Odd vertices at distance >= 3 behave like minus vertices in every
+formula.  The candidate shapes of each (family, d) are generated once per
+process and decorated for every r.
 
 The counting rules are the same for every family; they read the family's
 :class:`FamilyRules` and the dimension n of its Lagrangian:
@@ -45,12 +50,13 @@ from enum import Enum
 from functools import cache
 
 from .contact import ContactVector, GeometryKind, f_point_count
-from .errors import InvalidDegreeRealPair, NegativeDimension
+from .errors import InvalidDegreeRealPair
 
 __all__ = [
     "TreeFamily",
     "FamilyRules",
     "FAMILY_OF",
+    "Shape",
     "DecoratedTree",
     "TreeWithCount",
     "TreeClass",
@@ -175,173 +181,123 @@ def minus_part_size(top: int, r: int, v0: int) -> int | None:
     """Size r_L of the minus part of the root partition, or None (root window).
 
     The root has v0 edges, and ``top`` real points make the root component
-    rigid when all of them are plus (free): :attr:`DecoratedTree._window_top`.
+    rigid when all of them are plus (free): :attr:`Shape.window_top`.
     Each of the r_L minus (prescribed) edges lowers that count by 2.
     """
     r_l, odd = divmod(top - r, 2)
     return None if odd or not 0 <= r_l <= v0 else r_l
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
-    """Immutable decorated tree.
+class Shape:
+    """The undecorated part of a splitting tree: the components of the limit
+    and the orbits they share, with each odd vertex's degree g.
 
-    ``edges`` are (parent, child, multiplicity) triples; ``genus``, ``signs``
-    and ``f_sizes`` are sorted (vertex, value) tuples over odd vertices (signs
-    over root-adjacent odd vertices only).  Vertex ids are arbitrary ints;
-    isomorphism is decided by :func:`canonical_form`.  The structure derived
-    from these fields is computed once per instance, on first use, and the
-    part that depends on root, edges and genus only (``_SHARED``) is taken
-    from the shape's base tree by the trees :func:`_decorate` builds; the
-    returned lists and dicts are shared and must not be modified.
+    ``edges`` are sorted (parent, child, multiplicity) triples and ``genus``
+    maps each odd vertex to g, in vertex order; vertex ids are arbitrary ints.
+    The constructor raises ValueError unless the edges form a tree with
+    multiplicities >= 1 whose odd vertices are exactly the keys of ``genus``,
+    and computes the structure once:
+
+    * ``adjacency``: vertex -> ((neighbour, multiplicity), ...), in vertex
+      order;
+    * ``even_vertices``, ``odd_vertices`` (at even and odd distance from the
+      root), ``root_adjacent``: sorted tuples;
+    * ``k_s``: vertex -> total multiplicity of its edges;
+    * ``bottom_up``: (vertex, multiplicity of the edge from its parent,
+      children), every vertex after its children;
+    * ``window_top``: real-point count that makes the root component rigid
+      when every root edge is free, :func:`~welschinger.contact.f_point_count`
+      of the root profile (None when the root has no edge).
+
+    A shape is shared by all its decorated trees; its dicts must not be
+    modified.
     """
 
-    family: TreeFamily
-    d: int
+    def __init__(self, family: TreeFamily, d: int, root: int, edges, genus):
+        self.family, self.d, self.root = family, d, root
+        self.edges = tuple(sorted((int(u), int(v), int(k)) for u, v, k in edges))
+        self.genus = dict(sorted((int(v), int(g)) for v, g in dict(genus).items()))
+        if any(k < 1 for _, _, k in self.edges):
+            raise ValueError("edge multiplicities must be >= 1")
+        # The structure is kept in tuples: it is shared and never modified,
+        # and the garbage collector stops scanning tuples of ints (with lists,
+        # building the 19,852 shapes of plane degree 26 took twice as long).
+        verts = {root}
+        for u, v, _ in self.edges:
+            verts.update((u, v))
+        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in sorted(verts)}
+        for u, v, k in self.edges:
+            nbrs[u].append((v, k))
+            nbrs[v].append((u, k))
+        adj = {v: tuple(vs) for v, vs in nbrs.items()}
+        depths = {root: 0}
+        top_down = []
+        queue = [(root, 0)]
+        for v, k_in in queue:  # the queue grows while it is read: breadth-first
+            children = []
+            for w, k in adj[v]:
+                if w not in depths:
+                    depths[w] = depths[v] + 1
+                    children.append(w)
+                    queue.append((w, k))
+            top_down.append((v, k_in, tuple(children)))
+        if len(depths) != len(adj):
+            raise ValueError("tree is not connected")
+        if len(self.edges) != len(adj) - 1:
+            raise ValueError("edge count is not vertex count minus one")
+        self.adjacency = adj
+        self.even_vertices = tuple(v for v in adj if not depths[v] % 2)
+        self.odd_vertices = tuple(v for v in adj if depths[v] % 2)
+        if tuple(self.genus) != self.odd_vertices:
+            raise ValueError("genus and pair counts must decorate exactly the odd vertices")
+        self.root_adjacent = tuple(sorted(v for v, _ in adj[root]))
+        self.k_s = {v: sum(k for _, k in vs) for v, vs in adj.items()}
+        self.bottom_up = tuple(reversed(top_down))
+        lagrangian = family.rules.geometry.lagrangian
+        self.window_top = f_point_count(lagrangian, ContactVector.zero(), self.profile(root)) if adj[root] else None
+
+    def profile(self, v: int) -> ContactVector:
+        """Multiset of adjacent-edge multiplicities as a contact vector."""
+        return _contact([k for _, k in self.adjacency[v]])
+
+    def root_edge_multiplicity(self, v: int) -> int:
+        for u, k in self.adjacency[v]:
+            if u == self.root:
+                return k
+        raise ValueError(f"vertex {v} is not adjacent to the root")
+
+    @_cached
+    def body(self) -> str:
+        """AHU code of the whole shape, degrees as the only labels: the part
+        of :func:`shape_form` that does not depend on r."""
+        return _codes(self, {}, {})[self.root]
+
+
+@dataclass(frozen=True)
+class DecoratedTree:
+    """Immutable decorated tree: a :class:`Shape` with r and its decorations.
+
+    ``signs`` and ``f_sizes`` are sorted (vertex, value) tuples, signs over
+    the root-adjacent odd vertices and pair counts over all odd vertices.
+    Isomorphism is decided by :func:`canonical_form`.  The maps and encodings
+    derived from these fields are computed once per instance, on first use.
+    """
+
+    shape: Shape
     r: int
-    root: int
-    edges: tuple[tuple[int, int, int], ...]
-    genus: tuple[tuple[int, int], ...]
     signs: tuple[tuple[int, str], ...]
     f_sizes: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, family, d, r, root, edges, genus, signs, f_sizes) -> "DecoratedTree":
+        """A tree from vertex-keyed data; raises ValueError (see :class:`Shape`)
+        when edges and genus do not describe a tree."""
         return cls(
-            family=family,
-            d=d,
-            r=r,
-            root=root,
-            edges=tuple(sorted((int(u), int(v), int(k)) for u, v, k in edges)),
-            genus=tuple(sorted((int(v), int(g)) for v, g in dict(genus).items())),
-            signs=tuple(sorted((int(v), s) for v, s in dict(signs).items())),
-            f_sizes=tuple(sorted((int(v), int(f)) for v, f in dict(f_sizes).items())),
+            Shape(family, d, root, edges, genus),
+            r,
+            tuple(sorted((int(v), s) for v, s in dict(signs).items())),
+            tuple(sorted((int(v), int(f)) for v, f in dict(f_sizes).items())),
         )
-
-    # -- structure ---------------------------------------------------------
-
-    @_cached
-    def _adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        verts = {self.root}
-        for u, v, _ in self.edges:
-            verts.update((u, v))
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in sorted(verts)}
-        for u, v, k in self.edges:
-            adj[u].append((v, k))
-            adj[v].append((u, k))
-        return adj
-
-    @_cached
-    def _depths(self) -> dict[int, int]:
-        adj = self._adjacency
-        depth = {self.root: 0}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, _ in adj[u]:
-                    if v not in depth:
-                        depth[v] = depth[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(depth) != len(adj):
-            raise ValueError("tree is not connected")
-        return depth
-
-    @_cached
-    def _by_parity(self) -> tuple[list[int], list[int]]:
-        even: list[int] = []
-        odd: list[int] = []
-        for v, p in sorted(self._depths.items()):
-            (odd if p % 2 else even).append(v)
-        return even, odd
-
-    @_cached
-    def _root_adjacent(self) -> list[int]:
-        return sorted(v for v, _ in self._adjacency[self.root])
-
-    @_cached
-    def _k_s(self) -> dict[int, int]:
-        return {v: sum(k for _, k in nbrs) for v, nbrs in self._adjacency.items()}
-
-    @_cached
-    def _bottom_up(self) -> list[tuple[int, int, list[int]]]:
-        """(vertex, multiplicity of the edge from its parent, children), every
-        vertex after its children."""
-        k_in = {self.root: 0}
-        out = []
-        for v in self._depths:  # breadth-first: a parent before its children
-            children = []
-            for w, k in self._adjacency[v]:
-                if w not in k_in:
-                    k_in[w] = k
-                    children.append(w)
-            out.append((v, k_in[v], children))
-        out.reverse()
-        return out
-
-    @_cached
-    def _window_top(self) -> int:
-        """Real-point count that makes the root component rigid when every
-        root edge is free: :func:`~welschinger.contact.f_point_count` of the
-        root profile."""
-        return f_point_count(self.family.rules.geometry.lagrangian, ContactVector.zero(), self.profile(self.root))
-
-    @_cached
-    def _shape_body(self) -> str:
-        return _codes(self, with_signs=False, with_f=False)[self.root]
-
-    @_cached
-    def _canonical(self) -> bytes:
-        return _form(self, _codes(self, with_signs=True, with_f=True)[self.root])
-
-    @_cached
-    def _shape(self) -> bytes:
-        return _form(self, self._shape_body)
-
-    def vertices(self) -> list[int]:
-        return list(self._adjacency)
-
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        return self._adjacency
-
-    def depths(self) -> dict[int, int]:
-        """Distance from the root; raises ValueError when the tree is not connected."""
-        return self._depths
-
-    def odd_vertices(self) -> list[int]:
-        return self._by_parity[1]
-
-    def even_vertices(self) -> list[int]:
-        return self._by_parity[0]
-
-    def root_adjacent(self) -> list[int]:
-        return self._root_adjacent
-
-    def valence(self, v: int) -> int:
-        return len(self._adjacency[v])
-
-    def k_s(self, v: int) -> int:
-        return self._k_s[v]
-
-    def k_total(self) -> int:
-        return sum(k for _, _, k in self.edges)
-
-    def profile(self, v: int) -> ContactVector:
-        """Multiset of adjacent-edge multiplicities as a contact vector."""
-        return _contact([k for _, k in self._adjacency[v]])
-
-    def root_edge_multiplicity(self, v: int) -> int:
-        for u, k in self._adjacency[v]:
-            if u == self.root:
-                return k
-        raise ValueError(f"vertex {v} is not adjacent to the root")
-
-    # -- decorations -------------------------------------------------------
-
-    @_cached
-    def _genus_map(self) -> dict[int, int]:
-        return dict(self.genus)
 
     @_cached
     def _sign_map(self) -> dict[int, str]:
@@ -351,8 +307,14 @@ class DecoratedTree:
     def _f_map(self) -> dict[int, int]:
         return dict(self.f_sizes)
 
-    def g(self, v: int) -> int:
-        return self._genus_map[v]
+    @_cached
+    def codes(self) -> dict[int, str]:
+        """AHU code of every vertex's subtree with all decorations."""
+        return _codes(self.shape, self._sign_map, self._f_map)
+
+    @_cached
+    def _canonical(self) -> bytes:
+        return _form(self, self.codes[self.shape.root])
 
     def sign(self, v: int):
         return self._sign_map.get(v)
@@ -369,13 +331,10 @@ class DecoratedTree:
     def is_plus(self, v: int) -> bool:
         return self._sign_map.get(v) == PLUS
 
-    def bivalent_connectors(self) -> list[int]:
-        return [v for v in self.even_vertices() if v != self.root and self.valence(v) == 2]
-
     def root_profiles(self) -> tuple[ContactVector, ContactVector]:
         """(alpha_minus, beta_plus): root-edge multiplicities toward the minus
         and plus parts of the partition."""
-        edges = self._adjacency[self.root]
+        edges = self.shape.adjacency[self.shape.root]
         return (
             _contact([k for v, k in edges if not self.is_plus(v)]),
             _contact([k for v, k in edges if self.is_plus(v)]),
@@ -385,63 +344,52 @@ class DecoratedTree:
         """Global sign of the tree's contribution, (-1)^(#even vertices + 1):
         each even component adds one real double point to the glued curve
         (a three-spherical tree has one even vertex, its root)."""
-        return -1 if len(self.even_vertices()) % 2 == 0 else 1
-
-    # -- validation --------------------------------------------------------
+        return -1 if len(self.shape.even_vertices) % 2 == 0 else 1
 
     def validate(self) -> list[str]:
-        """Return the list of violated constraints (empty for a valid tree)."""
-        try:
-            self.depths()
-        except ValueError as exc:
-            return [str(exc)]
+        """Return the list of violated constraints on the decorations and the
+        family rules (empty for a valid tree); :class:`Shape` has already
+        checked that the structure is a tree."""
+        shape = self.shape
+        adj, odd = shape.adjacency, shape.odd_vertices
+        if set(self._f_map) != set(odd):
+            return ["genus and pair counts must decorate exactly the odd vertices"]
         problems: list[str] = []
-        if len(self.edges) != len(self._adjacency) - 1:
-            problems.append("edge count is not vertex count minus one")
-        if any(k < 1 for _, _, k in self.edges):
-            problems.append("edge multiplicities must be >= 1")
-
-        odd = self.odd_vertices()
-        if set(self._genus_map) != set(odd) or set(self._f_map) != set(odd):
-            problems.append("genus and pair counts must decorate exactly the odd vertices")
-            return problems
-        if set(self._sign_map) != set(self.root_adjacent()):
+        if set(self._sign_map) != set(shape.root_adjacent):
             problems.append("sign partition must cover exactly the root-adjacent vertices")
 
-        rules = self.family.rules
+        rules = shape.family.rules
         even_shapes = rules.even_shapes
-        for v in self.even_vertices():
-            if v != self.root and tuple(sorted(k for _, k in self._adjacency[v])) not in even_shapes:
-                problems.append(f"even vertex {v} has a shape the {self.family.value} family does not allow")
+        for v in shape.even_vertices:
+            if v != shape.root and tuple(sorted(k for _, k in adj[v])) not in even_shapes:
+                problems.append(f"even vertex {v} has a shape the {shape.family.value} family does not allow")
 
         # Degree-0 components must be single fibres: a vertex with g = 0 and
         # total contact multiplicity >= 2 would represent a multiple fibre
         # class, which carries no irreducible rational curve.
-        genus, k_s = self._genus_map, self._k_s
+        genus, k_s = shape.genus, shape.k_s
         for v in odd:
             if genus[v] == 0 and k_s[v] > 1:
                 problems.append(f"vertex {v} has degree 0 but contact multiplicity {k_s[v]}")
 
-        try:
-            r_l = minus_part_size(self._window_top, self.r, self.valence(self.root))
-        except (ValueError, NegativeDimension):  # a root edge of multiplicity 0, or no root edge
-            r_l = None
+        top = shape.window_top
+        r_l = None if top is None else minus_part_size(top, self.r, len(adj[shape.root]))
         if r_l is None:
             problems.append("real-point count outside the root window")
         elif len(self.minus_vertices()) != r_l:
             problems.append("minus part of the partition has the wrong size")
 
-        if rules.genus_total(self.d, self.k_total()) != sum(genus.values()):
+        if rules.genus_total(shape.d, sum(k for _, _, k in shape.edges)) != sum(genus.values()):
             problems.append("degree equation fails")
 
         # Per-vertex point counts and their sum.
         try:
-            r_x = pair_condition_count(self.family, self.d, self.r)
+            r_x = pair_condition_count(shape.family, shape.d, self.r)
         except InvalidDegreeRealPair as exc:
             problems.append(str(exc))
             return problems
         for v in odd:
-            expect = expected_pair_count(self.family, genus[v], k_s[v], self.valence(v), self.is_plus(v))
+            expect = expected_pair_count(shape.family, genus[v], k_s[v], len(adj[v]), self.is_plus(v))
             if expect is None or expect != self.f_size(v):
                 problems.append(f"pair count at vertex {v} violates the point-count equation")
         if sum(self._f_map.values()) != r_x:
@@ -449,17 +397,8 @@ class DecoratedTree:
         return problems
 
 
-# What a decorated tree takes from its shape's base tree: all of it depends on
-# root, edges and genus only.
-_SHARED = (
-    "_adjacency", "_depths", "_by_parity", "_root_adjacent", "_k_s", "_bottom_up", "_genus_map", "_window_top", "_shape_body"
-)
-
-
 def _contact(ks: list[int]) -> ContactVector:
-    """The multiset of edge multiplicities ``ks`` as a contact vector."""
-    if min(ks, default=1) < 1:
-        raise ValueError("contact order must be >= 1")
+    """The multiset of edge multiplicities ``ks`` (each >= 1) as a contact vector."""
     return ContactVector(tuple(ks.count(i) for i in range(1, max(ks, default=0) + 1)))
 
 
@@ -478,49 +417,43 @@ def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus
 # canonical forms, automorphisms
 
 
-def _codes(tree: DecoratedTree, with_signs: bool, with_f: bool) -> dict[int, str]:
+def _codes(shape: Shape, signs: dict[int, str], f_sizes: dict[int, int]) -> dict[int, str]:
     """Rooted AHU code of every vertex's subtree, built bottom-up as the
     ``repr`` of the nested tuple ``(k_in, label, sorted child codes)``: the
-    label of an odd vertex is ``(g, sign, f)`` (sign and f None unless
-    selected), that of an even vertex None."""
-    labels = {
-        v: f"({tree.g(v)}, {tree.sign(v) if with_signs else None!r}, {tree.f_size(v) if with_f else None})"
-        for v in tree.odd_vertices()
-    }
+    label of an odd vertex is ``(g, sign, f)`` (sign and f None where the
+    given maps have no entry), that of an even vertex None."""
+    genus = shape.genus
     codes: dict[int, str] = {}
-    for v, k_in, children in tree._bottom_up:
+    for v, k_in, children in shape.bottom_up:
         kids = sorted([codes[w] for w in children])
-        codes[v] = f"({k_in}, {labels.get(v)}, ({', '.join(kids)}{',' if len(kids) == 1 else ''}))"
+        label = f"({genus[v]}, {signs.get(v)!r}, {f_sizes.get(v)})" if v in genus else None
+        codes[v] = f"({k_in}, {label}, ({', '.join(kids)}{',' if len(kids) == 1 else ''}))"
     return codes
 
 
 def _form(tree: DecoratedTree, body: str) -> bytes:
-    return f"({tree.family.value!r}, {tree.d}, {tree.r}, {body})".encode()
+    return f"({tree.shape.family.value!r}, {tree.shape.d}, {tree.r}, {body})".encode()
 
 
-def canonical_form(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool = True) -> bytes:
+def canonical_form(tree: DecoratedTree) -> bytes:
     """Isomorphism-invariant encoding (rooted AHU with decorations as labels).
 
     Two decorated trees are isomorphic iff their encodings agree; relabeling
-    vertices never changes the encoding.  The full and the shape encoding
-    are computed once per tree.
+    vertices never changes the encoding.  Computed once per tree.
     """
-    if with_signs and with_f:
-        return tree._canonical
-    if not (with_signs or with_f):
-        return tree._shape
-    return _form(tree, _codes(tree, with_signs, with_f)[tree.root])
+    return tree._canonical
 
 
 def shape_form(tree: DecoratedTree) -> bytes:
-    """Encoding of the underlying weighted tree with its degree decoration only."""
-    return tree._shape
+    """Encoding of the underlying weighted tree with its degree decoration
+    only; the shape's part of it is computed once per shape."""
+    return _form(tree, tree.shape.body)
 
 
 def automorphisms(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool = True) -> list[dict[int, int]]:
     """All root-fixing automorphisms preserving the selected decorations."""
-    adj = tree.adjacency()
-    codes = _codes(tree, with_signs, with_f)
+    adj = tree.shape.adjacency
+    codes = _codes(tree.shape, tree._sign_map if with_signs else {}, tree._f_map if with_f else {})
 
     def extend(v, w, pv, pw, mapping):
         # map subtree rooted at v (parent pv) onto subtree at w (parent pw)
@@ -548,7 +481,7 @@ def automorphisms(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool 
                 return []
         return out
 
-    return extend(tree.root, tree.root, -1, -1, {})
+    return extend(tree.shape.root, tree.shape.root, -1, -1, {})
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +491,11 @@ def automorphisms(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool 
 def m1_minus(tree: DecoratedTree) -> int:
     """Product over minus vertices of the count of their edges matching the
     root-edge multiplicity (ways to pick the prescribed orbit of the root)."""
+    shape = tree.shape
     out = 1
     for v in tree.minus_vertices():
-        k_root = tree.root_edge_multiplicity(v)
-        out *= sum(1 for _, k in tree.adjacency()[v] if k == k_root)
+        k_root = shape.root_edge_multiplicity(v)
+        out *= sum(1 for _, k in shape.adjacency[v] if k == k_root)
     return out
 
 
@@ -570,8 +504,9 @@ def m1_plus(tree: DecoratedTree) -> int:
     plus root edges, matching multiplicities (1 for an empty source): the
     product over k of perm(t_k, s_k), for t_k plus root edges of multiplicity
     k of which s_k lead to vertices holding pairs."""
-    targets = Counter(tree.root_edge_multiplicity(v) for v in tree.plus_vertices())
-    sources = Counter(tree.root_edge_multiplicity(v) for v in tree.plus_vertices() if tree.f_size(v) > 0)
+    k_root = tree.shape.root_edge_multiplicity
+    targets = Counter(k_root(v) for v in tree.plus_vertices())
+    sources = Counter(k_root(v) for v in tree.plus_vertices() if tree.f_size(v) > 0)
     return math.prod(math.perm(targets[k], s) for k, s in sources.items())
 
 
@@ -583,16 +518,15 @@ def m2_reconnection(tree: DecoratedTree) -> int:
     Computed by brute force over perfect matchings: the trees in play never
     have more than a handful of connectors.
     """
-    connectors = tree.bivalent_connectors()
+    shape = tree.shape
+    adj = shape.adjacency
+    connectors = [v for v in shape.even_vertices if v != shape.root and len(adj[v]) == 2]
     if not connectors:
         return 1
-    endpoints: list[int] = []
-    for c in connectors:
-        for w, _ in tree.adjacency()[c]:
-            endpoints.append(w)
-    kept = [e for e in tree.edges if e[0] not in connectors and e[1] not in connectors]
+    endpoints = [w for c in connectors for w, _ in adj[c]]
+    kept = [e for e in shape.edges if e[0] not in connectors and e[1] not in connectors]
     target = canonical_form(tree)
-    fresh = max(tree.vertices()) + 1
+    fresh = max(adj) + 1
 
     def matchings(slots):
         if not slots:
@@ -612,13 +546,11 @@ def m2_reconnection(tree: DecoratedTree) -> int:
             edges.append((endpoints[a], nid, 1))
             edges.append((endpoints[b], nid, 1))
             nid += 1
-        # acyclicity: |edges| is right by construction, so connectivity suffices
-        candidate = DecoratedTree.build(
-            tree.family, tree.d, tree.r, tree.root, edges, tree.genus, tree.signs, tree.f_sizes
-        )
         try:
-            candidate.depths()
-        except ValueError:
+            candidate = DecoratedTree.build(
+                shape.family, shape.d, tree.r, shape.root, edges, shape.genus, tree.signs, tree.f_sizes
+            )
+        except ValueError:  # the re-pairing left a cycle and a detached part
             continue
         if canonical_form(candidate) == target:
             total += 1
@@ -630,12 +562,13 @@ def multiplicity(tree: DecoratedTree) -> int:
     2^(sum over odd vertices of f if plus, else max(f - 1, 0), plus the even
     non-root vertices whose edges are all simple) * m1_plus * m1_minus * m2
     * the product of the edge multiplicities."""
-    adj = tree.adjacency()
-    exponent = sum(1 for v in tree.even_vertices() if v != tree.root and all(k == 1 for _, k in adj[v]))
-    for v in tree.odd_vertices():
+    shape = tree.shape
+    adj = shape.adjacency
+    exponent = sum(1 for v in shape.even_vertices if v != shape.root and all(k == 1 for _, k in adj[v]))
+    for v in shape.odd_vertices:
         f = tree.f_size(v)
         exponent += f if tree.is_plus(v) else max(f - 1, 0)
-    factors = math.prod(k for _, _, k in tree.edges)
+    factors = math.prod(k for _, _, k in shape.edges)
     return (1 << exponent) * m1_plus(tree) * m1_minus(tree) * m2_reconnection(tree) * factors
 
 
@@ -649,30 +582,22 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
     meets those assignments in one orbit of H, the automorphisms that also
     preserve f, and H/K acts freely on that orbit, K being the subgroup that
     fixes every vertex holding pairs.  So the count is
-    ``multinomial(r_x; f) * |K| / |H|``.  Both orders come from one AHU pass:
-    the product over vertices of c! for every c children with identical
-    codes, where K's codes give each vertex holding pairs a label of its own.
+    ``multinomial(r_x; f) * |K| / |H|``.  Both orders are products over
+    vertices of c! for every c children with identical codes (the tree's
+    own): over all children for H, over children whose subtree holds no
+    pairs for K.
     """
-    fmap = dict(tree.f_sizes)
+    fmap = tree._f_map
     if sum(fmap.values()) != r_x:
         raise ValueError("pair counts do not sum to the pair-condition count")
     multinomial = math.factorial(r_x) // math.prod(math.factorial(f) for f in fmap.values())
-    adj = tree.adjacency()
-    orders = [1, 1]  # |H|, |K|
-
-    def codes(v, parent, k_in):
-        children = [codes(w, v, k) for w, k in adj[v] if w != parent]
-        label = (tree.g(v), tree.sign(v), fmap[v]) if v in fmap else None
-        out = []
-        for i, column in enumerate(zip(*children) if children else ((), ())):
-            counts = Counter(column)
-            orders[i] *= math.prod(math.factorial(c) for c in counts.values())
-            pinned = label + (v,) if i and fmap.get(v) else label
-            out.append((k_in, pinned, frozenset(counts.items())))
-        return out
-
-    codes(tree.root, -1, 0)
-    h, k = orders
+    codes = tree.codes
+    holds: dict[int, bool] = {}
+    h = k = 1
+    for v, _, children in tree.shape.bottom_up:
+        holds[v] = fmap.get(v, 0) > 0 or any(holds[w] for w in children)
+        h *= math.prod(math.factorial(c) for c in Counter(codes[w] for w in children).values())
+        k *= math.prod(math.factorial(c) for c in Counter(codes[w] for w in children if not holds[w]).values())
     if multinomial * k % h:
         raise ValueError(f"[H:K] = {h // k} does not divide the multinomial {multinomial}")
     return multinomial * k // h
@@ -712,34 +637,31 @@ class TreeClass:
 def _shapes(family: TreeFamily, d: int) -> tuple:
     """The candidate shapes of (family, d), generated once per process since
     they do not depend on r: per shape, the runs of :func:`_candidate_graphs`
-    as tuples and the undecorated base tree, whose structure every decorated
-    tree of the shape shares."""
+    as tuples and the :class:`Shape` that its decorated trees share."""
     return tuple(
-        (tuple(map(tuple, runs)), DecoratedTree.build(family, d, 0, 0, edges, gmap, {}, {v: 0 for v in gmap}))
-        for edges, gmap, runs in _candidate_graphs(family, d)
+        (tuple(map(tuple, runs)), Shape(family, d, 0, edges, gmap)) for edges, gmap, runs in _candidate_graphs(family, d)
     )
 
 
-def _decorate(family, d, r, runs, base):
+def _decorate(r: int, runs, shape: Shape):
     """Attach one sign partition per isomorphism class (pair counts are then
     forced): each run of identical root subtrees gets a minus count, taken
     by its first children, and the counts sum to the root window's r_L.
-    Every tree shares the shape's base tree's structure, and each is
-    validated."""
-    r_l = minus_part_size(base._window_top, r, base.valence(0))
+    Each tree is validated."""
+    r_l = minus_part_size(shape.window_top, r, len(shape.root_adjacent))
     if r_l is None:
         return
-    shared = {name: getattr(base, name) for name in _SHARED}
+    family, adj, k_s = shape.family, shape.adjacency, shape.k_s
     for minus_counts in itertools.product(*(range(len(run) + 1) for run in runs)):
         if sum(minus_counts) != r_l:
             continue
         signs = {v: MINUS if i < m else PLUS for run, m in zip(runs, minus_counts) for i, v in enumerate(run)}
-        plus = {v for v, s in signs.items() if s == PLUS}
-        fmap = {v: expected_pair_count(family, g, base.k_s(v), base.valence(v), v in plus) for v, g in base.genus}
+        fmap = {
+            v: expected_pair_count(family, g, k_s[v], len(adj[v]), signs.get(v) == PLUS) for v, g in shape.genus.items()
+        }
         if None in fmap.values():
             continue
-        tree = DecoratedTree(family, d, r, 0, base.edges, base.genus, tuple(sorted(signs.items())), tuple(fmap.items()))
-        vars(tree).update(shared)  # where _cached stores; same root, edges and genus
+        tree = DecoratedTree(shape, r, tuple(sorted(signs.items())), tuple(fmap.items()))
         if not tree.validate():
             yield tree
 
@@ -818,7 +740,7 @@ def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWi
     come from the per-process cache of (family, d); each tree's
     pair-assignment count is computed when it is first read."""
     r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
-    trees = sorted((tree for shape in _shapes(family, d) for tree in _decorate(family, d, r, *shape)), key=canonical_form)
+    trees = sorted((tree for runs, shape in _shapes(family, d) for tree in _decorate(r, runs, shape)), key=canonical_form)
     return [TreeWithCount(tree, r_x) for tree in trees]
 
 
@@ -840,8 +762,8 @@ def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:
 
 def _canonical_order(tree: DecoratedTree) -> list[int]:
     """Vertices depth-first from the root, children in code order."""
-    codes = _codes(tree, with_signs=True, with_f=True)
-    children = {v: sorted(kids, key=codes.__getitem__) for v, _, kids in tree._bottom_up}
+    codes = tree.codes
+    children = {v: sorted(kids, key=codes.__getitem__) for v, _, kids in tree.shape.bottom_up}
     order: list[int] = []
 
     def walk(v):
@@ -849,17 +771,16 @@ def _canonical_order(tree: DecoratedTree) -> list[int]:
         for w in children[v]:
             walk(w)
 
-    walk(tree.root)
+    walk(tree.shape.root)
     return order
 
 
 def tree_to_json_dict(twc: TreeWithCount) -> dict:
     """Stable JSON form of a decorated tree with its counts."""
-    tree = twc.tree
+    tree, shape = twc.tree, twc.tree.shape
     order = _canonical_order(tree)
     index = {v: i for i, v in enumerate(order)}
-    depth = tree.depths()
-    odd = set(tree.odd_vertices())
+    odd = set(shape.odd_vertices)
     vertices = []
     for v in order:
         vertices.append(
@@ -867,17 +788,17 @@ def tree_to_json_dict(twc: TreeWithCount) -> dict:
                 "id": index[v],
                 "parity": "odd" if v in odd else "even",
                 "sign": {PLUS: "plus", MINUS: "minus"}.get(tree.sign(v)),
-                "g": tree.g(v) if v in odd else None,
+                "g": shape.genus[v] if v in odd else None,
                 "f_size": tree.f_size(v) if v in odd else None,
             }
         )
     edges = sorted(
-        ({"u": min(index[u], index[v]), "v": max(index[u], index[v]), "k": k} for u, v, k in tree.edges),
+        ({"u": min(index[u], index[v]), "v": max(index[u], index[v]), "k": k} for u, v, k in shape.edges),
         key=lambda e: (e["u"], e["v"]),
     )
     return {
-        "family": tree.family.value,
-        "d": tree.d,
+        "family": shape.family.value,
+        "d": shape.d,
         "r": tree.r,
         "vertices": vertices,
         "edges": edges,

@@ -186,16 +186,16 @@ def _property_suite():
     stable = 0
     for _ in range(200):
         tree = rng.choice(pool)
-        verts = tree.vertices()
-        image = rng.sample(range(1000, 2000), len(verts))
-        relabel = dict(zip(verts, image))
+        shape = tree.shape
+        image = rng.sample(range(1000, 2000), len(shape.adjacency))
+        relabel = dict(zip(shape.adjacency, image))
         shuffled = type(tree).build(
-            tree.family,
-            tree.d,
+            shape.family,
+            shape.d,
             tree.r,
-            relabel[tree.root],
-            [(relabel[u], relabel[v], k) for u, v, k in tree.edges],
-            {relabel[v]: g for v, g in tree.genus},
+            relabel[shape.root],
+            [(relabel[u], relabel[v], k) for u, v, k in shape.edges],
+            {relabel[v]: g for v, g in shape.genus.items()},
             {relabel[v]: s for v, s in tree.signs},
             {relabel[v]: f for v, f in tree.f_sizes},
         )

@@ -72,6 +72,13 @@ def test_derive(capsys):
     assert "= 24" in out.splitlines()[0]
 
 
+def test_derive_names_the_asked_key(capsys):
+    # the asked key has no real point left; the error names it, not a child
+    code, out, err = run(capsys, "derive", "--kind", "sphere3", "--beta", "e1", "--pairs", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: no non-negative real-point count for sphere3, alpha=0, beta=e1, r_L=3\n"
+
+
 def test_exit_3_on_missing_invariant(capsys):
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "9", "--real-points", "0")
     assert code == 3
@@ -87,6 +94,10 @@ def test_exit_2_on_inadmissible(capsys):
         code, out, err = run(capsys, command, *argv)
         assert (code, out) == (2, "")
         assert err == "error: (quadric3, d=4, r=0) is not an admissible pair\n"
+    # poly rejects a degree with no admissible r at all
+    code, out, err = run(capsys, "poly", "--geometry", "quadric3", "--degree", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: quadric3 has no admissible real-point count in degree 3\n"
 
 
 def test_exit_2_on_bad_flags(capsys):

@@ -100,15 +100,15 @@ def test_point_count_matches_tree_pair_counts():
     for family, pairs in cases.items():
         for d, r in pairs:
             for twc in enumerate_decorated_trees(family, d, r):
-                tree = twc.tree
-                for v in tree.odd_vertices():
-                    profile = tree.profile(v)
+                tree, shape = twc.tree, twc.tree.shape
+                for v in shape.odd_vertices:
+                    profile = shape.profile(v)
                     if tree.is_plus(v):
-                        alpha = CV.e(tree.root_edge_multiplicity(v))
+                        alpha = CV.e(shape.root_edge_multiplicity(v))
                         beta = profile - alpha
                     else:
                         alpha, beta = zero, profile
-                    key = _key(degree_of[family], tree.g(v), tree.k_s(v), alpha, beta)
+                    key = _key(degree_of[family], shape.genus[v], shape.k_s[v], alpha, beta)
                     assert point_count(key) == tree.f_size(v)
 
 

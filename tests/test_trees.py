@@ -25,6 +25,7 @@ from welschinger import trees as trees_module
 from welschinger.trees import (
     MINUS,
     PLUS,
+    Shape,
     _candidate_graphs,
     _decorate,
     automorphisms,
@@ -104,10 +105,11 @@ def test_assignment_count_multinomial_oracle():
         v.tree
         for cls in classes
         for v in cls.variants
-        if len(v.tree.root_adjacent()) == 3
+        if len(v.tree.shape.root_adjacent) == 3
     )
-    twins = [v for v in tree.odd_vertices() if tree.g(v) == 0]
-    heavy = next(v for v in tree.odd_vertices() if tree.g(v) == 1)
+    genus = tree.shape.genus
+    twins = [v for v, g in genus.items() if g == 0]
+    heavy = next(v for v, g in genus.items() if g == 1)
     pairs = frozenset(range(9))
     labelings = set()
     for a in itertools.combinations(sorted(pairs), 1):
@@ -117,7 +119,7 @@ def test_assignment_count_multinomial_oracle():
             # the two leaves carry identical decorations, so an assignment is
             # determined up to isomorphism by the unordered pair {a, b}
             labelings.add((frozenset({a, b}), tuple(sorted(big))))
-    assert len(twins) == 2 and tree.g(heavy) == 1
+    assert len(twins) == 2 and genus[heavy] == 1
     assert assignment_count(tree, 9) == len(labelings) == 36
 
 
@@ -159,11 +161,11 @@ def test_assignment_count_matches_burnside():
 def test_each_candidate_shape_is_generated_once(family, top):
     for d in range(1, top + 1):
         graphs = _candidate_graphs(family, d)
-        shapes = [shape_form(DecoratedTree.build(family, d, 0, 0, e, g, {}, {})) for e, g, _ in graphs]
+        shapes = [Shape(family, d, 0, e, g).body for e, g, _ in graphs]
         assert len(shapes) == len(set(shapes)), (family, d)
     # and each decorated tree: no two that the decoration step yields are isomorphic
     for _, d, r, _ in _valid_keys({family: top}):
-        forms = [canonical_form(t) for shape in trees_module._shapes(family, d) for t in _decorate(family, d, r, *shape)]
+        forms = [canonical_form(t) for runs, shape in trees_module._shapes(family, d) for t in _decorate(r, runs, shape)]
         assert len(forms) == len(set(forms)), (family, d, r)
 
 
@@ -171,16 +173,17 @@ def reference_form(tree, *, with_signs=True, with_f=True):
     """Reference encoder: the repr of the nested tuple (k_in, label, sorted
     children) of every subtree, children sorted by their repr, which the
     production encoder must reproduce byte for byte."""
-    adj, depth = tree.adjacency(), tree.depths()
+    shape = tree.shape
+    adj, odd = shape.adjacency, set(shape.odd_vertices)
 
     def encode(v, parent, k_in):
         label = None
-        if depth[v] % 2:
-            label = (tree.g(v), tree.sign(v) if with_signs else None, tree.f_size(v) if with_f else None)
+        if v in odd:
+            label = (shape.genus[v], tree.sign(v) if with_signs else None, tree.f_size(v) if with_f else None)
         children = sorted((encode(w, v, k) for w, k in adj[v] if w != parent), key=repr)
         return (k_in, label, tuple(children))
 
-    return repr((tree.family.value, tree.d, tree.r, encode(tree.root, -1, 0))).encode()
+    return repr((shape.family.value, shape.d, tree.r, encode(shape.root, -1, 0))).encode()
 
 
 @pytest.mark.parametrize(
@@ -195,7 +198,6 @@ def test_encodings_match_the_nested_tuple_reference(family, top, trees):
                 tree = twc.tree
                 assert canonical_form(tree) == reference_form(tree), (family, d, r)
                 assert shape_form(tree) == cls.shape_key
-                assert canonical_form(tree, with_f=False) == reference_form(tree, with_f=False)
                 checked += 1
     assert checked == trees
 
@@ -253,7 +255,7 @@ def test_m1_minus_examples():
     assert m1_minus(tree5) == 1
     # first d=7, r=0 class: minus vertex with two simple edges, root edge simple
     trees7 = [v.tree for c in enumerate_trees(F.PROJECTIVE, 7, 0) for v in c.variants]
-    connected = next(t for t in trees7 if len(t.vertices()) == 4)
+    connected = next(t for t in trees7 if len(t.shape.adjacency) == 4)
     assert m1_minus(connected) == 2
     # minus vertex attached by a double edge among profile {2, 1}
     tree = DecoratedTree.build(
@@ -275,7 +277,7 @@ def test_m1_plus_injection_counts():
         [(0, 1, 1), (0, 2, 1)],
         {1: 1, 2: 1}, {1: PLUS, 2: PLUS}, {1: 5, 2: 0},
     )
-    targets = [v for v in tree.root_adjacent() if tree.root_edge_multiplicity(v) == 1]
+    targets = [v for v in tree.shape.root_adjacent if tree.shape.root_edge_multiplicity(v) == 1]
     oracle = sum(1 for _ in itertools.permutations(targets, 1))
     assert m1_plus(tree) == oracle == 2
     # a plus vertex with no pairs imposes nothing
@@ -305,7 +307,9 @@ def _independent_code(edges, decorations, root):
 
 def test_m2_single_connector_is_trivial():
     trees7 = [v.tree for c in enumerate_trees(F.PROJECTIVE, 7, 0) for v in c.variants]
-    connected = next(t for t in trees7 if t.bivalent_connectors())
+    connected = next(
+        t for t in trees7 if any(len(t.shape.adjacency[v]) == 2 for v in t.shape.even_vertices if v != t.shape.root)
+    )
     assert m2_reconnection(connected) == 1
     trees8 = [v.tree for c in enumerate_trees(F.PROJECTIVE, 8, 1) for v in c.variants]
     for t in trees8:
@@ -381,16 +385,17 @@ _tree_pool = [
 @given(st.integers(min_value=0, max_value=len(_tree_pool) - 1), st.randoms(use_true_random=False))
 def test_canonical_form_relabeling_invariance(index, rng):
     tree = _tree_pool[index]
-    verts = tree.vertices()
+    shape = tree.shape
+    verts = list(shape.adjacency)
     image = rng.sample(range(500, 500 + 5 * len(verts)), len(verts))
     relabel = dict(zip(verts, image))
     shuffled = DecoratedTree.build(
-        tree.family,
-        tree.d,
+        shape.family,
+        shape.d,
         tree.r,
-        relabel[tree.root],
-        [(relabel[u], relabel[v], k) for u, v, k in tree.edges],
-        {relabel[v]: g for v, g in tree.genus},
+        relabel[shape.root],
+        [(relabel[u], relabel[v], k) for u, v, k in shape.edges],
+        {relabel[v]: g for v, g in shape.genus.items()},
         {relabel[v]: s for v, s in tree.signs},
         {relabel[v]: f for v, f in tree.f_sizes},
     )
@@ -401,7 +406,7 @@ def test_multiplicity_divisible_by_edge_product():
     for family, table in EXPECTED_CLASS_COUNTS.items():
         for d, r in table:
             for twc in enumerate_decorated_trees(family, d, r):
-                product = math.prod(k for _, _, k in twc.tree.edges)
+                product = math.prod(k for _, _, k in twc.tree.shape.edges)
                 assert multiplicity(twc.tree) >= 1
                 assert multiplicity(twc.tree) % product == 0
 
@@ -475,14 +480,12 @@ def test_deterministic_order():
 
 
 def test_profiles_as_contact_vectors():
-    tree = next(v.tree for c in enumerate_trees(F.PROJECTIVE, 6, 1) for v in c.variants if len(v.tree.vertices()) == 2)
-    (vertex,) = tree.odd_vertices()
-    assert tree.profile(vertex) == ContactVector.e(2)
-    # an edge of multiplicity 0 is no contact, toward the root or not
-    zero = DecoratedTree.build(**{**_VALID, "edges": [(0, 1, 0)]})
-    for profiles in (lambda: zero.profile(1), zero.root_profiles):
-        with pytest.raises(ValueError, match="contact order must be >= 1"):
-            profiles()
+    tree = next(v.tree for c in enumerate_trees(F.PROJECTIVE, 6, 1) for v in c.variants if len(v.tree.shape.adjacency) == 2)
+    (vertex,) = tree.shape.odd_vertices
+    assert tree.shape.profile(vertex) == ContactVector.e(2)
+    # an edge of multiplicity 0 is no contact: no tree holds one
+    with pytest.raises(ValueError, match="edge multiplicities must be >= 1"):
+        DecoratedTree.build(**{**_VALID, "edges": [(0, 1, 0)]})
 
 
 # a valid projective tree for (d, r) = (5, 0): one minus vertex of degree 1
@@ -495,7 +498,6 @@ _VALID = dict(
 @pytest.mark.parametrize(
     "changes,problem",
     [
-        ({"edges": [(0, 1, 1), (2, 3, 1)], "genus": {1: 1, 3: 0}, "f_sizes": {1: 7, 3: 0}}, "tree is not connected"),
         ({"r": 4}, "outside the root window"),
         ({"signs": {1: PLUS}}, "minus part of the partition has the wrong size"),
         ({"genus": {1: 2}}, "degree equation fails"),
@@ -510,10 +512,8 @@ _VALID = dict(
         ),
         ({"edges": [(0, 1, 5)], "genus": {1: 0}}, "degree 0 but contact multiplicity 5"),
         ({"f_sizes": {1: 6}}, "total assigned pairs differ"),
-        ({"edges": [(0, 1, 0)]}, "edge multiplicities must be >= 1"),
     ],
     ids=[
-        "disconnected",
         "root-window",
         "minus-part-size",
         "degree-equation",
@@ -522,52 +522,52 @@ _VALID = dict(
         "even-shape-three-spherical",
         "degree-zero-multiple-contact",
         "pair-total",
-        "zero-multiplicity",
     ],
 )
 def test_validate_rejects_each_broken_rule(changes, problem):
     assert DecoratedTree.build(**_VALID).validate() == []
     problems = DecoratedTree.build(**{**_VALID, **changes}).validate()
     assert problems and any(problem in p for p in problems), problems
-    if problem == "tree is not connected":
-        assert problems == [problem]
 
 
-def test_structure_is_computed_once_and_lazily(monkeypatch):
-    tree = DecoratedTree.build(**_VALID)
-    assert "_adjacency" not in vars(tree)
-    assert tree.adjacency() is tree.adjacency()
-    assert tree.depths() is tree.depths()
-    assert tree.odd_vertices() is tree.odd_vertices()
-    assert tree.root_adjacent() is tree.root_adjacent()
+@pytest.mark.parametrize(
+    "changes,problem",
+    [
+        ({"edges": [(0, 1, 1), (2, 3, 1)], "genus": {1: 1, 3: 0}, "f_sizes": {1: 7, 3: 0}}, "tree is not connected"),
+        ({"edges": [(0, 1, 0)]}, "edge multiplicities must be >= 1"),
+        (
+            {"edges": [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 1)], "genus": {1: 1, 3: 0}},
+            "edge count is not vertex count minus one",
+        ),
+        ({"genus": {1: 1, 2: 0}}, "genus and pair counts must decorate exactly the odd vertices"),
+    ],
+    ids=["disconnected", "zero-multiplicity", "cycle", "genus-off-the-odd-vertices"],
+)
+def test_build_rejects_a_structure_that_is_not_a_tree(changes, problem):
+    with pytest.raises(ValueError, match=problem):
+        DecoratedTree.build(**{**_VALID, **changes})
 
-    # a decorated tree built from a cached shape shares its base tree's structure
-    pairs = [
-        (decorated, base)
-        for runs, base in trees_module._shapes(F.PROJECTIVE, 8)
-        for decorated in _decorate(F.PROJECTIVE, 8, 1, runs, base)
-    ]
-    assert len(pairs) == 4
-    for decorated, base in pairs:
-        assert decorated.adjacency() is base.adjacency() and decorated.depths() is base.depths()
-        assert decorated.odd_vertices() is base.odd_vertices()
-        assert decorated.even_vertices() is base.even_vertices()
-        assert decorated.root_adjacent() is base.root_adjacent()
-        assert all(getattr(decorated, name) is getattr(base, name) for name in trees_module._SHARED)
 
-    # each encoding is computed once per tree
+def test_decorated_trees_share_their_cached_shape(monkeypatch):
     encoded = []
     codes = trees_module._codes
 
-    def counted(tree, with_signs, with_f):
-        encoded.append((with_signs, with_f))
-        return codes(tree, with_signs, with_f)
+    def counted(shape, signs, f_sizes):
+        encoded.append("tree" if f_sizes else "shape")
+        return codes(shape, signs, f_sizes)
 
     monkeypatch.setattr(trees_module, "_codes", counted)
-    fresh = DecoratedTree.build(**_VALID)
-    assert canonical_form(fresh) is canonical_form(fresh)
-    assert shape_form(fresh) is shape_form(fresh)
-    assert encoded == [(True, True), (False, False)]
-    decorated, base = pairs[0]
-    assert shape_form(decorated).endswith(b", 8, 1, " + base._shape_body.encode() + b")")
-    assert encoded == [(True, True), (False, False)]  # the shape body came with the base tree
+    trees_module._shapes.cache_clear()
+    variants = [twc.tree for r in (1, 3) for c in enumerate_trees(F.PROJECTIVE, 6, r) for twc in c.variants]
+    entries = trees_module._shapes(F.PROJECTIVE, 6)
+    shapes = [shape for _, shape in entries]
+    # every tree holds its cached shape by identity, and only the shapes
+    # that carry a tree are encoded: once each, for both values of r
+    assert all(any(tree.shape is shape for shape in shapes) for tree in variants)
+    used = {id(tree.shape) for tree in variants}
+    assert len(variants) == 5 and len(used) == 2 < len(shapes)
+    assert Counter(encoded) == {"tree": 5, "shape": 2}
+    for tree in variants:
+        assert canonical_form(tree) is canonical_form(tree) and tree.codes is tree.codes
+        assert shape_form(tree) == shape_form(tree)
+    assert Counter(encoded) == {"tree": 5, "shape": 2}
