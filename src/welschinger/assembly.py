@@ -19,7 +19,6 @@ partial sum is never reported.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .contact import ContactVector, GeometryKind, genus_smooth
@@ -49,6 +48,7 @@ __all__ = [
     "chi",
     "chi_polynomial",
     "admissible_real_counts",
+    "check_admissible",
     "check_congruence",
     "check_sign_law",
     "CongruenceReport",
@@ -99,9 +99,6 @@ class ChiResult:
             "ledger": [row.to_json_dict() for row in self.ledger],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def admissible_real_counts(geometry: GeometryKind, d: int) -> list[int]:
     """Real-point counts r for which chi(geometry, d, r) is defined."""
@@ -115,7 +112,8 @@ def admissible_real_counts(geometry: GeometryKind, d: int) -> list[int]:
     return [r for r in range(total % 2, total + 1, 2) if r >= first]
 
 
-def _check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
+def check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
+    """Raise InadmissiblePair unless chi(geometry, d, r) is defined."""
     if d < 1 or r not in admissible_real_counts(geometry, d):
         raise InadmissiblePair(f"({geometry.value}, d={d}, r={r}) is not an admissible pair")
 
@@ -151,7 +149,7 @@ def chi(
     f_engine: FInvariantEngine | None = None,
 ) -> ChiResult:
     """The invariant chi^d_r with its full contribution ledger."""
-    _check_admissible(geometry, d, r)
+    check_admissible(geometry, d, r)
     table = relative_table or builtin_relative_table()
     engine = f_engine or builtin_f_engine()
     family = FAMILY_OF[geometry]
@@ -211,14 +209,16 @@ class ChiPolynomial:
 def chi_polynomial(
     geometry: GeometryKind,
     d: int,
-    r_max: int,
+    r_max: int | None = None,
     relative_table: RelativeInvariantTable | None = None,
     f_engine: FInvariantEngine | None = None,
 ) -> ChiPolynomial:
+    """chi^d_r for every admissible r <= r_max (every admissible r when
+    r_max is None); a value outside the tables is listed as unavailable."""
     coefficients: dict[int, int] = {}
     unavailable: dict[int, str] = {}
     for r in admissible_real_counts(geometry, d):
-        if r > r_max:
+        if r_max is not None and r > r_max:
             break
         try:
             coefficients[r] = chi(geometry, d, r, relative_table, f_engine).value

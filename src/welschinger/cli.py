@@ -3,11 +3,17 @@
 Subcommands:
 
 * ``chi``      -- one invariant, optionally with its contribution ledger
-* ``poly``     -- all computable coefficients chi^d_r for r <= r_max
+* ``poly``     -- chi^d_r for every admissible r (r <= --real-points-max if
+  given), each value or the reason it is unavailable
 * ``trees``    -- JSON dump of the decorated trees for (geometry, d, r)
 * ``verify``   -- run the full acceptance suite (exit 1 on any failure)
 * ``derive``   -- print the derivation chain of a cotangent invariant
-* ``frontier`` -- report which (d, r) pairs are computable per geometry
+* ``frontier`` -- per geometry and degree, which admissible r compute and
+  which miss a table value
+
+Each command parses, makes one library call per decision and prints: ``poly``
+and ``frontier`` both run ``chi_polynomial``, and ``chi`` and ``trees`` both
+check the domain with ``check_admissible``.
 
 Exit codes: 0 success, 1 verification failure, 2 flag errors, 3 a required
 invariant is outside the curated tables (the missing key is printed).
@@ -24,22 +30,10 @@ import json
 import os
 import sys
 
-from .assembly import (
-    _check_admissible,
-    admissible_real_counts,
-    chi,
-    chi_polynomial,
-)
+from .assembly import admissible_real_counts, check_admissible, chi, chi_polynomial
 from .contact import ContactVector, GeometryKind, LagrangianKind
 from .cotangent import FInvariantEngine, FKey, builtin_f_engine
-from .errors import (
-    InadmissiblePair,
-    InvalidDegreeRealPair,
-    NegativeDimension,
-    UnknownInvariant,
-    UnresolvableFKey,
-    WelschingerError,
-)
+from .errors import InadmissiblePair, UnknownInvariant, UnresolvableFKey, WelschingerError
 from .relative import RelativeInvariantTable, builtin_relative_table
 from .trees import FAMILY_OF, enumerate_trees, trees_to_json
 from .verification import run_all
@@ -49,17 +43,15 @@ _KIND = {k.value: k for k in LagrangianKind}
 
 
 def _load_tables(args) -> tuple[RelativeInvariantTable, FInvariantEngine]:
+    """The tables the options name, else those in WELSCHINGER_TABLE_DIR,
+    else the packaged ones; each file is looked up the same way."""
     table_dir = os.environ.get("WELSCHINGER_TABLE_DIR")
-    inv_path = getattr(args, "invariant_table", None)
-    f_path = getattr(args, "f_table", None)
-    if inv_path is None and table_dir:
-        candidate = os.path.join(table_dir, "relative_invariants.json")
-        if os.path.exists(candidate):
-            inv_path = candidate
-    if f_path is None and table_dir:
-        candidate = os.path.join(table_dir, "f_invariants.json")
-        if os.path.exists(candidate):
-            f_path = candidate
+    paths = []
+    for path, name in ((args.invariant_table, "relative_invariants.json"), (args.f_table, "f_invariants.json")):
+        if path is None and table_dir and os.path.exists(os.path.join(table_dir, name)):
+            path = os.path.join(table_dir, name)
+        paths.append(path)
+    inv_path, f_path = paths
     table = RelativeInvariantTable.from_path(inv_path) if inv_path else builtin_relative_table()
     engine = FInvariantEngine.from_path(f_path) if f_path else builtin_f_engine()
     return table, engine
@@ -97,11 +89,9 @@ def _cmd_chi(args) -> int:
 def _cmd_poly(args) -> int:
     table, engine = _load_tables(args)
     geometry = _GEOMETRY[args.geometry]
-    admissible = admissible_real_counts(geometry, args.degree)
-    if not admissible:
+    if not admissible_real_counts(geometry, args.degree):
         raise InadmissiblePair(f"{geometry.value} has no admissible real-point count in degree {args.degree}")
-    r_max = max(admissible) if args.real_points_max is None else args.real_points_max
-    poly = chi_polynomial(geometry, args.degree, r_max, table, engine)
+    poly = chi_polynomial(geometry, args.degree, args.real_points_max, table, engine)
     if args.format == "json":
         print(json.dumps(poly.to_json_dict(), sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
@@ -118,7 +108,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_trees(args) -> int:
     geometry = _GEOMETRY[args.geometry]
-    _check_admissible(geometry, args.degree, args.real_points)
+    check_admissible(geometry, args.degree, args.real_points)
     classes = enumerate_trees(FAMILY_OF[geometry], args.degree, args.real_points)
     print(trees_to_json(classes))
     return 0
@@ -142,18 +132,10 @@ def _cmd_frontier(args) -> int:
     for name, geometry in _GEOMETRY.items():
         print(f"{name}:")
         for d in range(1, args.max_degree + 1):
-            good, missing = [], []
-            for r in admissible_real_counts(geometry, d):
-                try:
-                    chi(geometry, d, r, table, engine)
-                    good.append(r)
-                except (UnknownInvariant, UnresolvableFKey):
-                    missing.append(r)
-                except (InadmissiblePair, InvalidDegreeRealPair, NegativeDimension):
-                    continue
-            if good or missing:
-                ok = ",".join(map(str, good)) or "-"
-                gap = ",".join(map(str, missing)) or "-"
+            poly = chi_polynomial(geometry, d, None, table, engine)
+            if poly.coefficients or poly.unavailable:
+                ok = ",".join(map(str, sorted(poly.coefficients))) or "-"
+                gap = ",".join(map(str, sorted(poly.unavailable))) or "-"
                 print(f"  d={d}: computable r: {ok}; missing tables for r: {gap}")
     return 0
 

@@ -22,7 +22,8 @@ Two reduction rules resolve values from a small curated basis:
 
 Cross-marked keys are internal ledger entries only; their curated values
 come from rigid configurations (an imposed double point or tangency).
-Unknown keys raise UnresolvableFKey, never a silent zero.
+Unknown keys raise UnresolvableFKey, never a silent zero; so does a key
+whose derivation needs a chain of more than MAX_DERIVATION_DEPTH reductions.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ __all__ = [
     "reduce_pair_to_real",
     "reduce_real_pair_to_cross",
 ]
+
+# One stack frame per nested reduction: far beyond what chi asks for (18 over
+# plane d <= 12, 2-quadric d <= 9, 3-quadric d <= 20), inside Python's limit.
+MAX_DERIVATION_DEPTH = 500
 
 
 @dataclass(frozen=True)
@@ -154,9 +159,12 @@ class FInvariantEngine:
         # start at the asked key: raise NegativeDimension naming it.
         key.r
         rng = random.Random(order_seed) if order_seed is not None else None
-        return self._resolve(key, {}, rng)
+        try:
+            return self._resolve(key, {}, rng, MAX_DERIVATION_DEPTH)
+        except RecursionError:
+            raise UnresolvableFKey(f"{key} needs a chain of more than {MAX_DERIVATION_DEPTH} reductions") from None
 
-    def _resolve(self, key: FKey, memo: dict, rng) -> FDerivation:
+    def _resolve(self, key: FKey, memo: dict, rng, depth_left: int) -> FDerivation:
         tk = self._table_key(key)
         if tk in memo:
             return memo[tk]
@@ -171,11 +179,15 @@ class FInvariantEngine:
             rule, combo = "real-pair-to-cross", reduce_real_pair_to_cross(key)
         else:
             raise UnresolvableFKey(f"{key} is outside the derivable closure")
+        if not depth_left:
+            raise RecursionError
         if rng is not None:
             combo = list(combo)
             rng.shuffle(combo)
-        terms = tuple((coeff, self._resolve(child, memo, rng)) for coeff, child in combo)
-        node = FDerivation(key, sum(c * t.value for c, t in terms), rule, terms)
+        terms = []
+        for coeff, child in combo:  # a loop, not a generator: one frame per reduction
+            terms.append((coeff, self._resolve(child, memo, rng, depth_left - 1)))
+        node = FDerivation(key, sum(c * t.value for c, t in terms), rule, tuple(terms))
         memo[tk] = node
         return node
 

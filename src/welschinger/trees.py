@@ -647,7 +647,8 @@ def _decorate(r: int, runs, shape: Shape):
     """Attach one sign partition per isomorphism class (pair counts are then
     forced): each run of identical root subtrees gets a minus count, taken
     by its first children, and the counts sum to the root window's r_L.
-    Each tree is validated."""
+    Each tree is validated; a tree that fails is a fault of this generator
+    and raises RuntimeError, since dropping it would change chi."""
     r_l = minus_part_size(shape.window_top, r, len(shape.root_adjacent))
     if r_l is None:
         return
@@ -662,8 +663,9 @@ def _decorate(r: int, runs, shape: Shape):
         if None in fmap.values():
             continue
         tree = DecoratedTree(shape, r, tuple(sorted(signs.items())), tuple(fmap.items()))
-        if not tree.validate():
-            yield tree
+        if problems := tree.validate():
+            raise RuntimeError(f"generated an invalid tree {canonical_form(tree).decode()}: {'; '.join(problems)}")
+        yield tree
 
 
 def _forests(rules: FamilyRules, memo: dict, budget: int, via_connector: bool, items=None, start: int = 0):
@@ -693,9 +695,9 @@ def _odd_subtrees(rules: FamilyRules, memo: dict, cost: int, k_in: int) -> list:
     """Every odd subtree entered by an edge of multiplicity k_in whose share
     ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
     as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
-    leaf on a simple edge: :meth:`DecoratedTree.validate` rejects any other
-    (a multiple fibre class).  Each list is built once per ``memo``, which
-    lives for one :func:`_candidate_graphs` run."""
+    leaf on a simple edge: any other is a multiple fibre class, which
+    :meth:`DecoratedTree.validate` reports.  Each list is built once per
+    ``memo``, which lives for one :func:`_candidate_graphs` run."""
     if (cost, k_in) in memo:
         return memo[cost, k_in]
     rest = cost - rules.scale * k_in

@@ -54,7 +54,7 @@ def test_zero_invariant_with_no_trees():
 def test_chi_deterministic():
     a = chi(G.PROJECTIVE_PLANE, 8, 1)
     b = chi(G.PROJECTIVE_PLANE, 8, 1)
-    assert a.to_json() == b.to_json()
+    assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_admissible_real_counts():

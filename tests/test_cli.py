@@ -106,10 +106,40 @@ def test_exit_2_on_bad_flags(capsys):
     assert exc.value.code == 2
 
 
+FRONTIER_8 = """\
+cp2:
+  d=1: computable r: 0,2; missing tables for r: -
+  d=2: computable r: 1,3,5; missing tables for r: -
+  d=3: computable r: 0,2,4,6,8; missing tables for r: -
+  d=4: computable r: 1; missing tables for r: 3,5,7,9,11
+  d=5: computable r: 0,2; missing tables for r: 4,6,8,10,12,14
+  d=6: computable r: 1,3; missing tables for r: 5,7,9,11,13,15,17
+  d=7: computable r: 0,2,4; missing tables for r: 6,8,10,12,14,16,18,20
+  d=8: computable r: 1; missing tables for r: 3,5,7,9,11,13,15,17,19,21,23
+quadric2:
+  d=1: computable r: 1,3; missing tables for r: -
+  d=2: computable r: 1,3,5,7; missing tables for r: -
+  d=3: computable r: 1,3; missing tables for r: 5,7,9,11
+  d=4: computable r: 1,3,5; missing tables for r: 7,9,11,13,15
+  d=5: computable r: 1; missing tables for r: 3,5,7,9,11,13,15,17,19
+  d=6: computable r: -; missing tables for r: 1,3,5,7,9,11,13,15,17,19,21,23
+  d=7: computable r: -; missing tables for r: 1,3,5,7,9,11,13,15,17,19,21,23,25,27
+  d=8: computable r: -; missing tables for r: 1,3,5,7,9,11,13,15,17,19,21,23,25,27,29,31
+quadric3:
+  d=2: computable r: 1; missing tables for r: 3
+  d=4: computable r: -; missing tables for r: 2,4,6
+  d=6: computable r: 1; missing tables for r: 3,5,7,9
+  d=8: computable r: -; missing tables for r: 2,4,6,8,10,12
+"""
+
+
 def test_frontier(capsys):
-    code, out, _ = run(capsys, "frontier", "--max-degree", "5")
-    assert code == 0
-    assert "cp2:" in out and "quadric3:" in out
+    assert run(capsys, "frontier", "--max-degree", "8") == (0, FRONTIER_8, "")
+
+
+def test_poly_text_lists_each_unavailable_value(capsys):
+    expected = (Path(__file__).resolve().parent / "data" / "poly_cp2_degree5.txt").read_text()
+    assert run(capsys, "poly", "--geometry", "cp2", "--degree", "5") == (0, expected, "")
 
 
 def test_table_override_via_flag(tmp_path, capsys):
@@ -183,6 +213,21 @@ def test_derive_rejects_bad_arguments(capsys, argv):
     assert f"argument {argv[0]}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("beta,pairs,r", [("600e1", "500", 799), ("1200e1", "1100", 1399)])
+def test_derive_rejects_a_key_too_deep_to_resolve(capsys, beta, pairs, r):
+    # each conjugate pair costs one reduction: the error names the asked key
+    code, out, err = run(capsys, "derive", "--kind", "rp2", "--beta", beta, "--pairs", pairs)
+    assert (code, out) == (3, "")
+    assert err == f"missing invariant: F[rp2]_({r},{pairs})(0, {beta}) needs a chain of more than 500 reductions\n"
+
+
+def test_derive_follows_a_long_chain_within_the_bound(capsys):
+    # 250 pair reductions and 199 collisions reach a leaf outside the table
+    code, out, err = run(capsys, "derive", "--kind", "rp2", "--beta", "300e1", "--pairs", "250")
+    assert (code, out) == (3, "")
+    assert err == f"missing invariant: F[rp2]_(1+{'x' * 199},0)(250e1, 50e1) is outside the derivable closure\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -205,6 +250,21 @@ def test_table_override_via_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WELSCHINGER_TABLE_DIR", str(tmp_path))
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0")
     assert code == 3
+
+
+def test_f_table_override_via_env(tmp_path, capsys, monkeypatch):
+    # an empty F table in the directory replaces the packaged one, for chi
+    # and derive alike; a flag still takes precedence over the directory
+    (tmp_path / "f_invariants.json").write_text(json.dumps({"entries": []}))
+    monkeypatch.setenv("WELSCHINGER_TABLE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "derive", "--kind", "rp2", "--beta", "e1+e2")
+    assert (code, out) == (3, "")
+    assert err == "missing invariant: F[rp2]_(0+xxx,0)(0, e1+e2) is outside the derivable closure\n"
+    code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "1", "--real-points", "0")
+    assert code == 3 and "outside the derivable closure" in err
+    packaged = RELATIVE_TABLE.parent / "f_invariants.json"
+    code, out, _ = run(capsys, "derive", "--kind", "rp2", "--beta", "e1+e2", "--f-table", str(packaged))
+    assert code == 0 and "= 24" in out.splitlines()[0]
 
 
 def test_verify_exits_zero(capsys):

@@ -571,3 +571,11 @@ def test_decorated_trees_share_their_cached_shape(monkeypatch):
         assert canonical_form(tree) is canonical_form(tree) and tree.codes is tree.codes
         assert shape_form(tree) == shape_form(tree)
     assert Counter(encoded) == {"tree": 5, "shape": 2}
+
+
+def test_enumeration_raises_on_a_tree_that_fails_validation(monkeypatch):
+    # a generator fault must stop enumeration, not silently drop the tree
+    # and change chi
+    monkeypatch.setattr(DecoratedTree, "validate", lambda self: ["injected problem"])
+    with pytest.raises(RuntimeError, match=r"generated an invalid tree \('projective', 6, 1, .*\): injected problem$"):
+        enumerate_trees(F.PROJECTIVE, 6, 1)
