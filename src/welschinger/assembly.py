@@ -130,14 +130,16 @@ def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: Relative
             factors.append(table.n_sigma(RelativeKey(RuledSurfaceClass(geometry.surface_degree, g, k_s), alpha, beta)))
         else:
             # a bidegree term only counts when the vertex's point pairs make
-            # both the quadric projection and the ruled-surface curve rigid
-            factors.append(
-                sum(
-                    n_three(a, g - a, k_s, alpha, beta, table)
-                    for a in range(g + 1)
-                    if tree.f_size(v) == n_three_required_pairs(a, g - a, plus)
-                )
-            )
+            # both the quadric projection and the ruled-surface curve rigid;
+            # with more pairs than the family's dimension, generic pairs meet
+            # no curve and the term is 0; with fewer, the curves move
+            f, terms = tree.f_size(v), 0
+            for a in range(g + 1):
+                need = n_three_required_pairs(a, g - a, plus)
+                if f < need:
+                    raise UnknownInvariant(f"N3 of ({a}, {g - a}) + {k_s}f moves with {f} < {need} point pairs: count is not defined")
+                terms += n_three(a, g - a, k_s, alpha, beta, table) if f == need else 0
+            factors.append(terms)
     return factors
 
 

@@ -15,7 +15,7 @@ def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise WelschingerError(f"{path}: cannot read table: {exc}") from None
 
 

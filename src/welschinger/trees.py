@@ -37,6 +37,9 @@ The counting rules are the same for every family; they read the family's
 * multiplicity: 2^(sum over odd vertices of f if plus, else max(f - 1, 0),
   plus the even non-root vertices whose edges are all simple), times
   m1_plus * m1_minus * m2 and the product of the edge multiplicities.
+  m2, the re-pairings at the simple connectors that give back the tree, is
+  prod s_v! * |Aut F| / |Aut T| by orbit-stabilizer on the forest F left by
+  cutting them (:func:`m2_reconnection`).
 """
 
 from __future__ import annotations
@@ -488,6 +491,13 @@ def automorphisms(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool 
 # multiplicity and its factors
 
 
+def _symmetries(sibling_codes) -> int:
+    """Product of c! over every c equal codes within each list of sibling
+    codes: the order of a rooted tree's automorphism group when the lists are
+    the child codes of its vertices."""
+    return math.prod(math.factorial(c) for codes in sibling_codes for c in Counter(codes).values())
+
+
 def m1_minus(tree: DecoratedTree) -> int:
     """Product over minus vertices of the count of their edges matching the
     root-edge multiplicity (ways to pick the prescribed orbit of the root)."""
@@ -515,46 +525,32 @@ def m2_reconnection(tree: DecoratedTree) -> int:
     that the result is a tree isomorphic to the original (1 without
     connectors, so in every family but the projective one).
 
-    Computed by brute force over perfect matchings: the trees in play never
-    have more than a handful of connectors.
+    Cutting the connectors leaves a forest F whose odd vertex v held s_v of
+    their half-edges.  An isomorphism onto the tree maps connectors to
+    connectors, so it restricts to an automorphism of F keeping every s_v,
+    and the tree's own automorphisms are the stabilizer of its pairing.  By
+    orbit-stabilizer, ``m2 = prod s_v! * |Aut F| / |Aut T|``: each of the
+    |Aut F| / |Aut T| vertex pairings comes from prod s_v! half-edge pairings.
     """
     shape = tree.shape
     adj = shape.adjacency
-    connectors = [v for v in shape.even_vertices if v != shape.root and len(adj[v]) == 2]
+    connectors = {v for v in shape.even_vertices if v != shape.root and len(adj[v]) == 2}
     if not connectors:
         return 1
-    endpoints = [w for c in connectors for w, _ in adj[c]]
-    kept = [e for e in shape.edges if e[0] not in connectors and e[1] not in connectors]
-    target = canonical_form(tree)
-    fresh = max(adj) + 1
-
-    def matchings(slots):
-        if not slots:
-            yield []
-            return
-        first = slots[0]
-        for j in range(1, len(slots)):
-            rest = slots[1:j] + slots[j + 1:]
-            for m in matchings(rest):
-                yield [(first, slots[j])] + m
-
-    total = 0
-    for pairing in matchings(list(range(len(endpoints)))):
-        edges = list(kept)
-        nid = fresh
-        for a, b in pairing:
-            edges.append((endpoints[a], nid, 1))
-            edges.append((endpoints[b], nid, 1))
-            nid += 1
-        try:
-            candidate = DecoratedTree.build(
-                shape.family, shape.d, tree.r, shape.root, edges, shape.genus, tree.signs, tree.f_sizes
-            )
-        except ValueError:  # the re-pairing left a cycle and a detached part
+    slots = {v: sum(w in connectors for w, _ in adj[v]) for v in shape.odd_vertices}
+    codes: dict[int, str] = {}
+    siblings, below = [], []
+    for v, k_in, children in shape.bottom_up:
+        if v in connectors:  # the piece below is a root of F, a sibling of the others
+            below.append(codes[children[0]])
             continue
-        if canonical_form(candidate) == target:
-            total += 1
-    return total
+        kids = sorted(codes[w] for w in children if w not in connectors)
+        siblings.append(kids)
+        label = (shape.genus[v], tree.sign(v), tree.f_size(v), slots[v]) if v in slots else None
+        codes[v] = f"({k_in}, {label}, ({', '.join(kids)}))"
+    aut_t = _symmetries([tree.codes[w] for w in children] for _, _, children in shape.bottom_up)
+    aut_f = _symmetries(siblings + [below])
+    return math.prod(math.factorial(s) for s in slots.values()) * aut_f // aut_t
 
 
 def multiplicity(tree: DecoratedTree) -> int:
@@ -591,13 +587,12 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
     if sum(fmap.values()) != r_x:
         raise ValueError("pair counts do not sum to the pair-condition count")
     multinomial = math.factorial(r_x) // math.prod(math.factorial(f) for f in fmap.values())
-    codes = tree.codes
+    codes, bottom_up = tree.codes, tree.shape.bottom_up
     holds: dict[int, bool] = {}
-    h = k = 1
-    for v, _, children in tree.shape.bottom_up:
+    for v, _, children in bottom_up:
         holds[v] = fmap.get(v, 0) > 0 or any(holds[w] for w in children)
-        h *= math.prod(math.factorial(c) for c in Counter(codes[w] for w in children).values())
-        k *= math.prod(math.factorial(c) for c in Counter(codes[w] for w in children if not holds[w]).values())
+    h = _symmetries([codes[w] for w in children] for _, _, children in bottom_up)
+    k = _symmetries([codes[w] for w in children if not holds[w]] for _, _, children in bottom_up)
     if multinomial * k % h:
         raise ValueError(f"[H:K] = {h // k} does not divide the multinomial {multinomial}")
     return multinomial * k // h

@@ -1,6 +1,10 @@
 """Invariant assembly, congruence and sign validators, bounds."""
 
+from functools import cache
+from math import comb
+
 import pytest
+from test_relative_oracles import wdvv_quadric_count
 
 from welschinger import (
     GeometryKind,
@@ -44,6 +48,17 @@ def test_zero_invariant_with_zero_factor_keeps_row():
     assert result.value == 0
     assert len(result.ledger) == 1
     assert result.ledger[0].relative_factors == (0,)
+
+
+def test_threefold_vertex_with_too_few_pairs_is_unknown():
+    # a vertex whose pairs do not make its 3-fold curve rigid has no count:
+    # these (d, 1) printed 0 from an empty bidegree sum
+    for d in (14, 18, 22, 26):
+        with pytest.raises(UnknownInvariant, match="count is not defined"):
+            chi(G.ELLIPSOID_QUADRIC3, d, 1)
+    # too many pairs still give a zero term, so the goldens stand
+    values = {(d, r): chi(G.ELLIPSOID_QUADRIC3, d, r).value for d, r in ((2, 1), (6, 1), (10, 1))}
+    assert values == {(2, 1): -1, (6, 1): 0, (10, 1): -896}
 
 
 def test_zero_invariant_with_no_trees():
@@ -95,6 +110,34 @@ def test_chi_polynomial_examples():
 
     poly = chi_polynomial(G.PROJECTIVE_PLANE, 7, 2)
     assert poly.coefficients == {0: -14336, 2: 11776}
+
+
+@cache
+def kontsevich_count(d):
+    """Rational plane curves of degree d through 3d - 1 points (Kontsevich
+    1994): N_d = sum over a + b = d of N_a N_b (a^2 b^2 C(3d - 4, 3a - 2)
+    - a^3 b C(3d - 4, 3a - 1))."""
+    if d == 1:
+        return 1
+    return sum(
+        kontsevich_count(a) * kontsevich_count(d - a)
+        * (a**2 * (d - a) ** 2 * comb(3 * d - 4, 3 * a - 2) - a**3 * (d - a) * comb(3 * d - 4, 3 * a - 1))
+        for a in range(1, d)
+    )
+
+
+def test_invariants_bounded_by_gromov_witten_counts():
+    # a Welschinger invariant is a signed count of the real curves among the
+    # N_d complex ones through the points, so chi = N_d mod 2 and |chi| <= N_d
+    assert [kontsevich_count(d) for d in range(1, 7)] == [1, 1, 12, 620, 87304, 26312976]
+    counts = {G.PROJECTIVE_PLANE: kontsevich_count, G.ELLIPSOID_QUADRIC2: lambda d: wdvv_quadric_count(d, d)}
+    checked = 0
+    for geometry, count in counts.items():
+        for d in range(1, 9):
+            for r, value in chi_polynomial(geometry, d).coefficients.items():
+                assert value % 2 == count(d) % 2 and abs(value) <= count(d), (geometry, d, r, value)
+                checked += 1
+    assert checked == 31
 
 
 def test_chi_polynomial_reports_unavailable():

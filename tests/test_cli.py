@@ -85,6 +85,12 @@ def test_exit_3_on_missing_invariant(capsys):
     assert "missing invariant" in err
 
 
+def test_exit_3_on_a_threefold_vertex_with_too_few_pairs(capsys):
+    code, out, err = run(capsys, "chi", "--geometry", "quadric3", "--degree", "14", "--real-points", "1")
+    assert (code, out) == (3, "")
+    assert "count is not defined" in err
+
+
 def test_exit_2_on_inadmissible(capsys):
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "1")
     assert code == 2 and "error" in err
@@ -202,6 +208,15 @@ def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
     assert err.startswith(f"error: {path}: ") and message in err
     if row is not None:
         assert f"row {row}" in err
+
+
+@pytest.mark.parametrize("flag", ["--invariant-table", "--f-table"])
+def test_deeply_nested_table_exits_2(tmp_path, capsys, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: cannot read table") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [("--beta", "foo"), ("--beta", "e0"), ("--pairs", "-1"), ("--kind", "torus2")])

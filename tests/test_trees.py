@@ -361,6 +361,65 @@ def test_m2_symmetric_double_connector():
     assert m2_reconnection(tree) == 2
 
 
+def brute_force_m2(tree):
+    """Reference m2: try every perfect matching of the 2k connector
+    endpoints, rebuild the tree with a fresh connector per matched pair, and
+    count the rebuilt trees with the original canonical form."""
+    shape = tree.shape
+    adj = shape.adjacency
+    connectors = [v for v in shape.even_vertices if v != shape.root and len(adj[v]) == 2]
+    endpoints = [w for c in connectors for w, _ in adj[c]]
+    kept = [e for e in shape.edges if e[0] not in connectors and e[1] not in connectors]
+    fresh = max(adj) + 1
+
+    def matchings(slots):
+        if not slots:
+            yield []
+            return
+        for j in range(1, len(slots)):
+            for rest in matchings(slots[1:j] + slots[j + 1:]):
+                yield [(slots[0], slots[j])] + rest
+
+    total = 0
+    for pairing in matchings(list(range(len(endpoints)))):
+        edges = list(kept)
+        for nid, (a, b) in enumerate(pairing, fresh):
+            edges += [(endpoints[a], nid, 1), (endpoints[b], nid, 1)]
+        try:
+            candidate = DecoratedTree.build(
+                shape.family, shape.d, tree.r, shape.root, edges, shape.genus, tree.signs, tree.f_sizes
+            )
+        except ValueError:  # the re-pairing left a cycle and a detached part
+            continue
+        total += canonical_form(candidate) == canonical_form(tree)
+    return total
+
+
+def test_m2_matches_brute_force_reconnection():
+    checked = 0
+    for family, d, r, _ in _valid_keys({F.PROJECTIVE: 14}):
+        for twc in enumerate_decorated_trees(family, d, r):
+            assert m2_reconnection(twc.tree) == brute_force_m2(twc.tree), canonical_form(twc.tree)
+            checked += 1
+    assert checked == 2179
+
+
+def test_m2_distinct_connector_children():
+    # vertex 1 holds two connectors, to a g = 0 leaf 3 and a g = 1 leaf 5.
+    # Of the three pairings of the endpoints {1, 1, 3, 5}, the two joining 1
+    # to both leaves (in either slot order) rebuild the tree; joining 1 to
+    # itself leaves a cycle.  So m2 = 2! * |Aut F| / |Aut T| = 2 * 1 / 1.
+    tree = DecoratedTree.build(
+        F.PROJECTIVE, 13, 0, 0,
+        [(0, 1, 1), (1, 2, 1), (1, 4, 1), (2, 3, 1), (4, 5, 1)],
+        {1: 1, 3: 0, 5: 1},
+        {1: MINUS},
+        {1: 11, 3: 1, 5: 7},
+    )
+    assert tree.validate() == []
+    assert m2_reconnection(tree) == brute_force_m2(tree) == 2
+
+
 def test_canonical_form_separates_decorations():
     base = dict(
         family=F.PROJECTIVE, d=5, r=0, root=0,
