@@ -35,14 +35,11 @@ from .cotangent import (
     basis_f_engine,
     builtin_f_engine,
     f_invariant,
-    reduce_pair_to_real,
-    reduce_real_pair_to_cross,
+    reduce_key,
 )
 from .errors import (
     DimensionMismatch,
-    EmptyBeta,
     InadmissiblePair,
-    InsufficientRealPoints,
     InvalidDegreeRealPair,
     NegativeDimension,
     UnknownInvariant,
@@ -83,13 +80,11 @@ __all__ = [
     "ContactVector",
     "DecoratedTree",
     "DimensionMismatch",
-    "EmptyBeta",
     "FDerivation",
     "FInvariantEngine",
     "FKey",
     "GeometryKind",
     "InadmissiblePair",
-    "InsufficientRealPoints",
     "InvalidDegreeRealPair",
     "LagrangianKind",
     "LedgerRow",
@@ -126,7 +121,6 @@ __all__ = [
     "n_three",
     "point_count",
     "quadric_count",
-    "reduce_pair_to_real",
-    "reduce_real_pair_to_cross",
+    "reduce_key",
     "run_all",
 ]

@@ -100,21 +100,28 @@ class ChiResult:
         }
 
 
-def admissible_real_counts(geometry: GeometryKind, d: int) -> list[int]:
-    """Real-point counts r for which chi(geometry, d, r) is defined."""
+def _admissible_range(geometry: GeometryKind, d: int) -> range:
+    """Real-point counts r for which chi(geometry, d, r) is defined, as a
+    range: membership is tested without building a list."""
     if d < 1:
         raise InadmissiblePair("degree must be >= 1")
     total = FAMILY_OF[geometry].rules.point_total(d)
     if total is None:
-        return []
+        return range(0)
     # r = 0 is excluded over the 3-quadric: its invariant needs a real point
     first = 1 if geometry is GeometryKind.ELLIPSOID_QUADRIC3 else 0
-    return [r for r in range(total % 2, total + 1, 2) if r >= first]
+    start = total % 2
+    return range(start + 2 if start < first else start, total + 1, 2)
+
+
+def admissible_real_counts(geometry: GeometryKind, d: int) -> list[int]:
+    """Real-point counts r for which chi(geometry, d, r) is defined."""
+    return list(_admissible_range(geometry, d))
 
 
 def check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
     """Raise InadmissiblePair unless chi(geometry, d, r) is defined."""
-    if d < 1 or r not in admissible_real_counts(geometry, d):
+    if d < 1 or r not in _admissible_range(geometry, d):
         raise InadmissiblePair(f"({geometry.value}, d={d}, r={r}) is not an admissible pair")
 
 

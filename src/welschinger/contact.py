@@ -28,6 +28,21 @@ __all__ = [
 _TERM_RE = re.compile(r"^(\d*)e(\d+)$")
 
 
+class _cached:
+    """``functools.cached_property`` without the lock that it takes on every
+    first read before Python 3.12; the value is stored in the instance's
+    ``__dict__``, which shadows this descriptor on later reads."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ContactVector:
     """Sparse multiset of contact orders, canonical (trailing zeros trimmed).
@@ -181,21 +196,17 @@ def f_point_count(
     """Real-point count r that makes the cotangent moduli problem rigid.
 
     alpha is the prescribed-orbit profile, beta the free one, r_l the number
-    of conjugate point pairs.  Solving the dimension equation
-    (n-1)r + 2(n-1)r_L + 2(n-1)|alpha| = 2v + eps(n-1)(I(alpha)+I(beta)) + n-3
-    for r gives:
+    of conjugate point pairs.  The dimension equation, with n = dim L and
+    v = |alpha| + |beta| punctures,
+    (n-1)r + 2(n-1)r_L + 2(n-1)|alpha| = 2v + eps(n-1)(I(alpha)+I(beta)) + n-3,
+    solved for r (the division is exact for n = 2 and 3):
 
-        sphere, n=2:   r = 2|beta| + 2(Ia+Ib) - 1 - 2 r_L
-        RP^2:          r = 2|beta| +   Ia+Ib  - 1 - 2 r_L
-        sphere, n=3:   r = |beta| - |alpha| + 2(Ia+Ib) - 2 r_L
+        r = (2|beta| - 2(n-2)|alpha| + n-3) / (n-1) + eps(Ia+Ib) - 2 r_L
     """
     if r_l < 0:
         raise ValueError("conjugate pair count must be >= 0")
-    weight = alpha.weight + beta.weight
-    if kind.dimension == 2:
-        r = 2 * beta.size + kind.epsilon * weight - 1 - 2 * r_l
-    else:
-        r = beta.size - alpha.size + kind.epsilon * weight - 2 * r_l
+    n = kind.dimension
+    r = (2 * beta.size - 2 * (n - 2) * alpha.size + n - 3) // (n - 1) + kind.epsilon * (alpha.weight + beta.weight) - 2 * r_l
     if r < 0:
         raise NegativeDimension(
             f"no non-negative real-point count for {kind.value}, alpha={alpha}, beta={beta}, r_L={r_l}"

@@ -7,7 +7,9 @@ of the isolated real double points (dim L = 2) or the spinor state
 (dim L = 3).  The real-point count r is always the one forced by the
 dimension equation, so keys never store it.
 
-Two reduction rules resolve values from a small curated basis:
+Two reduction rules resolve values from a small curated basis; a key with
+no table entry takes one reduction step, :func:`reduce_key`, which picks the
+rule that applies and builds its (coefficient, child) terms:
 
 * pair-to-real (r_L >= 1):
       F_{(r, r_L)}(alpha, beta)
@@ -22,8 +24,9 @@ Two reduction rules resolve values from a small curated basis:
 
 Cross-marked keys are internal ledger entries only; their curated values
 come from rigid configurations (an imposed double point or tangency).
-Unknown keys raise UnresolvableFKey, never a silent zero; so does a key
-whose derivation needs a chain of more than MAX_DERIVATION_DEPTH reductions.
+A key with no table entry to which neither rule applies raises
+UnresolvableFKey, never a silent zero; so does a key whose derivation needs
+a chain of more than MAX_DERIVATION_DEPTH reductions.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 
-from .contact import ContactVector, LagrangianKind, f_point_count
-from .errors import EmptyBeta, InsufficientRealPoints, UnresolvableFKey
+from .contact import ContactVector, LagrangianKind, _cached, f_point_count
+from .errors import UnresolvableFKey
 from .tables import _read_json, _table_entries
 
 __all__ = [
@@ -45,8 +48,7 @@ __all__ = [
     "builtin_f_engine",
     "basis_f_engine",
     "f_invariant",
-    "reduce_pair_to_real",
-    "reduce_real_pair_to_cross",
+    "reduce_key",
 ]
 
 # One stack frame per nested reduction: far beyond what chi asks for (18 over
@@ -62,7 +64,7 @@ class FKey:
     r_l: int = 0
     crosses: int = 0
 
-    @cached_property
+    @_cached
     def r(self) -> int:
         """Real points left after each imposed double point consumes two;
         computed once per key (the fields above alone decide equality)."""
@@ -74,38 +76,22 @@ class FKey:
         return f"F[{self.kind.value}]_({self.r}{marks},{self.r_l})({self.alpha}, {self.beta})"
 
 
-def reduce_pair_to_real(key: FKey) -> list[tuple[int, FKey]]:
-    """Trade one conjugate point pair for the prescription of a free orbit.
-
-    Valid for r_L >= 1; each free order k contributes coefficient k.
-    """
-    if key.r_l < 1:
-        raise ValueError("pair-to-real needs at least one conjugate pair")
-    if not key.beta:
-        raise EmptyBeta(f"{key} has no free asymptotic to prescribe")
-    out = []
-    for k in key.beta.orders():
-        child = FKey(
-            key.kind,
-            key.alpha + ContactVector.e(k),
-            key.beta - ContactVector.e(k),
-            key.r_l - 1,
-            key.crosses,
-        )
-        out.append((k, child))
-    return out
-
-
-def reduce_real_pair_to_cross(key: FKey) -> list[tuple[int, FKey]]:
-    """Collide two real points: an imposed double point (twice) or a pair."""
-    if key.r_l != 0:
-        raise ValueError("real-pair-to-cross applies to keys without conjugate pairs")
-    if key.r < 2:
-        raise InsufficientRealPoints(f"{key} has fewer than two real points")
-    return [
-        (2, FKey(key.kind, key.alpha, key.beta, 0, key.crosses + 1)),
-        (1, FKey(key.kind, key.alpha, key.beta, 1, key.crosses)),
-    ]
+def reduce_key(key: FKey) -> tuple[str, list[tuple[int, FKey]]]:
+    """One reduction step: the rule that applies to ``key`` and its
+    (coefficient, child) terms.  pair-to-real applies when a conjugate pair
+    and a free orbit are left, else real-pair-to-cross when no pair and at
+    least two real points are; UnresolvableFKey when neither does."""
+    if key.r_l >= 1 and key.beta:
+        return "pair-to-real", [
+            (k, FKey(key.kind, key.alpha + ContactVector.e(k), key.beta - ContactVector.e(k), key.r_l - 1, key.crosses))
+            for k in key.beta.orders()
+        ]
+    if key.r_l == 0 and key.r >= 2:
+        return "real-pair-to-cross", [
+            (2, FKey(key.kind, key.alpha, key.beta, 0, key.crosses + 1)),
+            (1, FKey(key.kind, key.alpha, key.beta, 1, key.crosses)),
+        ]
+    raise UnresolvableFKey(f"{key} is outside the derivable closure")
 
 
 @dataclass(frozen=True)
@@ -173,16 +159,10 @@ class FInvariantEngine:
             node = FDerivation(key, known, "table")
             memo[tk] = node
             return node
-        if key.r_l >= 1 and key.beta:
-            rule, combo = "pair-to-real", reduce_pair_to_real(key)
-        elif key.r_l == 0 and key.r >= 2:
-            rule, combo = "real-pair-to-cross", reduce_real_pair_to_cross(key)
-        else:
-            raise UnresolvableFKey(f"{key} is outside the derivable closure")
+        rule, combo = reduce_key(key)
         if not depth_left:
             raise RecursionError
         if rng is not None:
-            combo = list(combo)
             rng.shuffle(combo)
         terms = []
         for coeff, child in combo:  # a loop, not a generator: one frame per reduction

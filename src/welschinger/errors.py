@@ -37,11 +37,3 @@ class DimensionMismatch(WelschingerError):
 
 class UnresolvableFKey(WelschingerError):
     """A cotangent invariant key cannot be reached from the curated bases."""
-
-
-class EmptyBeta(WelschingerError):
-    """The pair-to-real reduction needs at least one free asymptotic."""
-
-
-class InsufficientRealPoints(WelschingerError):
-    """The real-pair-to-cross reduction needs at least two real points."""

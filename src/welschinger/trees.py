@@ -22,10 +22,11 @@ structure derived from it is computed once, and every tree decorated from a
 shape shares it.  A :class:`DecoratedTree` adds r and the decorations:
 root-adjacent odd vertices are split into a plus/minus partition recording
 whether their asymptotic orbit stays free or is prescribed by the root
-component, and every odd vertex holds a count of assigned conjugate point
-pairs.  Odd vertices at distance >= 3 behave like minus vertices in every
-formula.  The candidate shapes of each (family, d) are generated once per
-process and decorated for every r.
+component.  Each odd vertex's count of assigned conjugate point pairs is
+derived from the partition by the point-count equation.  Odd vertices at
+distance >= 3 behave like minus vertices in every formula.  The candidate
+shapes of each (family, d) are generated once per process and decorated for
+every r.
 
 The counting rules are the same for every family; they read the family's
 :class:`FamilyRules` and the dimension n of its Lagrangian:
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .contact import ContactVector, GeometryKind, f_point_count
+from .contact import ContactVector, GeometryKind, _cached, f_point_count
 from .errors import InvalidDegreeRealPair
 
 __all__ = [
@@ -73,21 +74,6 @@ __all__ = [
     "assignment_count",
     "tree_to_json_dict",
 ]
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that it takes on every
-    first read before Python 3.12; the value is stored in the instance's
-    ``__dict__``, which shadows this descriptor on later reads."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 PLUS = "+"
@@ -252,7 +238,7 @@ class Shape:
         self.even_vertices = tuple(v for v in adj if not depths[v] % 2)
         self.odd_vertices = tuple(v for v in adj if depths[v] % 2)
         if tuple(self.genus) != self.odd_vertices:
-            raise ValueError("genus and pair counts must decorate exactly the odd vertices")
+            raise ValueError("genus must decorate exactly the odd vertices")
         self.root_adjacent = tuple(sorted(v for v, _ in adj[root]))
         self.k_s = {v: sum(k for _, k in vs) for v, vs in adj.items()}
         self.bottom_up = tuple(reversed(top_down))
@@ -278,37 +264,35 @@ class Shape:
 
 @dataclass(frozen=True)
 class DecoratedTree:
-    """Immutable decorated tree: a :class:`Shape` with r and its decorations.
+    """Immutable decorated tree: a :class:`Shape` with r and its sign partition.
 
-    ``signs`` and ``f_sizes`` are sorted (vertex, value) tuples, signs over
-    the root-adjacent odd vertices and pair counts over all odd vertices.
-    Isomorphism is decided by :func:`canonical_form`.  The maps and encodings
-    derived from these fields are computed once per instance, on first use.
+    ``signs`` is a sorted (vertex, sign) tuple over the root-adjacent odd
+    vertices; the pair counts follow from it (:meth:`f_size`).  Isomorphism
+    is decided by :func:`canonical_form`.  The maps and encodings derived
+    from these fields are computed once per instance, on first use.
     """
 
     shape: Shape
     r: int
     signs: tuple[tuple[int, str], ...]
-    f_sizes: tuple[tuple[int, int], ...]
 
     @classmethod
-    def build(cls, family, d, r, root, edges, genus, signs, f_sizes) -> "DecoratedTree":
+    def build(cls, family, d, r, root, edges, genus, signs) -> "DecoratedTree":
         """A tree from vertex-keyed data; raises ValueError (see :class:`Shape`)
         when edges and genus do not describe a tree."""
-        return cls(
-            Shape(family, d, root, edges, genus),
-            r,
-            tuple(sorted((int(v), s) for v, s in dict(signs).items())),
-            tuple(sorted((int(v), int(f)) for v, f in dict(f_sizes).items())),
-        )
+        return cls(Shape(family, d, root, edges, genus), r, tuple(sorted((int(v), s) for v, s in dict(signs).items())))
 
     @_cached
     def _sign_map(self) -> dict[int, str]:
         return dict(self.signs)
 
     @_cached
-    def _f_map(self) -> dict[int, int]:
-        return dict(self.f_sizes)
+    def _f_map(self) -> dict[int, int | None]:
+        """Pair count of every odd vertex (:func:`expected_pair_count`), None
+        where no integer solves its point-count equation."""
+        shape = self.shape
+        adj, k_s = shape.adjacency, shape.k_s
+        return {v: expected_pair_count(shape.family, g, k_s[v], len(adj[v]), self.is_plus(v)) for v, g in shape.genus.items()}
 
     @_cached
     def codes(self) -> dict[int, str]:
@@ -355,8 +339,6 @@ class DecoratedTree:
         checked that the structure is a tree."""
         shape = self.shape
         adj, odd = shape.adjacency, shape.odd_vertices
-        if set(self._f_map) != set(odd):
-            return ["genus and pair counts must decorate exactly the odd vertices"]
         problems: list[str] = []
         if set(self._sign_map) != set(shape.root_adjacent):
             problems.append("sign partition must cover exactly the root-adjacent vertices")
@@ -391,11 +373,9 @@ class DecoratedTree:
         except InvalidDegreeRealPair as exc:
             problems.append(str(exc))
             return problems
-        for v in odd:
-            expect = expected_pair_count(shape.family, genus[v], k_s[v], len(adj[v]), self.is_plus(v))
-            if expect is None or expect != self.f_size(v):
-                problems.append(f"pair count at vertex {v} violates the point-count equation")
-        if sum(self._f_map.values()) != r_x:
+        unsolved = [v for v, f in self._f_map.items() if f is None]
+        problems += [f"no pair count at vertex {v} solves the point-count equation" for v in unsolved]
+        if not unsolved and sum(self._f_map.values()) != r_x:
             problems.append("total assigned pairs differ from the pair-condition count")
         return problems
 
@@ -639,25 +619,22 @@ def _shapes(family: TreeFamily, d: int) -> tuple:
 
 
 def _decorate(r: int, runs, shape: Shape):
-    """Attach one sign partition per isomorphism class (pair counts are then
-    forced): each run of identical root subtrees gets a minus count, taken
-    by its first children, and the counts sum to the root window's r_L.
-    Each tree is validated; a tree that fails is a fault of this generator
-    and raises RuntimeError, since dropping it would change chi."""
+    """Attach one sign partition per isomorphism class: each run of
+    identical root subtrees gets a minus count, taken by its first children,
+    and the counts sum to the root window's r_L.  A partition that leaves an
+    odd vertex without a pair count is skipped.  Each tree is validated; a
+    tree that fails is a fault of this generator and raises RuntimeError,
+    since dropping it would change chi."""
     r_l = minus_part_size(shape.window_top, r, len(shape.root_adjacent))
     if r_l is None:
         return
-    family, adj, k_s = shape.family, shape.adjacency, shape.k_s
     for minus_counts in itertools.product(*(range(len(run) + 1) for run in runs)):
         if sum(minus_counts) != r_l:
             continue
         signs = {v: MINUS if i < m else PLUS for run, m in zip(runs, minus_counts) for i, v in enumerate(run)}
-        fmap = {
-            v: expected_pair_count(family, g, k_s[v], len(adj[v]), signs.get(v) == PLUS) for v, g in shape.genus.items()
-        }
-        if None in fmap.values():
+        tree = DecoratedTree(shape, r, tuple(sorted(signs.items())))
+        if None in tree._f_map.values():
             continue
-        tree = DecoratedTree(shape, r, tuple(sorted(signs.items())), tuple(fmap.items()))
         if problems := tree.validate():
             raise RuntimeError(f"generated an invalid tree {canonical_form(tree).decode()}: {'; '.join(problems)}")
         yield tree

@@ -197,7 +197,6 @@ def _property_suite():
             [(relabel[u], relabel[v], k) for u, v, k in shape.edges],
             {relabel[v]: g for v, g in shape.genus.items()},
             {relabel[v]: s for v, s in tree.signs},
-            {relabel[v]: f for v, f in tree.f_sizes},
         )
         if canonical_form(shuffled) == canonical_form(tree):
             stable += 1

@@ -1,5 +1,6 @@
 """Invariant assembly, congruence and sign validators, bounds."""
 
+import tracemalloc
 from functools import cache
 from math import comb
 
@@ -17,6 +18,7 @@ from welschinger import (
     chi,
     chi_polynomial,
 )
+from welschinger.assembly import check_admissible
 from welschinger.verification import GOLDEN_VALUES
 
 G = GeometryKind
@@ -77,6 +79,19 @@ def test_admissible_real_counts():
     assert admissible_real_counts(G.ELLIPSOID_QUADRIC2, 2) == [1, 3, 5, 7]
     assert admissible_real_counts(G.ELLIPSOID_QUADRIC3, 10) == [1, 3, 5, 7, 9, 11, 13, 15]
     assert admissible_real_counts(G.ELLIPSOID_QUADRIC3, 3) == []
+
+
+def test_check_admissible_builds_no_list_of_counts():
+    # quadric2 admits 2,000,000 values of r in degree 10^6: as a list, 81 MB
+    tracemalloc.start()
+    try:
+        check_admissible(G.ELLIPSOID_QUADRIC2, 10**6, 3_999_999)
+        with pytest.raises(InadmissiblePair, match=r"^\(quadric2, d=1000000, r=0\) is not an admissible pair$"):
+            check_admissible(G.ELLIPSOID_QUADRIC2, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_inadmissible_pairs():

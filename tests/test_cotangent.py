@@ -1,21 +1,20 @@
 """Cotangent invariants: curated bases, reduction rules, derivation engine."""
 
+import re
+
 import pytest
 
 from welschinger import (
     ContactVector,
-    EmptyBeta,
     FInvariantEngine,
     FKey,
-    InsufficientRealPoints,
     LagrangianKind,
     UnresolvableFKey,
     WelschingerError,
     basis_f_engine,
     builtin_f_engine,
     f_invariant,
-    reduce_pair_to_real,
-    reduce_real_pair_to_cross,
+    reduce_key,
 )
 
 CV = ContactVector
@@ -78,13 +77,24 @@ def test_examples_with_specified_real_points():
 # -- reduction rules ----------------------------------------------------------
 
 
+def pair_to_real(key):
+    rule, combo = reduce_key(key)
+    assert rule == "pair-to-real"
+    return combo
+
+
+def assert_unresolvable(key):
+    with pytest.raises(UnresolvableFKey, match=re.escape(f"{key} is outside the derivable closure")):
+        reduce_key(key)
+
+
 def test_pair_to_real_coefficients():
-    combo = reduce_pair_to_real(FKey(K.SPHERE2, zero, e2, r_l=1))
+    combo = pair_to_real(FKey(K.SPHERE2, zero, e2, r_l=1))
     assert [(c, k.alpha, k.beta, k.r_l) for c, k in combo] == [(2, e2, zero, 0)]
     engine = builtin_f_engine()
     assert engine.value(FKey(K.SPHERE2, zero, e2, r_l=1)) == 4
 
-    combo = reduce_pair_to_real(FKey(K.RP2, zero, e1 + e2, r_l=1))
+    combo = pair_to_real(FKey(K.RP2, zero, e1 + e2, r_l=1))
     assert sorted((c, str(k.alpha), str(k.beta)) for c, k in combo) == [
         (1, "e1", "e2"),
         (2, "e2", "e1"),
@@ -92,20 +102,21 @@ def test_pair_to_real_coefficients():
     assert engine.value(FKey(K.RP2, zero, e1 + e2, r_l=1)) == 8 + 2 * 4
 
     # the coefficient is the order k alone, without a beta_k factor
-    combo = reduce_pair_to_real(FKey(K.SPHERE2, zero, CV.e(1, 2), r_l=1))
+    combo = pair_to_real(FKey(K.SPHERE2, zero, CV.e(1, 2), r_l=1))
     assert [(c, str(k.alpha), str(k.beta)) for c, k in combo] == [(1, "e1", "e1")]
     assert engine.value(FKey(K.SPHERE2, zero, CV.e(1, 2), r_l=1)) == 4
 
 
 def test_pair_to_real_requires_free_contact():
-    with pytest.raises(EmptyBeta):
-        reduce_pair_to_real(FKey(K.SPHERE2, e2, zero, r_l=1))
+    # a conjugate pair but no free orbit: real-pair-to-cross needs r_L = 0
+    assert_unresolvable(FKey(K.SPHERE2, e2, zero, r_l=1))
 
 
 def test_real_pair_to_cross_chains():
     engine = basis_f_engine()
     # chain: value = 2 * (cross term) + (pair term)
-    combo = reduce_real_pair_to_cross(FKey(K.SPHERE2, zero, CV.e(1, 2)))
+    rule, combo = reduce_key(FKey(K.SPHERE2, zero, CV.e(1, 2)))
+    assert rule == "real-pair-to-cross"
     assert [(c, k.crosses, k.r_l) for c, k in combo] == [(2, 1, 0), (1, 0, 1)]
     assert engine.value(combo[0][1]) == 1
     assert engine.value(combo[1][1]) == 4
@@ -116,10 +127,9 @@ def test_real_pair_to_cross_chains():
 
 
 def test_real_pair_to_cross_preconditions():
-    with pytest.raises(InsufficientRealPoints):
-        reduce_real_pair_to_cross(FKey(K.SPHERE2, e1, zero))  # r = 1
-    with pytest.raises(ValueError):
-        reduce_real_pair_to_cross(FKey(K.SPHERE2, zero, e2, r_l=1))
+    assert_unresolvable(FKey(K.SPHERE2, e1, zero))  # r = 1
+    # a key with a conjugate pair and a free orbit is never collided
+    assert [k.r_l for _, k in pair_to_real(FKey(K.SPHERE2, zero, e2, r_l=1))] == [0]
 
 
 # -- closure and confluence ---------------------------------------------------
@@ -168,11 +178,31 @@ def test_unresolvable_keys_raise():
 
 def test_reductions_preserve_dimension_bookkeeping():
     key = FKey(K.RP2, zero, e1 + e2, r_l=1)
-    for _, child in reduce_pair_to_real(key):
+    for _, child in pair_to_real(key):
         assert child.r == key.r
     key = FKey(K.SPHERE2, zero, e2)
-    for _, child in reduce_real_pair_to_cross(key):
+    for _, child in reduce_key(key)[1]:
         assert child.r == key.r - 2
+    # pair-to-real moves one contact from beta to alpha, real-pair-to-cross
+    # moves none: every child keeps its parent's kind and total profile
+    keys = [
+        FKey(kind, alpha, beta, r_l, crosses)
+        for kind in K
+        for alpha in (zero, e1, e2, CV.e(1, 2))
+        for beta in (zero, e1, e3, e1 + e2)
+        for r_l in range(3)
+        for crosses in range(2)
+    ]
+    rules = set()
+    for key in keys:
+        try:
+            rule, combo = reduce_key(key)
+        except WelschingerError:  # a negative real-point count, or neither rule
+            continue
+        rules.add(rule)
+        for _, child in combo:
+            assert child.kind is key.kind and child.alpha + child.beta == key.alpha + key.beta
+    assert rules == {"pair-to-real", "real-pair-to-cross"}
 
 
 @pytest.mark.parametrize(

@@ -127,7 +127,7 @@ def burnside_assignment_count(tree, r_x):
     """Reference count: Burnside averaging over the listed automorphisms that
     preserve degree and sign decorations (an automorphism fixes an assignment
     iff it fixes every vertex holding a non-empty subset)."""
-    fmap = dict(tree.f_sizes)
+    fmap = tree._f_map
     multinomial = math.factorial(r_x)
     for f in fmap.values():
         multinomial //= math.factorial(f)
@@ -261,7 +261,7 @@ def test_m1_minus_examples():
     tree = DecoratedTree.build(
         F.PROJECTIVE, 6, 1, 0,
         [(0, 1, 2), (1, 2, 1), (2, 3, 1)],
-        {1: 1, 3: 0}, {1: MINUS}, {1: 9, 3: 1},
+        {1: 1, 3: 0}, {1: MINUS},
     )
     assert m1_minus(tree) == 1
 
@@ -270,13 +270,15 @@ def test_m1_plus_injection_counts():
     # no plus vertices -> empty injection
     tree5 = next(v.tree for c in enumerate_trees(F.PROJECTIVE, 5, 0) for v in c.variants)
     assert m1_plus(tree5) == 1
-    # one plus vertex with assigned pairs, two matching simple root edges:
-    # oracle = permutations of the two candidate targets taken one at a time
+    # one plus vertex with assigned pairs (g = 1 holds 4, g = 0 none), two
+    # matching simple root edges: oracle = permutations of the two candidate
+    # targets taken one at a time
     tree = DecoratedTree.build(
         F.TWO_SPHERICAL, 4, 5, 0,
         [(0, 1, 1), (0, 2, 1)],
-        {1: 1, 2: 1}, {1: PLUS, 2: PLUS}, {1: 5, 2: 0},
+        {1: 1, 2: 0}, {1: PLUS, 2: PLUS},
     )
+    assert tree._f_map == {1: 4, 2: 0}
     targets = [v for v in tree.shape.root_adjacent if tree.shape.root_edge_multiplicity(v) == 1]
     oracle = sum(1 for _ in itertools.permutations(targets, 1))
     assert m1_plus(tree) == oracle == 2
@@ -284,7 +286,7 @@ def test_m1_plus_injection_counts():
     tree_empty = DecoratedTree.build(
         F.TWO_SPHERICAL, 2, 7, 0,
         [(0, 1, 1), (0, 2, 1)],
-        {1: 0, 2: 0}, {1: PLUS, 2: PLUS}, {1: 0, 2: 0},
+        {1: 0, 2: 0}, {1: PLUS, 2: PLUS},
     )
     assert m1_plus(tree_empty) == 1
 
@@ -327,9 +329,8 @@ def test_m2_symmetric_double_connector():
         ],
         {1: 1, 2: 1, 3: 1, 4: 1},
         {1: MINUS, 3: MINUS},
-        {1: 9, 2: 7, 3: 9, 4: 7},
     )
-    assert tree.validate() == []
+    assert tree.validate() == [] and tree._f_map == {1: 9, 2: 7, 3: 9, 4: 7}
     # oracle: enumerate the three pairings of the four half-edge endpoints
     # and keep those whose rebuilt tree has the original independent code
     kept = [(0, 1, 1), (0, 3, 1)]
@@ -387,7 +388,7 @@ def brute_force_m2(tree):
             edges += [(endpoints[a], nid, 1), (endpoints[b], nid, 1)]
         try:
             candidate = DecoratedTree.build(
-                shape.family, shape.d, tree.r, shape.root, edges, shape.genus, tree.signs, tree.f_sizes
+                shape.family, shape.d, tree.r, shape.root, edges, shape.genus, tree.signs
             )
         except ValueError:  # the re-pairing left a cycle and a detached part
             continue
@@ -414,16 +415,15 @@ def test_m2_distinct_connector_children():
         [(0, 1, 1), (1, 2, 1), (1, 4, 1), (2, 3, 1), (4, 5, 1)],
         {1: 1, 3: 0, 5: 1},
         {1: MINUS},
-        {1: 11, 3: 1, 5: 7},
     )
-    assert tree.validate() == []
+    assert tree.validate() == [] and tree._f_map == {1: 11, 3: 1, 5: 7}
     assert m2_reconnection(tree) == brute_force_m2(tree) == 2
 
 
 def test_canonical_form_separates_decorations():
     base = dict(
         family=F.PROJECTIVE, d=5, r=0, root=0,
-        edges=[(0, 1, 1)], genus={1: 1}, signs={1: MINUS}, f_sizes={1: 7},
+        edges=[(0, 1, 1)], genus={1: 1}, signs={1: MINUS},
     )
     t1 = DecoratedTree.build(**base)
     t2 = DecoratedTree.build(**{**base, "genus": {1: 0}})
@@ -456,7 +456,6 @@ def test_canonical_form_relabeling_invariance(index, rng):
         [(relabel[u], relabel[v], k) for u, v, k in shape.edges],
         {relabel[v]: g for v, g in shape.genus.items()},
         {relabel[v]: s for v, s in tree.signs},
-        {relabel[v]: f for v, f in tree.f_sizes},
     )
     assert canonical_form(shuffled) == canonical_form(tree)
 
@@ -496,6 +495,18 @@ def test_pair_count_equation_matches_the_per_family_formulas():
     assert all(outcomes[family, True] and outcomes[family, False] for family in F)
 
 
+def test_pair_counts_are_solved_once_per_tree(monkeypatch):
+    calls = []
+    solve = trees_module.expected_pair_count
+    monkeypatch.setattr(trees_module, "expected_pair_count", lambda *args: calls.append(args) or solve(*args))
+    twcs = enumerate_decorated_trees(F.PROJECTIVE, 7, 0)
+    assert calls
+    calls.clear()
+    for twc in twcs:
+        assert twc.tree.validate() == [] and twc.multiplicity >= 1
+    assert calls == []
+
+
 def test_pair_totals_match_the_bookkeeping():
     from welschinger.trees import pair_condition_count
 
@@ -503,7 +514,7 @@ def test_pair_totals_match_the_bookkeeping():
         for d, r in table:
             r_x = pair_condition_count(family, d, r)
             for twc in enumerate_decorated_trees(family, d, r):
-                assert sum(f for _, f in twc.tree.f_sizes) == r_x
+                assert sum(twc.tree._f_map.values()) == r_x
 
 
 def test_root_profiles_match_real_point_count():
@@ -550,7 +561,7 @@ def test_profiles_as_contact_vectors():
 # a valid projective tree for (d, r) = (5, 0): one minus vertex of degree 1
 _VALID = dict(
     family=F.PROJECTIVE, d=5, r=0, root=0,
-    edges=[(0, 1, 1)], genus={1: 1}, signs={1: MINUS}, f_sizes={1: 7},
+    edges=[(0, 1, 1)], genus={1: 1}, signs={1: MINUS},
 )
 
 
@@ -562,15 +573,15 @@ _VALID = dict(
         ({"genus": {1: 2}}, "degree equation fails"),
         ({"edges": [(0, 1, 1), (1, 2, 1)]}, "even vertex 2 has a shape"),
         (
-            {"family": F.TWO_SPHERICAL, "d": 3, "r": 1, "edges": [(0, 1, 1), (1, 2, 2)], "f_sizes": {1: 6}},
+            {"family": F.TWO_SPHERICAL, "d": 3, "r": 1, "edges": [(0, 1, 1), (1, 2, 2)]},
             "even vertex 2 has a shape",
         ),
         (
-            {"family": F.THREE_SPHERICAL, "d": 4, "r": 1, "edges": [(0, 1, 1), (1, 2, 1)], "f_sizes": {1: 3}},
+            {"family": F.THREE_SPHERICAL, "d": 4, "r": 1, "edges": [(0, 1, 1), (1, 2, 1)]},
             "even vertex 2 has a shape",
         ),
         ({"edges": [(0, 1, 5)], "genus": {1: 0}}, "degree 0 but contact multiplicity 5"),
-        ({"f_sizes": {1: 6}}, "total assigned pairs differ"),
+        ({"r": 2}, "total assigned pairs differ"),
     ],
     ids=[
         "root-window",
@@ -592,13 +603,13 @@ def test_validate_rejects_each_broken_rule(changes, problem):
 @pytest.mark.parametrize(
     "changes,problem",
     [
-        ({"edges": [(0, 1, 1), (2, 3, 1)], "genus": {1: 1, 3: 0}, "f_sizes": {1: 7, 3: 0}}, "tree is not connected"),
+        ({"edges": [(0, 1, 1), (2, 3, 1)], "genus": {1: 1, 3: 0}}, "tree is not connected"),
         ({"edges": [(0, 1, 0)]}, "edge multiplicities must be >= 1"),
         (
             {"edges": [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 1)], "genus": {1: 1, 3: 0}},
             "edge count is not vertex count minus one",
         ),
-        ({"genus": {1: 1, 2: 0}}, "genus and pair counts must decorate exactly the odd vertices"),
+        ({"genus": {1: 1, 2: 0}}, "genus must decorate exactly the odd vertices"),
     ],
     ids=["disconnected", "zero-multiplicity", "cycle", "genus-off-the-odd-vertices"],
 )
