@@ -39,6 +39,7 @@ from .cotangent import (
 )
 from .errors import (
     DimensionMismatch,
+    EnumerationTooLarge,
     InadmissiblePair,
     InvalidDegreeRealPair,
     NegativeDimension,
@@ -80,6 +81,7 @@ __all__ = [
     "ContactVector",
     "DecoratedTree",
     "DimensionMismatch",
+    "EnumerationTooLarge",
     "FDerivation",
     "FInvariantEngine",
     "FKey",

@@ -16,7 +16,8 @@ and ``frontier`` both run ``chi_polynomial``, and ``chi`` and ``trees`` both
 check the domain with ``check_admissible``.
 
 Exit codes: 0 success, 1 verification failure, 2 flag errors, 3 a required
-invariant is outside the curated tables (the missing key is printed).
+invariant is outside the curated tables (the missing key is printed) or the
+degree has more candidate trees than the enumeration bound.
 
 Table overrides: ``--invariant-table`` / ``--f-table`` point at JSON files in
 the packaged format; the WELSCHINGER_TABLE_DIR environment variable names a
@@ -33,7 +34,7 @@ import sys
 from .assembly import admissible_real_counts, check_admissible, chi, chi_polynomial
 from .contact import ContactVector, GeometryKind, LagrangianKind
 from .cotangent import FInvariantEngine, FKey, builtin_f_engine
-from .errors import InadmissiblePair, UnknownInvariant, UnresolvableFKey, WelschingerError
+from .errors import EnumerationTooLarge, InadmissiblePair, UnknownInvariant, UnresolvableFKey, WelschingerError
 from .relative import RelativeInvariantTable, builtin_relative_table
 from .trees import FAMILY_OF, enumerate_trees, trees_to_json
 from .verification import run_all
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UnknownInvariant, UnresolvableFKey) as exc:
         print(f"missing invariant: {exc}", file=sys.stderr)
+        return 3
+    except EnumerationTooLarge as exc:
+        print(f"beyond the computable range: {exc}", file=sys.stderr)
         return 3
     except WelschingerError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ cotangent bundle.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -63,6 +64,14 @@ class ContactVector:
         object.__setattr__(self, "counts", c)
 
     @classmethod
+    def _canonical(cls, counts: tuple[int, ...]) -> "ContactVector":
+        """A vector from counts that are already canonical (non-negative ints,
+        trailing zeros trimmed), without the checks of ``__post_init__``."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "counts", counts)
+        return vector
+
+    @classmethod
     def zero(cls) -> "ContactVector":
         return cls(())
 
@@ -97,8 +106,12 @@ class ContactVector:
         return bool(self.counts)
 
     def __add__(self, other: "ContactVector") -> "ContactVector":
-        n = max(len(self.counts), len(other.counts))
-        return ContactVector(tuple(self[i] + other[i] for i in range(1, n + 1)))
+        # the sum of two canonical vectors is canonical: the longer one's last
+        # count is positive and nothing negative is added to it
+        a, b = self.counts, other.counts
+        if len(a) < len(b):
+            a, b = b, a
+        return ContactVector._canonical(tuple(map(operator.add, a, b)) + a[len(b):])
 
     def __sub__(self, other: "ContactVector") -> "ContactVector":
         n = max(len(self.counts), len(other.counts))
@@ -187,6 +200,15 @@ def genus_smooth(geometry: GeometryKind, delta: int) -> int:
     return num // 2
 
 
+def _point_count(kind: LagrangianKind, free: int, weight: int, prescribed: int = 0) -> int:
+    """:func:`f_point_count` with no pairs, from ``free`` free and
+    ``prescribed`` prescribed orbits of total order ``weight``; the root
+    window of a tree (:attr:`welschinger.trees.Shape.window_top`) reads it
+    too.  The division is exact for n = 2 and 3."""
+    n = kind.dimension
+    return (2 * free - 2 * (n - 2) * prescribed + n - 3) // (n - 1) + kind.epsilon * weight
+
+
 def f_point_count(
     kind: LagrangianKind,
     alpha: ContactVector,
@@ -199,14 +221,13 @@ def f_point_count(
     of conjugate point pairs.  The dimension equation, with n = dim L and
     v = |alpha| + |beta| punctures,
     (n-1)r + 2(n-1)r_L + 2(n-1)|alpha| = 2v + eps(n-1)(I(alpha)+I(beta)) + n-3,
-    solved for r (the division is exact for n = 2 and 3):
+    solved for r (:func:`_point_count` gives all but the last term):
 
         r = (2|beta| - 2(n-2)|alpha| + n-3) / (n-1) + eps(Ia+Ib) - 2 r_L
     """
     if r_l < 0:
         raise ValueError("conjugate pair count must be >= 0")
-    n = kind.dimension
-    r = (2 * beta.size - 2 * (n - 2) * alpha.size + n - 3) // (n - 1) + kind.epsilon * (alpha.weight + beta.weight) - 2 * r_l
+    r = _point_count(kind, beta.size, alpha.weight + beta.weight, alpha.size) - 2 * r_l
     if r < 0:
         raise NegativeDimension(
             f"no non-negative real-point count for {kind.value}, alpha={alpha}, beta={beta}, r_L={r_l}"

@@ -22,6 +22,11 @@ class InadmissiblePair(WelschingerError):
     """(degree, real points) is outside the domain of the invariant."""
 
 
+class EnumerationTooLarge(WelschingerError):
+    """The candidate trees of a (family, degree) exceed the enumeration
+    bound, :data:`welschinger.trees.CANDIDATE_BOUND`."""
+
+
 class UnknownInvariant(WelschingerError):
     """A relative invariant key is outside the curated tables.
 

@@ -24,9 +24,13 @@ root-adjacent odd vertices are split into a plus/minus partition recording
 whether their asymptotic orbit stays free or is prescribed by the root
 component.  Each odd vertex's count of assigned conjugate point pairs is
 derived from the partition by the point-count equation.  Odd vertices at
-distance >= 3 behave like minus vertices in every formula.  The candidate
-shapes of each (family, d) are generated once per process and decorated for
-every r.
+distance >= 3 behave like minus vertices in every formula.
+
+Enumeration generates the candidate forests of each (family, d) once per
+process, as light tuples that carry their root window: the window needs only
+the root edges' multiplicities.  A forest becomes a :class:`Shape` only for
+an r inside its window, at most once per process, and a (family, d) with
+more candidates than :data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
 
 The counting rules are the same for every family; they read the family's
 :class:`FamilyRules` and the dimension n of its Lagrangian:
@@ -53,8 +57,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .contact import ContactVector, GeometryKind, _cached, f_point_count
-from .errors import InvalidDegreeRealPair
+from .contact import ContactVector, GeometryKind, _cached, _point_count
+from .errors import EnumerationTooLarge, InvalidDegreeRealPair
 
 __all__ = [
     "TreeFamily",
@@ -149,8 +153,11 @@ class TreeFamily(Enum):
 FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.rules.geometry: family for family in TreeFamily}
 
 
+@cache
 def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
-    """Number r_X of conjugate point pairs imposed together with r real points.
+    """Number r_X of conjugate point pairs imposed together with r real points,
+    computed once per process for each (family, d, r): enumeration and
+    :meth:`DecoratedTree.validate` of each of its trees share it.
 
     Raises InvalidDegreeRealPair when the bookkeeping equation
     r + 2 r_X = :meth:`FamilyRules.point_total` has no non-negative integer
@@ -196,7 +203,9 @@ class Shape:
       children), every vertex after its children;
     * ``window_top``: real-point count that makes the root component rigid
       when every root edge is free, :func:`~welschinger.contact.f_point_count`
-      of the root profile (None when the root has no edge).
+      of the root profile (None when the root has no edge); it reads only
+      the root edges' count and total multiplicity, as the enumeration's
+      candidates do before any shape is built.
 
     A shape is shared by all its decorated trees; its dicts must not be
     modified.
@@ -242,8 +251,9 @@ class Shape:
         self.root_adjacent = tuple(sorted(v for v, _ in adj[root]))
         self.k_s = {v: sum(k for _, k in vs) for v, vs in adj.items()}
         self.bottom_up = tuple(reversed(top_down))
+        root_edges = adj[root]
         lagrangian = family.rules.geometry.lagrangian
-        self.window_top = f_point_count(lagrangian, ContactVector.zero(), self.profile(root)) if adj[root] else None
+        self.window_top = _point_count(lagrangian, len(root_edges), sum(k for _, k in root_edges)) if root_edges else None
 
     def profile(self, v: int) -> ContactVector:
         """Multiset of adjacent-edge multiplicities as a contact vector."""
@@ -608,26 +618,54 @@ class TreeClass:
     variants: tuple[TreeWithCount, ...]
 
 
+CANDIDATE_BOUND = 50_000
+"""Most odd subtrees plus forests one (family, d) may generate before
+:class:`EnumerationTooLarge`.  Tests, ``verify`` and ``frontier --max-degree
+22`` reach 44,143 (two-spherical d = 22); plane d = 26 makes 25,463, d = 28
+56,181.  On a 2-core Xeon, generating 50,000 takes about 0.15 s and 25 MB,
+and building a shape for each (a ``poly`` over every r) about 3 s and 280 MB."""
+
+
+class _Memo(dict):
+    """The odd-subtree lists of one generation run, keyed by (cost, k_in);
+    :meth:`count` adds the run's subtrees and forests up against the bound."""
+
+    def __init__(self, family: TreeFamily, d: int):
+        super().__init__()
+        self.family, self.d, self.made = family, d, 0
+
+    def count(self, n: int) -> None:
+        self.made += n
+        if self.made > CANDIDATE_BOUND:
+            raise EnumerationTooLarge(
+                f"({self.family.value}, d={self.d}) has more than {CANDIDATE_BOUND:,} candidate subtrees and "
+                "forests, the enumeration bound"
+            )
+
+
 @cache
-def _shapes(family: TreeFamily, d: int) -> tuple:
-    """The candidate shapes of (family, d), generated once per process since
-    they do not depend on r: per shape, the runs of :func:`_candidate_graphs`
-    as tuples and the :class:`Shape` that its decorated trees share."""
-    return tuple(
-        (tuple(map(tuple, runs)), Shape(family, d, 0, edges, gmap)) for edges, gmap, runs in _candidate_graphs(family, d)
-    )
+def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
+    """The candidate forests of (family, d), generated once per process since
+    they do not depend on r, as tuples (window_top, v0, forest): the root's
+    :attr:`Shape.window_top` and edge count, read off the forest.  Each has a
+    slot in the list, filled with its :func:`_build` on first use."""
+    rules = family.rules
+    lagrangian = rules.geometry.lagrangian
+    memo = _Memo(family, d)
+    candidates = []
+    for forest in _forests(rules, memo, d, False):
+        memo.count(1)
+        candidates.append((_point_count(lagrangian, len(forest), sum(t[0] for t in forest)), len(forest), forest))
+    return tuple(candidates), [None] * len(candidates)
 
 
-def _decorate(r: int, runs, shape: Shape):
+def _decorate(r: int, r_l: int, runs, shape: Shape):
     """Attach one sign partition per isomorphism class: each run of
     identical root subtrees gets a minus count, taken by its first children,
     and the counts sum to the root window's r_L.  A partition that leaves an
     odd vertex without a pair count is skipped.  Each tree is validated; a
     tree that fails is a fault of this generator and raises RuntimeError,
     since dropping it would change chi."""
-    r_l = minus_part_size(shape.window_top, r, len(shape.root_adjacent))
-    if r_l is None:
-        return
     for minus_counts in itertools.product(*(range(len(run) + 1) for run in runs)):
         if sum(minus_counts) != r_l:
             continue
@@ -640,7 +678,7 @@ def _decorate(r: int, runs, shape: Shape):
         yield tree
 
 
-def _forests(rules: FamilyRules, memo: dict, budget: int, via_connector: bool, items=None, start: int = 0):
+def _forests(rules: FamilyRules, memo: _Memo, budget: int, via_connector: bool, items=None, start: int = 0):
     """Every multiset of odd subtrees whose costs sum to ``budget``, once, as
     a non-decreasing tuple.  Root children take any edge multiplicity; a
     connector child enters on a simple edge and also pays for the
@@ -663,13 +701,13 @@ def _forests(rules: FamilyRules, memo: dict, budget: int, via_connector: bool, i
             yield (subtree,) + rest
 
 
-def _odd_subtrees(rules: FamilyRules, memo: dict, cost: int, k_in: int) -> list:
+def _odd_subtrees(rules: FamilyRules, memo: _Memo, cost: int, k_in: int) -> list:
     """Every odd subtree entered by an edge of multiplicity k_in whose share
     ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
     as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
     leaf on a simple edge: any other is a multiple fibre class, which
     :meth:`DecoratedTree.validate` reports.  Each list is built once per
-    ``memo``, which lives for one :func:`_candidate_graphs` run."""
+    ``memo``, which lives for one :func:`_candidates` run."""
     if (cost, k_in) in memo:
         return memo[cost, k_in]
     rest = cost - rules.scale * k_in
@@ -679,15 +717,15 @@ def _odd_subtrees(rules: FamilyRules, memo: dict, cost: int, k_in: int) -> list:
         left = rest - rules.genus_coefficient * g
         for pendants in range(left // step + 1 if step else 1):
             out.extend((k_in, g, pendants, children) for children in _forests(rules, memo, left - step * pendants, True))
+    memo.count(len(out))
     memo[cost, k_in] = out
     return out
 
 
-def _candidate_graphs(family: TreeFamily, d: int):
-    """Yield (edges, genus map, runs) once for every candidate shape of
-    degree d: a root 0 carrying a multiset of odd subtrees whose costs sum to
-    d.  ``runs`` lists the root children, grouped into runs of identical
-    subtrees (consecutive in the non-decreasing forest)."""
+def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
+    """The shape of a candidate forest, a root 0 carrying its odd subtrees,
+    and ``runs``: the root children grouped into runs of identical subtrees
+    (consecutive in the non-decreasing forest)."""
     rules = family.rules
 
     def attach(parent, subtree, edges, gmap):
@@ -701,20 +739,30 @@ def _candidate_graphs(family: TreeFamily, d: int):
             attach(len(edges), child, edges, gmap)  # below the connector just added
         return v
 
-    for forest in _forests(rules, {}, d, False):
-        edges: list[tuple[int, int, int]] = []
-        gmap: dict[int, int] = {}
-        runs = [[attach(0, subtree, edges, gmap) for subtree in run] for _, run in itertools.groupby(forest)]
-        yield edges, gmap, runs
+    edges: list[tuple[int, int, int]] = []
+    gmap: dict[int, int] = {}
+    runs = tuple(tuple(attach(0, subtree, edges, gmap) for subtree in run) for _, run in itertools.groupby(forest))
+    return runs, Shape(family, d, 0, edges, gmap)
 
 
 def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWithCount]:
     """All isomorphism classes of fully decorated trees for (family, d, r),
-    sorted by canonical form; each class is generated exactly once.  Shapes
-    come from the per-process cache of (family, d); each tree's
-    pair-assignment count is computed when it is first read."""
+    sorted by canonical form; each class is generated exactly once.  The
+    candidates come from the per-process cache of (family, d); a candidate's
+    shape is built only when r falls in its root window, and at most once
+    per process.  Each tree's pair-assignment count is computed when it is
+    first read."""
     r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
-    trees = sorted((tree for runs, shape in _shapes(family, d) for tree in _decorate(r, runs, shape)), key=canonical_form)
+    candidates, built = _candidates(family, d)
+    trees = []
+    for i, (top, v0, forest) in enumerate(candidates):
+        r_l = minus_part_size(top, r, v0)
+        if r_l is None:
+            continue
+        if built[i] is None:
+            built[i] = _build(family, d, forest)
+        trees.extend(_decorate(r, r_l, *built[i]))
+    trees.sort(key=canonical_form)
     return [TreeWithCount(tree, r_x) for tree in trees]
 
 

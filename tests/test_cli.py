@@ -91,6 +91,21 @@ def test_exit_3_on_a_threefold_vertex_with_too_few_pairs(capsys):
     assert "count is not defined" in err
 
 
+def test_exit_3_beyond_the_enumeration_bound(capsys, monkeypatch):
+    from welschinger import trees
+
+    monkeypatch.setattr(trees, "CANDIDATE_BOUND", 60)
+    trees._candidates.cache_clear()
+    code, out, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "12", "--real-points", "1")
+    assert (code, out) == (3, "")
+    assert err == "beyond the computable range: (projective, d=12) has more than 60 candidate subtrees and forests, the enumeration bound\n"
+    # frontier prints the plane degrees below the bound, then stops with the same error
+    code, out, err = run(capsys, "frontier", "--max-degree", "40")
+    assert code == 3 and out.startswith(FRONTIER_8.split("quadric2:")[0])
+    assert out.splitlines()[-1].startswith("  d=10: computable r: -;")
+    assert err == "beyond the computable range: (projective, d=11) has more than 60 candidate subtrees and forests, the enumeration bound\n"
+
+
 def test_exit_2_on_inadmissible(capsys):
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "1")
     assert code == 2 and "error" in err

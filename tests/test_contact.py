@@ -39,6 +39,22 @@ def test_contact_vector_arithmetic():
         v - CV.e(3)
 
 
+_counts = st.lists(st.integers(min_value=0, max_value=5), max_size=6)
+
+
+@given(_counts, _counts)
+def test_contact_vector_sum_is_canonical(a, b):
+    # __add__ skips the constructor's checks: its result must equal the
+    # checked vector of the entrywise sum, trailing zeros trimmed
+    n = max(len(a), len(b))
+    padded = [x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    total = CV(tuple(a)) + CV(tuple(b))
+    assert total == CV(tuple(padded)) and total.counts == CV(tuple(padded)).counts
+    assert hash(total) == hash(CV(tuple(padded))) and (not total.counts or total.counts[-1] > 0)
+    assert all(type(x) is int for x in total.counts)
+    assert total - CV(tuple(b)) == CV(tuple(a))
+
+
 def test_contact_vector_parse_and_str():
     assert CV.parse("0") == CV.zero()
     assert CV.parse("2e1+e3") == CV.e(1, 2) + CV.e(3)

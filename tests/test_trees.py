@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from welschinger import (
     ContactVector,
     DecoratedTree,
+    EnumerationTooLarge,
     InvalidDegreeRealPair,
     TreeFamily,
     assignment_count,
     canonical_form,
     enumerate_decorated_trees,
     enumerate_trees,
+    f_point_count,
     m1_minus,
     m1_plus,
     m2_reconnection,
@@ -26,8 +28,8 @@ from welschinger.trees import (
     MINUS,
     PLUS,
     Shape,
-    _candidate_graphs,
-    _decorate,
+    _build,
+    _candidates,
     automorphisms,
     pair_condition_count,
     shape_form,
@@ -160,13 +162,27 @@ def test_assignment_count_matches_burnside():
 @pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
 def test_each_candidate_shape_is_generated_once(family, top):
     for d in range(1, top + 1):
-        graphs = _candidate_graphs(family, d)
-        shapes = [Shape(family, d, 0, e, g).body for e, g, _ in graphs]
+        shapes = [_build(family, d, forest)[1].body for _, _, forest in _candidates(family, d)[0]]
         assert len(shapes) == len(set(shapes)), (family, d)
-    # and each decorated tree: no two that the decoration step yields are isomorphic
+    # and each decorated tree: no two that the decoration step yields are
+    # isomorphic (enumeration sorts them but merges none)
     for _, d, r, _ in _valid_keys({family: top}):
-        forms = [canonical_form(t) for runs, shape in trees_module._shapes(family, d) for t in _decorate(r, runs, shape)]
+        forms = [canonical_form(twc.tree) for twc in enumerate_decorated_trees(family, d, r)]
         assert len(forms) == len(set(forms)), (family, d, r)
+
+
+@pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
+def test_candidate_window_matches_the_shape(family, top):
+    # the window a candidate carries, from its root-edge count and total
+    # multiplicity, is the one its shape computes from its own root edges
+    checked = 0
+    for d in range(1, top + 1):
+        for window_top, v0, forest in _candidates(family, d)[0]:
+            shape = _build(family, d, forest)[1]
+            assert (window_top, v0) == (shape.window_top, len(shape.root_adjacent)), (family, d, forest)
+            assert window_top == f_point_count(family.rules.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
+            checked += 1
+    assert checked == {F.PROJECTIVE: 64, F.TWO_SPHERICAL: 102, F.THREE_SPHERICAL: 55}[family]
 
 
 def reference_form(tree, *, with_signs=True, with_f=True):
@@ -203,15 +219,16 @@ def test_encodings_match_the_nested_tuple_reference(family, top, trees):
 
 
 def test_shapes_are_generated_once_per_family_and_degree(monkeypatch):
-    calls = Counter()
-    generate = trees_module._candidate_graphs
+    runs = Counter()
+    memo_class = trees_module._Memo
 
-    def counted(family, d):
-        calls[family, d] += 1
-        return generate(family, d)
+    class Counted(memo_class):  # one memo per generation run
+        def __init__(self, family, d):
+            runs[family, d] += 1
+            super().__init__(family, d)
 
-    monkeypatch.setattr(trees_module, "_candidate_graphs", counted)
-    trees_module._shapes.cache_clear()
+    monkeypatch.setattr(trees_module, "_Memo", Counted)
+    _candidates.cache_clear()
     enumerated = 0
     for family in (F.PROJECTIVE, F.TWO_SPHERICAL):
         for r in range(0, 4 * 8 + 1):
@@ -221,7 +238,55 @@ def test_shapes_are_generated_once_per_family_and_degree(monkeypatch):
                 continue
             enumerated += 1
     assert enumerated == 12 + 16  # r = 1, 3, ..., 23 and r = 1, 3, ..., 31
-    assert calls == {(F.PROJECTIVE, 8): 1, (F.TWO_SPHERICAL, 8): 1}
+    assert runs == {(F.PROJECTIVE, 8): 1, (F.TWO_SPHERICAL, 8): 1}
+
+
+def _count_shapes(monkeypatch):
+    """Clear the candidate cache and count Shape constructions from then on."""
+    built = Counter()
+
+    class Counted(Shape):
+        def __init__(self, family, d, root, edges, genus):
+            super().__init__(family, d, root, edges, genus)
+            built[family, d, self.body] += 1
+
+    monkeypatch.setattr(trees_module, "Shape", Counted)
+    _candidates.cache_clear()
+    return built
+
+
+def _inside_the_window(family, d, r):
+    return [c for c in _candidates(family, d)[0] if trees_module.minus_part_size(c[0], r, c[1]) is not None]
+
+
+@pytest.mark.parametrize("d,r,shapes,trees", [(9, 0, 4, 4), (10, 1, 9, 9)])
+def test_shapes_are_built_only_inside_the_root_window(monkeypatch, d, r, shapes, trees):
+    built = _count_shapes(monkeypatch)
+    twcs = enumerate_decorated_trees(F.PROJECTIVE, d, r)
+    assert sum(built.values()) == len(_inside_the_window(F.PROJECTIVE, d, r)) == shapes < len(_candidates(F.PROJECTIVE, d)[0])
+    assert set(built.values()) == {1} and len(twcs) == trees
+    assert {id(twc.tree.shape) for twc in twcs} <= {id(slot[1]) for slot in _candidates(F.PROJECTIVE, d)[1] if slot}
+
+
+def test_plane_degree_26_builds_only_the_window_shapes(monkeypatch, capsys):
+    from welschinger.cli import main
+
+    built = _count_shapes(monkeypatch)
+    assert main(["chi", "--geometry", "cp2", "--degree", "26", "--real-points", "1"]) == 3
+    assert "missing invariant" in capsys.readouterr().err
+    assert sum(built.values()) == len(_inside_the_window(F.PROJECTIVE, 26, 1)) == 2137
+    assert len(_candidates(F.PROJECTIVE, 26)[0]) == 19852
+
+
+@pytest.mark.parametrize("family,d", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
+def test_each_forest_is_built_at_most_once_across_r(monkeypatch, family, d):
+    built = _count_shapes(monkeypatch)
+    admissible = [r for fam, dd, r, _ in _valid_keys({family: d}) if dd == d]
+    first = [canonical_form(twc.tree) for r in admissible for twc in enumerate_decorated_trees(family, d, r)]
+    once = dict(built)
+    again = [canonical_form(twc.tree) for r in admissible for twc in enumerate_decorated_trees(family, d, r)]
+    assert first == again and built == once
+    assert set(once.values()) == {1} and len(once) <= len(_candidates(family, d)[0])
 
 
 def test_assignment_counts_are_computed_when_read(monkeypatch):
@@ -618,6 +683,18 @@ def test_build_rejects_a_structure_that_is_not_a_tree(changes, problem):
         DecoratedTree.build(**{**_VALID, **changes})
 
 
+def test_enumeration_bound_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(trees_module, "CANDIDATE_BOUND", 60)
+    _candidates.cache_clear()
+    assert len(enumerate_trees(F.PROJECTIVE, 10, 1)) == 9  # 24 forests, 23 subtrees
+    message = r"^\(projective, d=12\) has more than 60 candidate subtrees and forests, the enumeration bound$"
+    with pytest.raises(EnumerationTooLarge, match=message):
+        enumerate_trees(F.PROJECTIVE, 12, 1)  # 57 forests, 51 subtrees
+    with pytest.raises(EnumerationTooLarge, match=message):  # a failed run caches nothing
+        enumerate_trees(F.PROJECTIVE, 12, 1)
+    assert _candidates.cache_info().currsize == 1
+
+
 def test_decorated_trees_share_their_cached_shape(monkeypatch):
     encoded = []
     codes = trees_module._codes
@@ -627,15 +704,15 @@ def test_decorated_trees_share_their_cached_shape(monkeypatch):
         return codes(shape, signs, f_sizes)
 
     monkeypatch.setattr(trees_module, "_codes", counted)
-    trees_module._shapes.cache_clear()
+    _candidates.cache_clear()
     variants = [twc.tree for r in (1, 3) for c in enumerate_trees(F.PROJECTIVE, 6, r) for twc in c.variants]
-    entries = trees_module._shapes(F.PROJECTIVE, 6)
-    shapes = [shape for _, shape in entries]
-    # every tree holds its cached shape by identity, and only the shapes
-    # that carry a tree are encoded: once each, for both values of r
+    candidates, slots = _candidates(F.PROJECTIVE, 6)
+    shapes = [slot[1] for slot in slots if slot is not None]
+    # every tree holds its cached shape by identity, only the shapes that
+    # carry a tree are built and encoded, and each once for both values of r
     assert all(any(tree.shape is shape for shape in shapes) for tree in variants)
     used = {id(tree.shape) for tree in variants}
-    assert len(variants) == 5 and len(used) == 2 < len(shapes)
+    assert len(variants) == 5 and len(used) == len(shapes) == 2 < len(candidates)
     assert Counter(encoded) == {"tree": 5, "shape": 2}
     for tree in variants:
         assert canonical_form(tree) is canonical_form(tree) and tree.codes is tree.codes
