@@ -139,14 +139,13 @@ def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: Relative
             # a bidegree term only counts when the vertex's point pairs make
             # both the quadric projection and the ruled-surface curve rigid;
             # with more pairs than the family's dimension, generic pairs meet
-            # no curve and the term is 0; with fewer, the curves move
-            f, terms = tree.f_size(v), 0
-            for a in range(g + 1):
-                need = n_three_required_pairs(a, g - a, plus)
-                if f < need:
-                    raise UnknownInvariant(f"N3 of ({a}, {g - a}) + {k_s}f moves with {f} < {need} point pairs: count is not defined")
-                terms += n_three(a, g - a, k_s, alpha, beta, table) if f == need else 0
-            factors.append(terms)
+            # no curve and the term is 0; with fewer, the curves move.  The
+            # pairs needed, 2g - 1 - [plus] (1 - [plus] at g = 0), do not
+            # depend on the bidegree (a, g - a)
+            f, need = tree.f_size(v), n_three_required_pairs(0, g, plus)
+            if f < need:
+                raise UnknownInvariant(f"N3 of (0, {g}) + {k_s}f moves with {f} < {need} point pairs: count is not defined")
+            factors.append(0 if f > need else sum(n_three(a, g - a, k_s, alpha, beta, table) for a in range(g + 1)))
     return factors
 
 

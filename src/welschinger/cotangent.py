@@ -31,15 +31,13 @@ a chain of more than MAX_DERIVATION_DEPTH reductions.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources
 
 from .contact import ContactVector, LagrangianKind, _cached, f_point_count
 from .errors import UnresolvableFKey
-from .tables import _read_json, _table_entries
+from .tables import _packaged_payload, _read_json, _table_entries
 
 __all__ = [
     "FKey",
@@ -203,8 +201,7 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 def _packaged_table() -> tuple[dict[tuple, int], dict[tuple, int]]:
     """(entries, basis entries) of the packaged F table, read and checked
     once per process."""
-    payload = json.loads(resources.files("welschinger.tables").joinpath("f_invariants.json").read_text())
-    return _checked_rows(payload, "F table")
+    return _checked_rows(_packaged_payload("f_invariants.json"), "F table")
 
 
 @cache

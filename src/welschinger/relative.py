@@ -16,14 +16,12 @@ ruled surface again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 
 from .contact import ContactVector
 from .errors import UnknownInvariant
-from .tables import _read_json, _table_entries
+from .tables import _packaged_payload, _read_json, _table_entries
 
 __all__ = [
     "RuledSurfaceClass",
@@ -143,8 +141,7 @@ class RelativeInvariantTable:
 
 @cache
 def builtin_relative_table() -> RelativeInvariantTable:
-    payload = json.loads(resources.files("welschinger.tables").joinpath("relative_invariants.json").read_text())
-    return RelativeInvariantTable.from_json_payload(payload)
+    return RelativeInvariantTable.from_json_payload(_packaged_payload("relative_invariants.json"))
 
 
 # ---------------------------------------------------------------------------

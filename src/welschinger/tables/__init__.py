@@ -8,8 +8,15 @@ with different values each raise WelschingerError naming the file and the row.
 """
 
 import json
+from importlib import resources
 
 from ..errors import NegativeDimension, WelschingerError
+
+
+def _packaged_payload(name: str):
+    """The JSON payload of the table file ``name`` shipped in this package."""
+    return json.loads(resources.files(__name__).joinpath(name).read_text())
+
 
 def _read_json(path):
     try:

@@ -19,12 +19,16 @@ Three families occur, one per Lagrangian:
 A tree has two parts.  Its :class:`Shape` holds the components and the
 orbits they share, with a genus-like degree g >= 0 on every odd vertex; the
 structure derived from it is computed once, and every tree decorated from a
-shape shares it.  A :class:`DecoratedTree` adds r and the decorations:
-root-adjacent odd vertices are split into a plus/minus partition recording
-whether their asymptotic orbit stays free or is prescribed by the root
-component.  Each odd vertex's count of assigned conjugate point pairs is
-derived from the partition by the point-count equation.  Odd vertices at
-distance >= 3 behave like minus vertices in every formula.
+shape shares it, as it shares :attr:`Shape.problems`, the family rules
+that do not depend on r (even-vertex shapes, degree-0 vertices as single
+fibres, the degree equation).  A :class:`DecoratedTree` adds r and the
+decorations: root-adjacent odd vertices are split into a plus/minus
+partition recording whether their asymptotic orbit stays free or is
+prescribed by the root component.  Each odd vertex's count of assigned
+conjugate point pairs is derived from the partition by the point-count
+equation.  Odd vertices at distance >= 3 behave like minus vertices in
+every formula.  :meth:`DecoratedTree.validate` adds the rules on r and the
+signs: partition cover, root window, minus-part size and pair counts.
 
 Enumeration generates the candidate forests of each (family, d) once per
 process, as light tuples that carry their root window: the window needs only
@@ -266,6 +270,26 @@ class Shape:
         raise ValueError(f"vertex {v} is not adjacent to the root")
 
     @_cached
+    def problems(self) -> tuple[str, ...]:
+        """The family rules that do not depend on r that the shape breaks,
+        checked once per shape (empty for a valid shape)."""
+        rules, adj, genus, k_s = self.family.rules, self.adjacency, self.genus, self.k_s
+        even_shapes = rules.even_shapes
+        problems = []
+        for v in self.even_vertices:
+            if v != self.root and tuple(sorted([k for _, k in adj[v]])) not in even_shapes:
+                problems.append(f"even vertex {v} has a shape the {self.family.value} family does not allow")
+        # Degree-0 components must be single fibres: a vertex with g = 0 and
+        # total contact multiplicity >= 2 would represent a multiple fibre
+        # class, which carries no irreducible rational curve.
+        for v, g in genus.items():
+            if g == 0 and k_s[v] > 1:
+                problems.append(f"vertex {v} has degree 0 but contact multiplicity {k_s[v]}")
+        if rules.genus_total(self.d, sum(k_s.values()) // 2) != sum(genus.values()):  # k_s counts each edge twice
+            problems.append("degree equation fails")
+        return tuple(problems)
+
+    @_cached
     def body(self) -> str:
         """AHU code of the whole shape, degrees as the only labels: the part
         of :func:`shape_form` that does not depend on r."""
@@ -310,6 +334,11 @@ class DecoratedTree:
         return _codes(self.shape, self._sign_map, self._f_map)
 
     @_cached
+    def _aut_order(self) -> int:
+        """|Aut T|, the order of the automorphism group keeping every decoration."""
+        return _symmetries([self.codes[w] for w in children] for _, _, children in self.shape.bottom_up)
+
+    @_cached
     def _canonical(self) -> bytes:
         return _form(self, self.codes[self.shape.root])
 
@@ -344,38 +373,19 @@ class DecoratedTree:
         return -1 if len(self.shape.even_vertices) % 2 == 0 else 1
 
     def validate(self) -> list[str]:
-        """Return the list of violated constraints on the decorations and the
-        family rules (empty for a valid tree); :class:`Shape` has already
-        checked that the structure is a tree."""
+        """The shape's :attr:`Shape.problems`, then the violated rules on r and
+        the decorations (empty for a valid tree)."""
         shape = self.shape
-        adj, odd = shape.adjacency, shape.odd_vertices
-        problems: list[str] = []
+        problems = list(shape.problems)
         if set(self._sign_map) != set(shape.root_adjacent):
             problems.append("sign partition must cover exactly the root-adjacent vertices")
 
-        rules = shape.family.rules
-        even_shapes = rules.even_shapes
-        for v in shape.even_vertices:
-            if v != shape.root and tuple(sorted(k for _, k in adj[v])) not in even_shapes:
-                problems.append(f"even vertex {v} has a shape the {shape.family.value} family does not allow")
-
-        # Degree-0 components must be single fibres: a vertex with g = 0 and
-        # total contact multiplicity >= 2 would represent a multiple fibre
-        # class, which carries no irreducible rational curve.
-        genus, k_s = shape.genus, shape.k_s
-        for v in odd:
-            if genus[v] == 0 and k_s[v] > 1:
-                problems.append(f"vertex {v} has degree 0 but contact multiplicity {k_s[v]}")
-
         top = shape.window_top
-        r_l = None if top is None else minus_part_size(top, self.r, len(adj[shape.root]))
+        r_l = None if top is None else minus_part_size(top, self.r, len(shape.adjacency[shape.root]))
         if r_l is None:
             problems.append("real-point count outside the root window")
         elif len(self.minus_vertices()) != r_l:
             problems.append("minus part of the partition has the wrong size")
-
-        if rules.genus_total(shape.d, sum(k for _, _, k in shape.edges)) != sum(genus.values()):
-            problems.append("degree equation fails")
 
         # Per-vertex point counts and their sum.
         try:
@@ -538,9 +548,8 @@ def m2_reconnection(tree: DecoratedTree) -> int:
         siblings.append(kids)
         label = (shape.genus[v], tree.sign(v), tree.f_size(v), slots[v]) if v in slots else None
         codes[v] = f"({k_in}, {label}, ({', '.join(kids)}))"
-    aut_t = _symmetries([tree.codes[w] for w in children] for _, _, children in shape.bottom_up)
     aut_f = _symmetries(siblings + [below])
-    return math.prod(math.factorial(s) for s in slots.values()) * aut_f // aut_t
+    return math.prod(math.factorial(s) for s in slots.values()) * aut_f // tree._aut_order
 
 
 def multiplicity(tree: DecoratedTree) -> int:
@@ -581,7 +590,7 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
     holds: dict[int, bool] = {}
     for v, _, children in bottom_up:
         holds[v] = fmap.get(v, 0) > 0 or any(holds[w] for w in children)
-    h = _symmetries([codes[w] for w in children] for _, _, children in bottom_up)
+    h = tree._aut_order
     k = _symmetries([codes[w] for w in children if not holds[w]] for _, _, children in bottom_up)
     if multinomial * k % h:
         raise ValueError(f"[H:K] = {h // k} does not divide the multinomial {multinomial}")
@@ -706,7 +715,7 @@ def _odd_subtrees(rules: FamilyRules, memo: _Memo, cost: int, k_in: int) -> list
     ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
     as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
     leaf on a simple edge: any other is a multiple fibre class, which
-    :meth:`DecoratedTree.validate` reports.  Each list is built once per
+    :attr:`Shape.problems` reports.  Each list is built once per
     ``memo``, which lives for one :func:`_candidates` run."""
     if (cost, k_in) in memo:
         return memo[cost, k_in]

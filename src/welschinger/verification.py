@@ -1,14 +1,17 @@
 """Self-verification suite: every acceptance criterion as a callable check.
 
-Each check returns (name, passed, details); ``run_all`` prints one line per
-criterion and reports overall success.  The pytest acceptance module calls
-the same functions, so the CLI ``verify`` subcommand and the test suite can
-never drift apart.
+Each criterion's suite yields (passed, detail line or None) per check, and
+``run_all`` prints one line per criterion and reports overall success.  The
+pytest acceptance module calls the same functions, so the CLI ``verify``
+subcommand and the test suite can never drift apart.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
+from functools import cache, partial
 
 from .assembly import check_congruence, check_sign_law, chi
 from .contact import ContactVector, GeometryKind, LagrangianKind
@@ -17,7 +20,7 @@ from .errors import UnknownInvariant, UnresolvableFKey
 from .relative import RelativeKey, RuledSurfaceClass, builtin_relative_table
 from .trees import TreeFamily, canonical_form, enumerate_decorated_trees, enumerate_trees
 
-__all__ = ["run_all", "all_checks", "GOLDEN_VALUES", "TREE_CLASS_COUNTS"]
+__all__ = ["run_all", "all_checks", "GOLDEN_VALUES", "TREE_CLASS_COUNTS", "kontsevich_count", "wdvv_quadric_count"]
 
 G = GeometryKind
 
@@ -64,117 +67,97 @@ TREE_CLASS_COUNTS = {
     TreeFamily.THREE_SPHERICAL: {(2, 1): 1, (10, 1): 1},
 }
 
-# spot divisibilities quoted with the congruence statements
-_DIVISIBILITY_SPOTS = [
-    (512, 14336),
-    (1024, 14336),
-    (512, 280576),
-    (1024, 280576),
-    (64, 256),
-    (16, 320),
-    (256, 26880),
-    (64, 896),
-]
+
+@cache
+def kontsevich_count(d: int) -> int:
+    """Rational plane curves of degree d through 3d - 1 points (Kontsevich
+    1994): N_d = sum over a + b = d of N_a N_b (a^2 b^2 C(3d - 4, 3a - 2)
+    - a^3 b C(3d - 4, 3a - 1))."""
+    if d == 1:
+        return 1
+    return sum(
+        kontsevich_count(a) * kontsevich_count(d - a)
+        * (a**2 * (d - a) ** 2 * math.comb(3 * d - 4, 3 * a - 2) - a**3 * (d - a) * math.comb(3 * d - 4, 3 * a - 1))
+        for a in range(1, d)
+    )
+
+
+@cache
+def wdvv_quadric_count(a: int, b: int) -> int:
+    """Rational curves of bidegree (a, b) on P1 x P1 through 2(a + b) - 1
+    points, by the WDVV recursion (Kontsevich-Manin 1994): 2ab N(a, b) is the
+    sum over nonzero (a1, b1) + (a2, b2) = (a, b) of N(a1, b1) N(a2, b2)
+    (a1^3 b2^3 - a1^2 b1 a2 b2^2) C(2a + 2b - 2, 2a1 + 2b1 - 1), seeded by
+    the rulings N(1, 0) = N(0, 1) = 1; a bidegree (a, 0) or (0, b) with a
+    coefficient >= 2 holds no irreducible curve."""
+    if a == 0 or b == 0:
+        return int(max(a, b) == 1)
+    total = sum(
+        wdvv_quadric_count(a1, b1) * wdvv_quadric_count(a - a1, b - b1) * a1**2 * (b - b1) ** 2
+        * (a1 * (b - b1) - b1 * (a - a1)) * math.comb(2 * a + 2 * b - 2, 2 * a1 + 2 * b1 - 1)
+        for a1 in range(a + 1)
+        for b1 in range(b + 1)
+        if 0 < a1 + b1 < a + b
+    )
+    count, rest = divmod(total, 2 * a * b)
+    if rest:
+        raise ArithmeticError(f"WDVV: 2ab = {2 * a * b} does not divide {total} at bidegree ({a}, {b})")
+    return count
 
 
 def _golden_suite(geometry: GeometryKind):
-    def run():
-        details = []
-        ok = True
-        for (d, r), want in sorted(GOLDEN_VALUES[geometry].items()):
-            got = chi(geometry, d, r).value
-            good = got == want
-            ok = ok and good
-            details.append(f"chi(d={d}, r={r}) = {got} (expected {want})")
-        return ok, details
-
-    return run
+    for (d, r), want in sorted(GOLDEN_VALUES[geometry].items()):
+        got = chi(geometry, d, r).value
+        yield got == want, f"chi(d={d}, r={r}) = {got} (expected {want})"
 
 
 def _tree_count_suite():
-    details = []
-    ok = True
     for family, counts in TREE_CLASS_COUNTS.items():
         for (d, r), want in sorted(counts.items()):
             got = len(enumerate_trees(family, d, r))
-            good = got == want
-            ok = ok and good
-            details.append(f"{family.value} (d={d}, r={r}): {got} classes (expected {want})")
-    return ok, details
+            yield got == want, f"{family.value} (d={d}, r={r}): {got} classes (expected {want})"
 
 
 def _f_closure_suite():
     full = builtin_f_engine()
     basis = basis_f_engine()
-    details = []
-    ok = True
     derived = 0
     lemma_keys = [k for k in full.plain_keys() if k.kind is not LagrangianKind.SPHERE3]
     for key in sorted(lemma_keys, key=str):
         want = full.lookup(key)
         seeded = basis.lookup(key)
         values = {basis.value(key, order_seed=seed) for seed in range(10)}
-        good = values == {want}
-        ok = ok and good
-        if seeded is None:
-            derived += 1
-            details.append(f"derived {key} = {want} (order-independent over 10 orderings)")
-    good = derived == 17
-    ok = ok and good
-    details.append(f"{derived} plain values derived from the reduction basis (expected 17)")
-    return ok, details
+        derived += seeded is None
+        yield values == {want}, None if seeded is not None else f"derived {key} = {want} (order-independent over 10 orderings)"
+    yield derived == 17, f"{derived} plain values derived from the reduction basis (expected 17)"
 
 
 def _congruence_suite():
-    details = []
-    ok = True
     for geometry, table in GOLDEN_VALUES.items():
         for (d, r), value in sorted(table.items()):
             report = check_congruence(geometry, d, r, value)
-            good = report.passed
-            ok = ok and good
             applicable = [c for c in report.clauses if c.applicable]
             mods = ", ".join(f"{c.name} mod {c.modulus}" for c in applicable) or "no applicable clause"
-            details.append(f"{geometry.value} (d={d}, r={r}): {mods} -> {'ok' if good else 'FAIL'}")
-    for modulus, value in _DIVISIBILITY_SPOTS:
-        good = value % modulus == 0
-        ok = ok and good
-        details.append(f"{modulus} | {value}: {'ok' if good else 'FAIL'}")
-    return ok, details
+            yield report.passed, f"{geometry.value} (d={d}, r={r}): {mods} -> {'ok' if report.passed else 'FAIL'}"
+    # chi counts with signs the real curves among the N_d complex ones through
+    # the points; the others come in conjugate pairs
+    for geometry, count in ((G.PROJECTIVE_PLANE, kontsevich_count), (G.ELLIPSOID_QUADRIC2, lambda d: wdvv_quadric_count(d, d))):
+        for (d, r), value in sorted(GOLDEN_VALUES[geometry].items()):
+            n = count(d)
+            good = value % 2 == n % 2 and abs(value) <= n
+            yield good, f"{geometry.value} (d={d}, r={r}): chi = N_d mod 2 and |chi| <= N_d = {n} -> {'ok' if good else 'FAIL'}"
 
 
 def _sign_suite():
-    details = []
-    ok = True
     for geometry, table in GOLDEN_VALUES.items():
         for (d, r), value in sorted(table.items()):
             report = check_sign_law(geometry, d, r, value)
-            if not report.applicable:
-                continue
-            ok = ok and report.passed
-            details.append(
-                f"{geometry.value} (d={d}, r={r}): {report.description} -> "
-                f"{'ok' if report.passed else 'FAIL'}"
-            )
-    return ok, details
+            if report.applicable:
+                yield report.passed, f"{geometry.value} (d={d}, r={r}): {report.description} -> {'ok' if report.passed else 'FAIL'}"
 
 
 def _property_suite():
     rng = random.Random(20240229)
-    details = []
-    ok = True
-
-    # validator round trip over every enumerated tree of the golden range
-    checked = 0
-    for family, counts in TREE_CLASS_COUNTS.items():
-        for d, r in counts:
-            for twc in enumerate_decorated_trees(family, d, r):
-                problems = twc.tree.validate()
-                if problems:
-                    ok = False
-                    details.append(f"validator: {problems}")
-                checked += 1
-    details.append(f"validator round-trip on {checked} enumerated trees")
 
     # canonical form is stable under 200 random relabelings
     pool = [
@@ -189,40 +172,27 @@ def _property_suite():
         shape = tree.shape
         image = rng.sample(range(1000, 2000), len(shape.adjacency))
         relabel = dict(zip(shape.adjacency, image))
-        shuffled = type(tree).build(
-            shape.family,
-            shape.d,
-            tree.r,
-            relabel[shape.root],
-            [(relabel[u], relabel[v], k) for u, v, k in shape.edges],
-            {relabel[v]: g for v, g in shape.genus.items()},
-            {relabel[v]: s for v, s in tree.signs},
-        )
-        if canonical_form(shuffled) == canonical_form(tree):
-            stable += 1
-    good = stable == 200
-    ok = ok and good
-    details.append(f"canonical form stable under {stable}/200 random relabelings")
+        edges = [(relabel[u], relabel[v], k) for u, v, k in shape.edges]
+        genus = {relabel[v]: g for v, g in shape.genus.items()}
+        signs = {relabel[v]: s for v, s in tree.signs}
+        shuffled = type(tree).build(shape.family, shape.d, tree.r, relabel[shape.root], edges, genus, signs)
+        stable += canonical_form(shuffled) == canonical_form(tree)
+    yield stable == 200, f"canonical form stable under {stable}/200 random relabelings"
 
     # unknown keys must raise, never default to zero
-    table = builtin_relative_table()
-    engine = builtin_f_engine()
     raised = 0
     for _ in range(100):
         n = rng.choice([2, 4])
         a = rng.randint(1, 3)
         b = rng.randint(5, 9)
-        weight = b
-        alpha = ContactVector.e(1, rng.randint(0, weight))
-        beta = ContactVector.e(1, weight - alpha.size)
+        alpha = ContactVector.e(1, rng.randint(0, b))
+        beta = ContactVector.e(1, b - alpha.size)
         key = RelativeKey(RuledSurfaceClass(n, a, b), alpha, beta)
         try:
-            table.n_sigma(key)
+            builtin_relative_table().n_sigma(key)
         except UnknownInvariant:
             raised += 1
-    good = raised == 100
-    ok = ok and good
-    details.append(f"error-on-unknown for {raised}/100 random off-table relative keys")
+    yield raised == 100, f"error-on-unknown for {raised}/100 random off-table relative keys"
 
     f_raised = 0
     for _ in range(100):
@@ -230,12 +200,10 @@ def _property_suite():
         beta = ContactVector.e(rng.randint(2, 3), rng.randint(2, 4))  # orders >= 2: off-table for every kind
         key = FKey(kind, ContactVector.zero(), beta, 0, 0)
         try:
-            engine.value(key)
+            builtin_f_engine().value(key)
         except UnresolvableFKey:
             f_raised += 1
-    good = f_raised == 100
-    ok = ok and good
-    details.append(f"error-on-unresolvable for {f_raised}/100 random cotangent keys")
+    yield f_raised == 100, f"error-on-unresolvable for {f_raised}/100 random cotangent keys"
 
     # ledger integrity: rows re-multiply and re-sum to the invariant
     rows_checked = 0
@@ -243,37 +211,41 @@ def _property_suite():
         for d, r in table_g:
             result = chi(geometry, d, r)
             for row in result.ledger:
-                product = row.sign * row.assignment_count * row.multiplicity * row.f_value
-                for factor in row.relative_factors:
-                    product *= factor
-                if product != row.contribution:
-                    ok = False
-                    details.append(f"ledger row mismatch for {geometry.value} (d={d}, r={r})")
+                factors = (row.sign, row.assignment_count, row.multiplicity, row.f_value, *row.relative_factors)
+                good = math.prod(factors) == row.contribution
+                yield good, None if good else f"ledger row mismatch for {geometry.value} (d={d}, r={r})"
                 rows_checked += 1
-            if sum(row.contribution for row in result.ledger) != result.value:
-                ok = False
-                details.append(f"ledger sum mismatch for {geometry.value} (d={d}, r={r})")
-    details.append(f"ledger integrity over {rows_checked} contribution rows")
+            good = sum(row.contribution for row in result.ledger) == result.value
+            yield good, None if good else f"ledger sum mismatch for {geometry.value} (d={d}, r={r})"
+    yield True, f"ledger integrity over {rows_checked} contribution rows"
+
+
+def _collect(suite, *args) -> tuple[bool, list[str]]:
+    """(passed, details) of a suite: every check runs; a None line prints nothing."""
+    ok, details = True, []
+    for good, line in suite(*args):
+        ok = ok and good
+        if line is not None:
+            details.append(line)
     return ok, details
 
 
 def all_checks():
-    """(name, callable) pairs in acceptance order."""
-    return [
-        ("projective golden values", _golden_suite(G.PROJECTIVE_PLANE)),
-        ("two-spherical golden values", _golden_suite(G.ELLIPSOID_QUADRIC2)),
-        ("three-spherical golden values", _golden_suite(G.ELLIPSOID_QUADRIC3)),
+    """(name, callable returning (passed, details)) pairs in acceptance order."""
+    suites = [
+        ("projective golden values", _golden_suite, G.PROJECTIVE_PLANE),
+        ("two-spherical golden values", _golden_suite, G.ELLIPSOID_QUADRIC2),
+        ("three-spherical golden values", _golden_suite, G.ELLIPSOID_QUADRIC3),
         ("tree-count suite", _tree_count_suite),
         ("F-closure suite", _f_closure_suite),
         ("congruence suite", _congruence_suite),
         ("sign-law suite", _sign_suite),
         ("property suites", _property_suite),
     ]
+    return [(name, partial(_collect, *suite)) for name, *suite in suites]
 
 
 def run_all(verbose: bool = False, stream=None) -> bool:
-    import sys
-
     stream = stream or sys.stdout
     overall = True
     for name, check in all_checks():

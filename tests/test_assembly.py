@@ -1,11 +1,8 @@
 """Invariant assembly, congruence and sign validators, bounds."""
 
 import tracemalloc
-from functools import cache
-from math import comb
 
 import pytest
-from test_relative_oracles import wdvv_quadric_count
 
 from welschinger import (
     GeometryKind,
@@ -19,7 +16,7 @@ from welschinger import (
     chi_polynomial,
 )
 from welschinger.assembly import check_admissible
-from welschinger.verification import GOLDEN_VALUES
+from welschinger.verification import GOLDEN_VALUES, kontsevich_count, wdvv_quadric_count
 
 G = GeometryKind
 
@@ -125,20 +122,6 @@ def test_chi_polynomial_examples():
 
     poly = chi_polynomial(G.PROJECTIVE_PLANE, 7, 2)
     assert poly.coefficients == {0: -14336, 2: 11776}
-
-
-@cache
-def kontsevich_count(d):
-    """Rational plane curves of degree d through 3d - 1 points (Kontsevich
-    1994): N_d = sum over a + b = d of N_a N_b (a^2 b^2 C(3d - 4, 3a - 2)
-    - a^3 b C(3d - 4, 3a - 1))."""
-    if d == 1:
-        return 1
-    return sum(
-        kontsevich_count(a) * kontsevich_count(d - a)
-        * (a**2 * (d - a) ** 2 * comb(3 * d - 4, 3 * a - 2) - a**3 * (d - a) * comb(3 * d - 4, 3 * a - 1))
-        for a in range(1, d)
-    )
 
 
 def test_invariants_bounded_by_gromov_witten_counts():

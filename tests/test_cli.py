@@ -1,12 +1,16 @@
 """Command-line interface: outputs, exit codes, table overrides."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from welschinger.cli import main
 
@@ -310,3 +314,81 @@ def test_verify_passes_with_asserts_stripped():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+# Fuzzing.  Every value is bounded (degrees -3..10, --max-degree <= 5) and
+# junk tokens hold no digits, so that no example asks for an unbounded run.
+_VALUES = {
+    "--geometry": st.sampled_from(["cp2", "quadric2", "quadric3", "torus"]),
+    "--degree": st.integers(-3, 10).map(str),
+    "--real-points": st.integers(-3, 12).map(str),
+    "--real-points-max": st.integers(-3, 12).map(str),
+    "--format": st.sampled_from(["text", "json", "csv", "yaml"]),
+    "--kind": st.sampled_from(["rp2", "sphere2", "sphere3", "torus"]),
+    "--alpha": st.sampled_from(["0", "e1", "e2", "2e1", "e1+e2", "e0", "-e1", "e1+", "x"]),
+    "--beta": st.sampled_from(["0", "e1", "e2", "3e1", "e1+e2", "2e1+e3", "e0", "x"]),
+    "--pairs": st.integers(-3, 6).map(str),
+    "--max-degree": st.integers(-3, 5).map(str),
+    "--invariant-table": st.just("no-such-table.json"),
+    "--f-table": st.just("no-such-table.json"),
+    "--ledger": st.none(),
+}
+_TABLES = ["--invariant-table", "--f-table"]
+# (required flags, optional flags) of every subcommand but verify
+_FLAGS = {
+    "chi": (["--geometry", "--degree", "--real-points"], ["--format", "--ledger", *_TABLES]),
+    "poly": (["--geometry", "--degree"], ["--real-points-max", "--format", *_TABLES]),
+    "trees": (["--geometry", "--degree", "--real-points"], []),
+    "derive": (["--kind"], ["--alpha", "--beta", "--pairs", *_TABLES]),
+    "frontier": ([], ["--max-degree", *_TABLES]),
+}
+_JUNK = st.sampled_from(["--bogus", "-x", "", "--", "--degree", "--ledger", "verify"]) | st.text("ab+-=e ", max_size=5)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    argv = [command]
+    for flag in required + (draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []):
+        value = draw(_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, argparse's SystemExit included; any other exception
+    escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    assert _exit_code(argv) in {0, 2, 3}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_FIELD = st.sampled_from(["n", "a", "b", "alpha", "beta", "kind", "r_l", "crosses", "basis", "value", "source"])
+_CELL = st.integers(-3, 5) | st.lists(st.integers(-2, 3), max_size=3) | st.sampled_from(["rp2", "sphere2", "sphere3", "x"]) | st.booleans() | _JSON
+_TABLE_LIKE = st.fixed_dictionaries({"entries": st.lists(st.dictionaries(_FIELD, _CELL, max_size=8), max_size=4)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_TABLES), _JSON | _TABLE_LIKE)
+def test_fuzzed_table_payloads_exit_cleanly(flag, payload):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.json"
+        path.write_text(json.dumps(payload))
+        argv = ["chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", flag, str(path)]
+        assert _exit_code(argv) in {0, 2, 3}

@@ -32,7 +32,6 @@ WDVV count 96 and the section-model count of e + 3f.
 """
 
 import random
-from functools import cache
 from math import comb
 
 import pytest
@@ -40,6 +39,7 @@ import sympy as sp
 
 from welschinger import ContactVector, RelativeKey, RuledSurfaceClass, builtin_relative_table, quadric_count
 from welschinger.relative import _QUADRIC_COUNTS
+from welschinger.verification import wdvv_quadric_count
 
 z, t, s = sp.symbols("z t s")
 
@@ -351,34 +351,6 @@ def test_quadric_two_two_euler_count():
     chi_quadric = 4
     self_intersection = 2 * (2 * 2)
     assert quadric_count(2, 2) == chi_quadric + self_intersection == 12
-
-
-@cache
-def wdvv_quadric_count(a, b):
-    """Rational curves of bidegree (a, b) on P1 x P1 through 2(a + b) - 1
-    points, by the WDVV recursion (Kontsevich-Manin 1994; Di Francesco-
-    Itzykson 1995):
-
-        2ab N(a, b) = sum N(a1, b1) N(a2, b2) (a1^3 b2^3 - a1^2 b1 a2 b2^2)
-                      * C(2a + 2b - 2, 2a1 + 2b1 - 1)
-
-    over nonzero (a1, b1) + (a2, b2) = (a, b).  It is seeded by the rulings,
-    N(1, 0) = N(0, 1) = 1; a bidegree (a, 0) or (0, b) with a coefficient
-    >= 2 holds no irreducible curve."""
-    if a == 0 or b == 0:
-        return int(max(a, b) == 1)
-    total = sum(
-        wdvv_quadric_count(a1, b1)
-        * wdvv_quadric_count(a - a1, b - b1)
-        * (a1**3 * (b - b1) ** 3 - a1**2 * b1 * (a - a1) * (b - b1) ** 2)
-        * comb(2 * a + 2 * b - 2, 2 * a1 + 2 * b1 - 1)
-        for a1 in range(a + 1)
-        for b1 in range(b + 1)
-        if 0 < a1 + b1 < a + b
-    )
-    count, rest = divmod(total, 2 * a * b)
-    assert rest == 0
-    return count
 
 
 def test_quadric_counts_match_the_wdvv_recursion():

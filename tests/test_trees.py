@@ -1,5 +1,6 @@
 """Decorated tree enumeration, canonical forms and multiplicity factors."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -24,6 +25,7 @@ from welschinger import (
     multiplicity,
 )
 from welschinger import trees as trees_module
+from welschinger.contact import _cached
 from welschinger.trees import (
     MINUS,
     PLUS,
@@ -718,6 +720,24 @@ def test_decorated_trees_share_their_cached_shape(monkeypatch):
         assert canonical_form(tree) is canonical_form(tree) and tree.codes is tree.codes
         assert shape_form(tree) == shape_form(tree)
     assert Counter(encoded) == {"tree": 5, "shape": 2}
+
+
+def test_shape_rules_are_checked_once_per_shape(monkeypatch):
+    # validate() runs on every yielded tree, the r-free rules once per shape
+    runs, validated = [], []
+    rules, validate = Shape.problems.fn, DecoratedTree.validate
+
+    @functools.wraps(rules)
+    def counted(shape):
+        runs.append(shape)
+        return rules(shape)
+
+    monkeypatch.setattr(Shape, "problems", _cached(counted))
+    monkeypatch.setattr(DecoratedTree, "validate", lambda tree: validated.append(tree) or validate(tree))
+    _candidates.cache_clear()
+    variants = [twc.tree for r in (1, 3) for twc in enumerate_decorated_trees(F.PROJECTIVE, 6, r)]
+    assert len(variants) == len(validated) == 5
+    assert len(runs) == len({id(tree.shape) for tree in variants}) == 2
 
 
 def test_enumeration_raises_on_a_tree_that_fails_validation(monkeypatch):
