@@ -53,10 +53,10 @@ def checks():
     print("divisibility and sign checks on the computed values:")
     for d, r in [(5, 0), (6, 1), (7, 0), (7, 2), (8, 1)]:
         value = chi(PLANE, d, r).value
-        congruence = check_congruence(PLANE, d, r, value)
+        congruences = check_congruence(PLANE, d, r, value)
         sign = check_sign_law(PLANE, d, r, value)
-        mods = [f"2^{c.modulus.bit_length() - 1}" for c in congruence.clauses if c.applicable]
-        verdict = "ok" if congruence.passed and sign.passed else "FAIL"
+        mods = [f"2^{c.modulus.bit_length() - 1}" for c in congruences]
+        verdict = "ok" if all(c.passed for c in congruences) and (sign is None or sign.passed) else "FAIL"
         parity = "even" if genus_smooth(PLANE, d) % 2 == 0 else "odd"
         print(f"  d={d}, r={r}: chi={value:>8}; divisible by {', '.join(mods)}; genus {parity} -> {verdict}")
     print()

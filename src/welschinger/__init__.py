@@ -12,9 +12,8 @@ arbitrary-precision integer arithmetic; there is no floating point anywhere.
 from .assembly import (
     ChiPolynomial,
     ChiResult,
-    CongruenceReport,
+    Clause,
     LedgerRow,
-    SignReport,
     admissible_real_counts,
     check_congruence,
     check_sign_law,
@@ -77,7 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChiPolynomial",
     "ChiResult",
-    "CongruenceReport",
+    "Clause",
     "ContactVector",
     "DecoratedTree",
     "DimensionMismatch",
@@ -94,7 +93,6 @@ __all__ = [
     "RelativeInvariantTable",
     "RelativeKey",
     "RuledSurfaceClass",
-    "SignReport",
     "TreeClass",
     "TreeFamily",
     "TreeWithCount",

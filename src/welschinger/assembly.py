@@ -51,8 +51,7 @@ __all__ = [
     "check_admissible",
     "check_congruence",
     "check_sign_law",
-    "CongruenceReport",
-    "SignReport",
+    "Clause",
 ]
 
 def _json_int(value: int):
@@ -240,90 +239,43 @@ def chi_polynomial(
 
 
 @dataclass(frozen=True)
-class CongruenceClause:
+class Clause:
+    """One law about chi^d_r that applies to a value: ``modulus`` is the power
+    of two a divisibility law says divides chi, None for any other law."""
+
     name: str
-    applicable: bool
-    modulus: int
+    modulus: int | None
     passed: bool
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    geometry: GeometryKind
-    d: int
-    r: int
-    value: int
-    clauses: tuple[CongruenceClause, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses if c.applicable)
-
-
-def _clause(name: str, applicable: bool, modulus: int, value: int) -> CongruenceClause:
-    return CongruenceClause(
-        name=name,
-        applicable=applicable,
-        modulus=modulus,
-        passed=(not applicable) or value % modulus == 0,
-    )
-
-
-def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> CongruenceReport:
-    """Divisibility constraints on chi^d_r by powers of two.
-
-    The clauses encode: for the plane, the gap 2^(r_X - r - 1) when
-    r + 1 < r_X, the stronger 2^(r_X - r) when r matches d + 1 mod 4, and
-    64 | chi when r + 1 < d; for the 2-quadric, 2^(2d - r - 1) when
-    r < 2d - 1, the stronger 2^(2d - r) when r matches 2d + 1 mod 4, and
-    16 | chi at r = 2d - 3; for the 3-quadric, 2^(3(d - 2r)/4) when
-    6r + 1 <= 3d.
-    """
-    clauses: list[CongruenceClause] = []
+def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> tuple[Clause, ...]:
+    """The laws 2^k | chi^d_r that apply at (geometry, d, r), each written
+    as (name, the condition under which it holds, k)."""
     if geometry is GeometryKind.PROJECTIVE_PLANE:
         r_x = pair_condition_count(FAMILY_OF[geometry], d, r)
-        clauses.append(_clause("pair-gap", r + 1 < r_x, 1 << max(r_x - r - 1, 0), value))
-        aligned = r < r_x and (r - (d + 1)) % 4 == 0
-        clauses.append(_clause("pair-gap-aligned", aligned, 1 << max(r_x - r, 0), value))
-        clauses.append(_clause("plane-64", r + 1 < d, 64, value))
+        laws = [
+            ("pair-gap", r + 1 < r_x, r_x - r - 1),
+            ("pair-gap-aligned", r < r_x and (r - (d + 1)) % 4 == 0, r_x - r),
+            ("plane-64", r + 1 < d, 6),
+        ]
     elif geometry is GeometryKind.ELLIPSOID_QUADRIC2:
-        g = genus_smooth(geometry, d)
-        clauses.append(_clause("pair-gap", r < 2 * d - 1, 1 << max(2 * d - r - 1, 0), value))
-        aligned = r < 2 * d and (g - (r + 1) // 2) % 2 == 0 and (r + 1) % 2 == 0
-        clauses.append(_clause("pair-gap-aligned", aligned, 1 << max(2 * d - r, 0), value))
-        clauses.append(_clause("sixteen-at-top", r == 2 * d - 3 and d >= 2, 16, value))
+        laws = [
+            ("pair-gap", r < 2 * d - 1, 2 * d - r - 1),
+            ("pair-gap-aligned", r < 2 * d and (r - (2 * d + 1)) % 4 == 0, 2 * d - r),
+            ("sixteen-at-top", r == 2 * d - 3 and d >= 2, 4),
+        ]
     else:
         # admissible (d, r) pairs always make 3(d - 2r) a multiple of four
-        applicable = 6 * r + 1 <= 3 * d and (3 * (d - 2 * r)) % 4 == 0
-        power = 3 * (d - 2 * r) // 4 if applicable else 0
-        clauses.append(_clause("three-quarter-gap", applicable, 1 << power, value))
-    return CongruenceReport(geometry=geometry, d=d, r=r, value=value, clauses=tuple(clauses))
+        laws = [("three-quarter-gap", 6 * r + 1 <= 3 * d and (3 * (d - 2 * r)) % 4 == 0, 3 * (d - 2 * r) // 4)]
+    return tuple(Clause(name, 1 << k, value % (1 << k) == 0) for name, applies, k in laws if applies)
 
 
-@dataclass(frozen=True)
-class SignReport:
-    geometry: GeometryKind
-    d: int
-    r: int
-    value: int
-    applicable: bool
-    passed: bool
-    description: str
-
-
-def check_sign_law(geometry: GeometryKind, d: int, r: int, value: int) -> SignReport:
-    """Sign of chi^d_r when at most one point is real.
-
-    Plane and 2-quadric: (-1)^(smooth genus) * chi >= 0 for r <= 1.
-    3-quadric: chi <= 0 for r = 1 when the Chern degree 3d is 2 mod 4.
-    """
+def check_sign_law(geometry: GeometryKind, d: int, r: int, value: int) -> Clause | None:
+    """The sign law of chi^d_r at r <= 1 real points, None where none applies
+    (over the 3-quadric: r = 1 and the Chern degree 3d is 2 mod 4)."""
     if geometry is GeometryKind.ELLIPSOID_QUADRIC3:
-        applicable = r == 1 and (3 * d) % 4 == 2
-        return SignReport(
-            geometry, d, r, value, applicable, (not applicable) or value <= 0,
-            "chi <= 0 at one real point",
-        )
-    applicable = r <= 1
-    g = genus_smooth(geometry, d)
-    ok = (not applicable) or (-1) ** g * value >= 0
-    return SignReport(geometry, d, r, value, applicable, ok, "(-1)^genus * chi >= 0")
+        if r == 1 and (3 * d) % 4 == 2:
+            return Clause("chi <= 0 at one real point", None, value <= 0)
+    elif r <= 1:
+        return Clause("(-1)^genus * chi >= 0", None, (-1) ** genus_smooth(geometry, d) * value >= 0)
+    return None

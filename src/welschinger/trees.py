@@ -671,8 +671,7 @@ def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
 def _decorate(r: int, r_l: int, runs, shape: Shape):
     """Attach one sign partition per isomorphism class: each run of
     identical root subtrees gets a minus count, taken by its first children,
-    and the counts sum to the root window's r_L.  A partition that leaves an
-    odd vertex without a pair count is skipped.  Each tree is validated; a
+    and the counts sum to the root window's r_L.  Each tree is validated; a
     tree that fails is a fault of this generator and raises RuntimeError,
     since dropping it would change chi."""
     for minus_counts in itertools.product(*(range(len(run) + 1) for run in runs)):
@@ -680,8 +679,6 @@ def _decorate(r: int, r_l: int, runs, shape: Shape):
             continue
         signs = {v: MINUS if i < m else PLUS for run, m in zip(runs, minus_counts) for i, v in enumerate(run)}
         tree = DecoratedTree(shape, r, tuple(sorted(signs.items())))
-        if None in tree._f_map.values():
-            continue
         if problems := tree.validate():
             raise RuntimeError(f"generated an invalid tree {canonical_form(tree).decode()}: {'; '.join(problems)}")
         yield tree
@@ -715,8 +712,9 @@ def _odd_subtrees(rules: FamilyRules, memo: _Memo, cost: int, k_in: int) -> list
     ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
     as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
     leaf on a simple edge: any other is a multiple fibre class, which
-    :attr:`Shape.problems` reports.  Each list is built once per
-    ``memo``, which lives for one :func:`_candidates` run."""
+    :attr:`Shape.problems` reports.  A vertex with no integer pair count
+    carries no tree for either sign, so it is not generated.  Each list is
+    built once per ``memo``, which lives for one :func:`_candidates` run."""
     if (cost, k_in) in memo:
         return memo[cost, k_in]
     rest = cost - rules.scale * k_in
@@ -725,7 +723,10 @@ def _odd_subtrees(rules: FamilyRules, memo: _Memo, cost: int, k_in: int) -> list
     for g in range(1, rest // rules.genus_coefficient + 1):
         left = rest - rules.genus_coefficient * g
         for pendants in range(left // step + 1 if step else 1):
-            out.extend((k_in, g, pendants, children) for children in _forests(rules, memo, left - step * pendants, True))
+            for children in _forests(rules, memo, left - step * pendants, True):
+                k_s, valence = k_in + rules.pendant * pendants + len(children), 1 + pendants + len(children)
+                if expected_pair_count(memo.family, g, k_s, valence, False) is not None:
+                    out.append((k_in, g, pendants, children))
     memo.count(len(out))
     memo[cost, k_in] = out
     return out

@@ -13,14 +13,16 @@ import random
 import sys
 from functools import cache, partial
 
-from .assembly import check_congruence, check_sign_law, chi
+from .assembly import Clause, check_congruence, check_sign_law, chi
 from .contact import ContactVector, GeometryKind, LagrangianKind
 from .cotangent import FKey, basis_f_engine, builtin_f_engine
 from .errors import UnknownInvariant, UnresolvableFKey
 from .relative import RelativeKey, RuledSurfaceClass, builtin_relative_table
 from .trees import TreeFamily, canonical_form, enumerate_decorated_trees, enumerate_trees
 
-__all__ = ["run_all", "all_checks", "GOLDEN_VALUES", "TREE_CLASS_COUNTS", "kontsevich_count", "wdvv_quadric_count"]
+__all__ = [
+    "run_all", "all_checks", "GOLDEN_VALUES", "TREE_CLASS_COUNTS", "kontsevich_count", "wdvv_quadric_count", "gromov_witten_clause",
+]
 
 G = GeometryKind
 
@@ -105,6 +107,21 @@ def wdvv_quadric_count(a: int, b: int) -> int:
     return count
 
 
+_GW_COUNTS = {G.PROJECTIVE_PLANE: kontsevich_count, G.ELLIPSOID_QUADRIC2: lambda d: wdvv_quadric_count(d, d)}
+
+
+def gromov_witten_clause(geometry: GeometryKind, d: int, value: int) -> Clause:
+    """chi^d_r counts with signs the real curves among the N_d complex ones
+    through the points, the others coming in conjugate pairs: so chi = N_d
+    mod 2 and |chi| <= N_d.  No N_d is known here over the 3-quadric."""
+    n = _GW_COUNTS[geometry](d)
+    return Clause(f"chi = N_d mod 2 and |chi| <= N_d = {n}", None, value % 2 == n % 2 and abs(value) <= n)
+
+
+def _verdict(geometry: GeometryKind, d: int, r: int, law: str, passed: bool):
+    return passed, f"{geometry.value} (d={d}, r={r}): {law} -> {'ok' if passed else 'FAIL'}"
+
+
 def _golden_suite(geometry: GeometryKind):
     for (d, r), want in sorted(GOLDEN_VALUES[geometry].items()):
         got = chi(geometry, d, r).value
@@ -135,25 +152,20 @@ def _f_closure_suite():
 def _congruence_suite():
     for geometry, table in GOLDEN_VALUES.items():
         for (d, r), value in sorted(table.items()):
-            report = check_congruence(geometry, d, r, value)
-            applicable = [c for c in report.clauses if c.applicable]
-            mods = ", ".join(f"{c.name} mod {c.modulus}" for c in applicable) or "no applicable clause"
-            yield report.passed, f"{geometry.value} (d={d}, r={r}): {mods} -> {'ok' if report.passed else 'FAIL'}"
-    # chi counts with signs the real curves among the N_d complex ones through
-    # the points; the others come in conjugate pairs
-    for geometry, count in ((G.PROJECTIVE_PLANE, kontsevich_count), (G.ELLIPSOID_QUADRIC2, lambda d: wdvv_quadric_count(d, d))):
+            clauses = check_congruence(geometry, d, r, value)
+            mods = ", ".join(f"{c.name} mod {c.modulus}" for c in clauses) or "no applicable clause"
+            yield _verdict(geometry, d, r, mods, all(c.passed for c in clauses))
+    for geometry in _GW_COUNTS:
         for (d, r), value in sorted(GOLDEN_VALUES[geometry].items()):
-            n = count(d)
-            good = value % 2 == n % 2 and abs(value) <= n
-            yield good, f"{geometry.value} (d={d}, r={r}): chi = N_d mod 2 and |chi| <= N_d = {n} -> {'ok' if good else 'FAIL'}"
+            clause = gromov_witten_clause(geometry, d, value)
+            yield _verdict(geometry, d, r, clause.name, clause.passed)
 
 
 def _sign_suite():
     for geometry, table in GOLDEN_VALUES.items():
         for (d, r), value in sorted(table.items()):
-            report = check_sign_law(geometry, d, r, value)
-            if report.applicable:
-                yield report.passed, f"{geometry.value} (d={d}, r={r}): {report.description} -> {'ok' if report.passed else 'FAIL'}"
+            if clause := check_sign_law(geometry, d, r, value):
+                yield _verdict(geometry, d, r, clause.name, clause.passed)
 
 
 def _property_suite():

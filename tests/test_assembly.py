@@ -16,7 +16,7 @@ from welschinger import (
     chi_polynomial,
 )
 from welschinger.assembly import check_admissible
-from welschinger.verification import GOLDEN_VALUES, kontsevich_count, wdvv_quadric_count
+from welschinger.verification import GOLDEN_VALUES, gromov_witten_clause, kontsevich_count
 
 G = GeometryKind
 
@@ -126,16 +126,19 @@ def test_chi_polynomial_examples():
 
 def test_invariants_bounded_by_gromov_witten_counts():
     # a Welschinger invariant is a signed count of the real curves among the
-    # N_d complex ones through the points, so chi = N_d mod 2 and |chi| <= N_d
+    # N_d complex ones through the points
     assert [kontsevich_count(d) for d in range(1, 7)] == [1, 1, 12, 620, 87304, 26312976]
-    counts = {G.PROJECTIVE_PLANE: kontsevich_count, G.ELLIPSOID_QUADRIC2: lambda d: wdvv_quadric_count(d, d)}
     checked = 0
-    for geometry, count in counts.items():
+    for geometry in (G.PROJECTIVE_PLANE, G.ELLIPSOID_QUADRIC2):
         for d in range(1, 9):
             for r, value in chi_polynomial(geometry, d).coefficients.items():
-                assert value % 2 == count(d) % 2 and abs(value) <= count(d), (geometry, d, r, value)
+                assert gromov_witten_clause(geometry, d, value).passed, (geometry, d, r, value)
                 checked += 1
     assert checked == 31
+    # N_4 = 620 of the plane: a wrong parity and a value beyond the count fail
+    assert gromov_witten_clause(G.PROJECTIVE_PLANE, 4, -620).passed
+    assert not gromov_witten_clause(G.PROJECTIVE_PLANE, 4, 1).passed
+    assert not gromov_witten_clause(G.PROJECTIVE_PLANE, 4, 622).passed
 
 
 def test_chi_polynomial_reports_unavailable():
@@ -146,32 +149,32 @@ def test_chi_polynomial_reports_unavailable():
 
 
 def test_congruence_examples():
-    report = check_congruence(G.PROJECTIVE_PLANE, 7, 0, -14336)
-    required = {c.name: c.modulus for c in report.clauses if c.applicable}
+    clauses = check_congruence(G.PROJECTIVE_PLANE, 7, 0, -14336)
+    required = {c.name: c.modulus for c in clauses}
     assert required["pair-gap"] == 512 and required["pair-gap-aligned"] == 1024
-    assert report.passed
+    assert all(c.passed for c in clauses)
 
-    report = check_congruence(G.ELLIPSOID_QUADRIC3, 10, 1, -896)
-    assert [c.modulus for c in report.clauses if c.applicable] == [64]
-    assert report.passed
+    clauses = check_congruence(G.ELLIPSOID_QUADRIC3, 10, 1, -896)
+    assert [c.modulus for c in clauses] == [64]
+    assert all(c.passed for c in clauses)
 
-    report = check_congruence(G.ELLIPSOID_QUADRIC2, 5, 1, 26880)
-    required = {c.name: c.modulus for c in report.clauses if c.applicable}
+    clauses = check_congruence(G.ELLIPSOID_QUADRIC2, 5, 1, 26880)
+    required = {c.name: c.modulus for c in clauses}
     assert required["pair-gap"] == 256
     assert "pair-gap-aligned" not in required  # 26880 = 2^8 * 105 is sharp
-    assert report.passed
+    assert all(c.passed for c in clauses)
 
 
 def test_congruence_failure_detected():
-    assert not check_congruence(G.PROJECTIVE_PLANE, 7, 0, -14336 + 2).passed
+    assert not all(c.passed for c in check_congruence(G.PROJECTIVE_PLANE, 7, 0, -14336 + 2))
 
 
 def test_all_goldens_pass_congruence_and_sign():
     for geometry, table in GOLDEN_VALUES.items():
         for (d, r), value in table.items():
-            assert check_congruence(geometry, d, r, value).passed
-            report = check_sign_law(geometry, d, r, value)
-            assert report.passed
+            assert all(c.passed for c in check_congruence(geometry, d, r, value))
+            sign = check_sign_law(geometry, d, r, value)
+            assert sign is None or sign.passed
 
 
 def test_sign_law_examples():
@@ -181,7 +184,16 @@ def test_sign_law_examples():
     assert not check_sign_law(G.PROJECTIVE_PLANE, 7, 0, 14336).passed
     assert not check_sign_law(G.ELLIPSOID_QUADRIC3, 10, 1, 896).passed
     # not applicable beyond one real point
-    assert check_sign_law(G.PROJECTIVE_PLANE, 7, 2, 11776).applicable is False
+    assert check_sign_law(G.PROJECTIVE_PLANE, 7, 2, 11776) is None
+
+
+def test_public_names_resolve_once():
+    import welschinger
+
+    assert all(hasattr(welschinger, name) for name in welschinger.__all__)
+    assert len(set(welschinger.__all__)) == len(welschinger.__all__)
+    assert "Clause" in welschinger.__all__
+    assert not {"CongruenceReport", "SignReport"} & set(dir(welschinger))
 
 
 def test_json_uses_decimal_strings_beyond_int64():

@@ -42,6 +42,12 @@ def test_chi_json_stable(capsys):
     assert len(payload["ledger"]) == 2
 
 
+def test_chi_json_leaves_out_the_ledger_unless_asked(capsys):
+    code, out, _ = run(capsys, "chi", "--geometry", "cp2", "--degree", "7", "--real-points", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"geometry": "cp2", "d": 7, "r": 0, "chi": -14336}
+
+
 def test_chi_csv(capsys):
     code, out, _ = run(capsys, "chi", "--geometry", "quadric2", "--degree", "4", "--real-points", "3", "--format", "csv")
     assert code == 0
@@ -60,6 +66,12 @@ def test_poly(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["coefficients"] == {"1": 0, "3": 2, "5": 4, "7": 6}
+
+
+def test_poly_csv(capsys):
+    code, out, _ = run(capsys, "poly", "--geometry", "quadric2", "--degree", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["geometry,d,r,chi", "quadric2,2,1,0", "quadric2,2,3,2", "quadric2,2,5,4", "quadric2,2,7,6"]
 
 
 def test_trees_dump(capsys):
@@ -305,6 +317,13 @@ def test_verify_exits_zero(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert out.count("[PASS]") == 8
+
+
+def test_verify_verbose_prints_the_pinned_lines(capsys):
+    # every check's name and detail line: an edit to a suite or a law shows here
+    code, out, _ = run(capsys, "verify", "--verbose")
+    assert code == 0
+    assert out == (Path(__file__).resolve().parent / "data" / "verify_verbose.txt").read_text()
 
 
 def test_verify_passes_with_asserts_stripped():
