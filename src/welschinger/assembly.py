@@ -36,9 +36,9 @@ from .trees import (
     FAMILY_OF,
     DecoratedTree,
     canonical_form,
-    enumerate_trees,
     multiplicity,
     pair_condition_count,
+    tree_classes,
 )
 
 __all__ = [
@@ -155,7 +155,10 @@ def chi(
     relative_table: RelativeInvariantTable | None = None,
     f_engine: FInvariantEngine | None = None,
 ) -> ChiResult:
-    """The invariant chi^d_r with its full contribution ledger."""
+    """The invariant chi^d_r with its full contribution ledger.  A key
+    outside the tables raises at the first tree that needs it, in the order
+    of :func:`~welschinger.trees.tree_classes`, and no later shape is
+    decorated."""
     check_admissible(geometry, d, r)
     table = relative_table or builtin_relative_table()
     engine = f_engine or builtin_f_engine()
@@ -164,7 +167,7 @@ def chi(
 
     rows: list[LedgerRow] = []
     total = 0
-    for cls in enumerate_trees(family, d, r):
+    for cls in tree_classes(family, d, r):
         for twc in cls.variants:
             tree = twc.tree
             label = canonical_form(tree).decode()
@@ -250,7 +253,9 @@ class Clause:
 
 def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> tuple[Clause, ...]:
     """The laws 2^k | chi^d_r that apply at (geometry, d, r), each written
-    as (name, the condition under which it holds, k)."""
+    as (name, the condition under which it holds, k); raises InadmissiblePair
+    unless chi(geometry, d, r) is defined."""
+    check_admissible(geometry, d, r)
     if geometry is GeometryKind.PROJECTIVE_PLANE:
         r_x = pair_condition_count(FAMILY_OF[geometry], d, r)
         laws = [
@@ -272,7 +277,9 @@ def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> tupl
 
 def check_sign_law(geometry: GeometryKind, d: int, r: int, value: int) -> Clause | None:
     """The sign law of chi^d_r at r <= 1 real points, None where none applies
-    (over the 3-quadric: r = 1 and the Chern degree 3d is 2 mod 4)."""
+    (over the 3-quadric: r = 1 and the Chern degree 3d is 2 mod 4); raises
+    InadmissiblePair unless chi(geometry, d, r) is defined."""
+    check_admissible(geometry, d, r)
     if geometry is GeometryKind.ELLIPSOID_QUADRIC3:
         if r == 1 and (3 * d) % 4 == 2:
             return Clause("chi <= 0 at one real point", None, value <= 0)

@@ -31,6 +31,7 @@ import json
 import os
 import sys
 
+from . import trees
 from .assembly import admissible_real_counts, check_admissible, chi, chi_polynomial
 from .contact import ContactVector, GeometryKind, LagrangianKind
 from .cotangent import FInvariantEngine, FKey, builtin_f_engine
@@ -138,6 +139,7 @@ def _cmd_frontier(args) -> int:
                 ok = ",".join(map(str, sorted(poly.coefficients))) or "-"
                 gap = ",".join(map(str, sorted(poly.unavailable))) or "-"
                 print(f"  d={d}: computable r: {ok}; missing tables for r: {gap}")
+            trees._candidates.cache_clear()  # no later degree reads these shapes
     return 0
 
 

@@ -35,6 +35,10 @@ process, as light tuples that carry their root window: the window needs only
 the root edges' multiplicities.  A forest becomes a :class:`Shape` only for
 an r inside its window, at most once per process, and a (family, d) with
 more candidates than :data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
+:func:`tree_classes` then walks the window one shape at a time, in the order
+of the shapes' encodings, and decorates and validates a shape's trees only
+when it reaches that shape: chi, which stops at the first tree whose key is
+outside the tables, never decorates the shapes after it.
 
 The counting rules are the same for every family; they read the family's
 :class:`FamilyRules` and the dimension n of its Lagrangian:
@@ -60,6 +64,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from operator import itemgetter
+from typing import Iterator
 
 from .contact import ContactVector, GeometryKind, _cached, _point_count
 from .errors import EnumerationTooLarge, InvalidDegreeRealPair
@@ -72,6 +78,7 @@ __all__ = [
     "DecoratedTree",
     "TreeWithCount",
     "TreeClass",
+    "tree_classes",
     "enumerate_trees",
     "enumerate_decorated_trees",
     "canonical_form",
@@ -340,7 +347,7 @@ class DecoratedTree:
 
     @_cached
     def _canonical(self) -> bytes:
-        return _form(self, self.codes[self.shape.root])
+        return _form(self.shape, self.r, self.codes[self.shape.root])
 
     def sign(self, v: int):
         return self._sign_map.get(v)
@@ -434,8 +441,8 @@ def _codes(shape: Shape, signs: dict[int, str], f_sizes: dict[int, int]) -> dict
     return codes
 
 
-def _form(tree: DecoratedTree, body: str) -> bytes:
-    return f"({tree.shape.family.value!r}, {tree.shape.d}, {tree.r}, {body})".encode()
+def _form(shape: Shape, r: int, body: str) -> bytes:
+    return f"({shape.family.value!r}, {shape.d}, {r}, {body})".encode()
 
 
 def canonical_form(tree: DecoratedTree) -> bytes:
@@ -450,7 +457,7 @@ def canonical_form(tree: DecoratedTree) -> bytes:
 def shape_form(tree: DecoratedTree) -> bytes:
     """Encoding of the underlying weighted tree with its degree decoration
     only; the shape's part of it is computed once per shape."""
-    return _form(tree, tree.shape.body)
+    return _form(tree.shape, tree.r, tree.shape.body)
 
 
 def automorphisms(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool = True) -> list[dict[int, int]]:
@@ -755,37 +762,42 @@ def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
     return runs, Shape(family, d, 0, edges, gmap)
 
 
-def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWithCount]:
-    """All isomorphism classes of fully decorated trees for (family, d, r),
-    sorted by canonical form; each class is generated exactly once.  The
-    candidates come from the per-process cache of (family, d); a candidate's
-    shape is built only when r falls in its root window, and at most once
-    per process.  Each tree's pair-assignment count is computed when it is
-    first read."""
+def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
+    """The decorated trees for (family, d, r), one shape class at a time.
+
+    Classes come sorted by shape encoding, variants by full canonical form.
+    Every shape in r's root window is built first, since the order needs
+    their encodings; a shape's trees are decorated and validated only when
+    its class is reached, so a caller that stops at a class never decorates
+    the shapes after it.  The candidates come from the per-process cache of
+    (family, d), and a candidate's shape is built at most once per process.
+    Each tree's pair-assignment count is computed when it is first read."""
     r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
     candidates, built = _candidates(family, d)
-    trees = []
+    window = []
     for i, (top, v0, forest) in enumerate(candidates):
         r_l = minus_part_size(top, r, v0)
         if r_l is None:
             continue
         if built[i] is None:
             built[i] = _build(family, d, forest)
-        trees.extend(_decorate(r, r_l, *built[i]))
-    trees.sort(key=canonical_form)
-    return [TreeWithCount(tree, r_x) for tree in trees]
+        runs, shape = built[i]
+        window.append((_form(shape, r, shape.body), r_l, runs, shape))
+    window.sort(key=itemgetter(0))  # each candidate's shape has its own encoding
+    for key, r_l, runs, shape in window:
+        trees = sorted(_decorate(r, r_l, runs, shape), key=canonical_form)
+        yield TreeClass(shape_key=key, variants=tuple(TreeWithCount(tree, r_x) for tree in trees))
 
 
 def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:
-    """Decorated trees for (family, d, r), grouped into shape classes.
+    """Every shape class of :func:`tree_classes`, in its order."""
+    return list(tree_classes(family, d, r))
 
-    Deterministic: classes are sorted by shape encoding, variants by full
-    canonical form (the order they arrive in).
-    """
-    groups: dict[bytes, list[TreeWithCount]] = {}
-    for twc in enumerate_decorated_trees(family, d, r):
-        groups.setdefault(shape_form(twc.tree), []).append(twc)
-    return [TreeClass(shape_key=key, variants=tuple(groups[key])) for key in sorted(groups)]
+
+def enumerate_decorated_trees(family: TreeFamily, d: int, r: int) -> list[TreeWithCount]:
+    """All isomorphism classes of fully decorated trees for (family, d, r),
+    sorted by canonical form; each class is generated exactly once."""
+    return sorted((twc for cls in tree_classes(family, d, r) for twc in cls.variants), key=lambda twc: canonical_form(twc.tree))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,33 @@
 """Invariant assembly, congruence and sign validators, bounds."""
 
+import math
 import tracemalloc
 
 import pytest
 
 from welschinger import (
+    DecoratedTree,
+    FKey,
     GeometryKind,
     InadmissiblePair,
+    LedgerRow,
+    TreeFamily,
     UnknownInvariant,
     UnresolvableFKey,
     admissible_real_counts,
+    builtin_f_engine,
+    builtin_relative_table,
+    canonical_form,
     check_congruence,
     check_sign_law,
     chi,
     chi_polynomial,
+    enumerate_decorated_trees,
+    enumerate_trees,
+    multiplicity,
 )
-from welschinger.assembly import check_admissible
+from welschinger.assembly import _vertex_factors, check_admissible
+from welschinger.trees import FAMILY_OF
 from welschinger.verification import GOLDEN_VALUES, gromov_witten_clause, kontsevich_count
 
 G = GeometryKind
@@ -112,6 +124,54 @@ def test_missing_tables_abort_with_tree_context():
         chi(G.PROJECTIVE_PLANE, 9, 0)
 
 
+def _eager_chi(geometry, d, r):
+    """chi as a sum over the whole enumeration, every tree decorated and
+    validated before the first lookup: the value and ledger, or the type and
+    message of the miss at the first tree in enumeration order whose key is
+    outside the tables."""
+    engine, table = builtin_f_engine(), builtin_relative_table()
+    rows = []
+    for cls in enumerate_trees(FAMILY_OF[geometry], d, r):
+        for twc in cls.variants:
+            tree = twc.tree
+            label = canonical_form(tree).decode()
+            try:
+                f_value = engine.value(FKey(geometry.lagrangian, *tree.root_profiles()))
+                factors = _vertex_factors(geometry, tree, table)
+            except (UnknownInvariant, UnresolvableFKey) as exc:
+                return type(exc), f"{exc} [required by tree {label}]"
+            mult, sign = multiplicity(tree), tree.sign_factor()
+            contribution = sign * twc.assignment_count * mult * f_value * math.prod(factors)
+            rows.append(LedgerRow(label, twc.assignment_count, mult, sign, f_value, tuple(factors), contribution))
+    return sum(row.contribution for row in rows), tuple(rows)
+
+
+def test_chi_equals_the_sum_over_the_whole_enumeration():
+    outcomes = {"value": 0, "miss": 0}
+    for geometry in G:
+        for d in range(1, 11):
+            for r in admissible_real_counts(geometry, d):
+                try:
+                    result = chi(geometry, d, r)
+                    got = result.value, result.ledger
+                    outcomes["value"] += 1
+                except (UnknownInvariant, UnresolvableFKey) as exc:
+                    got = type(exc), str(exc)
+                    outcomes["miss"] += 1
+                assert got == _eager_chi(geometry, d, r), (geometry, d, r)
+    assert outcomes == {"value": 34, "miss": 185}
+
+
+def test_a_miss_validates_only_the_trees_up_to_the_failing_shape(monkeypatch):
+    validated = []
+    validate = DecoratedTree.validate
+    monkeypatch.setattr(DecoratedTree, "validate", lambda tree: validated.append(tree) or validate(tree))
+    with pytest.raises(UnknownInvariant, match=r"^N4\^\{e\+3f\}\(0, 3e1\) is outside the curated table \[required by tree"):
+        chi(G.PROJECTIVE_PLANE, 9, 0)
+    stopped = len(validated)
+    assert 0 < stopped < len(enumerate_decorated_trees(TreeFamily.PROJECTIVE, 9, 0)) == 4
+
+
 def test_chi_polynomial_examples():
     poly = chi_polynomial(G.ELLIPSOID_QUADRIC2, 2, 7)
     assert poly.coefficients == {1: 0, 3: 2, 5: 4, 7: 6}
@@ -185,6 +245,19 @@ def test_sign_law_examples():
     assert not check_sign_law(G.ELLIPSOID_QUADRIC3, 10, 1, 896).passed
     # not applicable beyond one real point
     assert check_sign_law(G.PROJECTIVE_PLANE, 7, 2, 11776) is None
+
+
+@pytest.mark.parametrize(
+    "geometry,d,r",
+    [(G.PROJECTIVE_PLANE, 5, 1), (G.ELLIPSOID_QUADRIC2, 2, 2), (G.ELLIPSOID_QUADRIC2, 2, 0), (G.ELLIPSOID_QUADRIC3, 5, 1)],
+)
+def test_laws_reject_a_pair_outside_the_domain(geometry, d, r):
+    # each geometry raises as chi does, with no clause for an undefined value
+    message = rf"^\({geometry.value}, d={d}, r={r}\) is not an admissible pair$"
+    with pytest.raises(InadmissiblePair, match=message):
+        check_congruence(geometry, d, r, 5)
+    with pytest.raises(InadmissiblePair, match=message):
+        check_sign_law(geometry, d, r, 5)
 
 
 def test_public_names_resolve_once():

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OPS = [["chi", ["cp2", 5, 0]], ["enumerate", ["projective", 9, 0]]]
+OPS = [["chi", ["cp2", 5, 0]], ["chi", ["quadric2", 8, 5]], ["enumerate", ["projective", 9, 0]]]
 
 
 def test_traced_worker_pass_gives_the_reference_outcomes():

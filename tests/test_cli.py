@@ -179,6 +179,16 @@ def test_poly_text_lists_each_unavailable_value(capsys):
     assert run(capsys, "poly", "--geometry", "cp2", "--degree", "5") == (0, expected, "")
 
 
+@pytest.mark.parametrize("geometry,d", [("cp2", 9), ("quadric2", 7), ("quadric3", 10)])
+def test_poly_text_names_the_first_failing_tree_past_the_tables(capsys, geometry, d):
+    # every value but the 3-quadric's r = 1 is a miss, and each message names
+    # the first tree, in (shape, canonical form) order, whose key is outside
+    # the tables
+    expected = (Path(__file__).resolve().parent / "data" / f"poly_{geometry}_degree{d}.txt").read_text()
+    assert "unavailable" in expected
+    assert run(capsys, "poly", "--geometry", geometry, "--degree", str(d)) == (0, expected, "")
+
+
 def test_table_override_via_flag(tmp_path, capsys):
     # shrink the relative table to the fibre rule only: degree 5 must now fail
     table = {"version": 1, "entries": []}
