@@ -19,9 +19,7 @@ partial sum is never reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .contact import ContactVector, GeometryKind, genus_smooth
+from .contact import ContactVector, GeometryKind, _Record, genus_smooth
 from .cotangent import FInvariantEngine, FKey, builtin_f_engine
 from .errors import InadmissiblePair, UnknownInvariant, UnresolvableFKey
 from .relative import (
@@ -59,15 +57,26 @@ def _json_int(value: int):
     return value if -(2**63) <= value < 2**63 else str(value)
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    tree: str
-    assignment_count: int
-    multiplicity: int
-    sign: int
-    f_value: int
-    relative_factors: tuple[int, ...]
-    contribution: int
+class LedgerRow(_Record):
+    _fields = ("tree", "assignment_count", "multiplicity", "sign", "f_value", "relative_factors", "contribution")
+
+    def __init__(
+        self,
+        tree: str,
+        assignment_count: int,
+        multiplicity: int,
+        sign: int,
+        f_value: int,
+        relative_factors: tuple[int, ...],
+        contribution: int,
+    ):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "assignment_count", assignment_count)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "f_value", f_value)
+        object.__setattr__(self, "relative_factors", relative_factors)
+        object.__setattr__(self, "contribution", contribution)
 
     def to_json_dict(self) -> dict:
         return {
@@ -81,13 +90,15 @@ class LedgerRow:
         }
 
 
-@dataclass(frozen=True)
-class ChiResult:
-    geometry: GeometryKind
-    d: int
-    r: int
-    value: int
-    ledger: tuple[LedgerRow, ...]
+class ChiResult(_Record):
+    _fields = ("geometry", "d", "r", "value", "ledger")
+
+    def __init__(self, geometry: GeometryKind, d: int, r: int, value: int, ledger: tuple[LedgerRow, ...]):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ledger", ledger)
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,15 +208,17 @@ def chi(
     return ChiResult(geometry=geometry, d=d, r=r, value=total, ledger=tuple(rows))
 
 
-@dataclass(frozen=True)
-class ChiPolynomial:
+class ChiPolynomial(_Record):
     """Coefficients r -> chi^d_r; entries whose table dependencies are out of
     range are reported as unavailable instead of being dropped."""
 
-    geometry: GeometryKind
-    d: int
-    coefficients: dict[int, int]
-    unavailable: dict[int, str] = field(default_factory=dict)
+    _fields = ("geometry", "d", "coefficients", "unavailable")
+
+    def __init__(self, geometry: GeometryKind, d: int, coefficients: dict[int, int], unavailable: dict[int, str] | None = None):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "unavailable", {} if unavailable is None else unavailable)
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,14 +254,16 @@ def chi_polynomial(
 # congruences and sign laws
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(_Record):
     """One law about chi^d_r that applies to a value: ``modulus`` is the power
     of two a divisibility law says divides chi, None for any other law."""
 
-    name: str
-    modulus: int | None
-    passed: bool
+    _fields = ("name", "modulus", "passed")
+
+    def __init__(self, name: str, modulus: int | None, passed: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "passed", passed)
 
 
 def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> tuple[Clause, ...]:

@@ -150,6 +150,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _profile(text: str) -> ContactVector:
+    try:
+        return ContactVector.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="welschinger",
@@ -191,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derive = sub.add_parser("derive", help="print a cotangent-invariant derivation chain")
     p_derive.add_argument("--kind", choices=sorted(_KIND), required=True)
-    profile = ContactVector.parse
-    p_derive.add_argument("--alpha", type=profile, default="0", help='prescribed profile, e.g. "e2" or "2e1"')
-    p_derive.add_argument("--beta", type=profile, default="0", help='free profile, e.g. "e1+e2"')
+    p_derive.add_argument("--alpha", type=_profile, default="0", help='prescribed profile, e.g. "e2" or "2e1"')
+    p_derive.add_argument("--beta", type=_profile, default="0", help='free profile, e.g. "e1+e2"')
     p_derive.add_argument("--pairs", type=_non_negative_int, default=0, help="conjugate point pairs")
     add_tables(p_derive)
     p_derive.set_defaults(func=_cmd_derive)

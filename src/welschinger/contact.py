@@ -7,13 +7,17 @@ multiset of contact orders: ``counts[i]`` is the number of contacts of order
 play two roles throughout the package: tangency profiles of curves relative
 to a divisor, and asymptotic-orbit profiles of punctured curves in a unit
 cotangent bundle.
+
+The package's value records (contact vectors, keys, ledger rows, results)
+derive from :class:`_Record` rather than being frozen dataclasses: importing
+``dataclasses`` and generating each class's methods once took most of the
+package's start-up time, which a one-call CLI process pays in full.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NegativeDimension
@@ -44,8 +48,53 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class ContactVector:
+class _Record:
+    """An immutable value: the semantics of ``@dataclass(frozen=True)``
+    without the cost of generating its methods per class at import.
+
+    A subclass names its fields in ``_fields`` and writes an ``__init__``
+    that sets each with ``object.__setattr__``.  Records are equal when they
+    are of the same class with equal fields, hash as the tuple of their
+    fields and print as ``Name(field=value, ...)``; setting or deleting an
+    attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value; a record's values are a tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+MAX_PARSED_ORDER = 10_000
+"""Largest contact order :meth:`ContactVector.parse` accepts.  A vector
+stores one count per order up to its largest, so a parsed ``e1000000000``
+would ask for 8 GB, and each reduction of a key copies its vectors.  A tree
+of degree d has orders at most d, and a key with an order past a few hundred
+needs more reductions than ``MAX_DERIVATION_DEPTH``; at this bound ``derive``
+still answers in about a second."""
+
+
+class ContactVector(_Record):
     """Sparse multiset of contact orders, canonical (trailing zeros trimmed).
 
     Equality and hashing act on the canonical form, so contact vectors can be
@@ -53,10 +102,10 @@ class ContactVector:
     the total contact order; ``weight >= size`` always holds.
     """
 
-    counts: tuple[int, ...] = ()
+    _fields = ("counts",)
 
-    def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.counts)
+    def __init__(self, counts: tuple[int, ...] = ()) -> None:
+        c = tuple(int(x) for x in counts)
         if any(x < 0 for x in c):
             raise ValueError("contact multiplicities must be non-negative")
         while c and c[-1] == 0:
@@ -66,7 +115,7 @@ class ContactVector:
     @classmethod
     def _canonical(cls, counts: tuple[int, ...]) -> "ContactVector":
         """A vector from counts that are already canonical (non-negative ints,
-        trailing zeros trimmed), without the checks of ``__post_init__``."""
+        trailing zeros trimmed), without the checks of ``__init__``."""
         vector = object.__new__(cls)
         object.__setattr__(vector, "counts", counts)
         return vector
@@ -84,7 +133,9 @@ class ContactVector:
 
     @classmethod
     def parse(cls, text: str) -> "ContactVector":
-        """Parse strings like ``"0"``, ``"e2"``, ``"2e1"`` or ``"e1+e2"``."""
+        """Parse strings like ``"0"``, ``"e2"``, ``"2e1"`` or ``"e1+e2"``;
+        ValueError for any other text and for an order above
+        :data:`MAX_PARSED_ORDER`."""
         text = text.strip().replace(" ", "")
         if text in ("", "0"):
             return cls.zero()
@@ -94,7 +145,10 @@ class ContactVector:
             if m is None:
                 raise ValueError(f"cannot parse contact term {term!r}")
             coeff = int(m.group(1)) if m.group(1) else 1
-            out = out + cls.e(int(m.group(2)), coeff)
+            order = int(m.group(2))
+            if order > MAX_PARSED_ORDER:
+                raise ValueError(f"contact order {order} is above the bound {MAX_PARSED_ORDER:,}")
+            out = out + cls.e(order, coeff)
         return out
 
     def __getitem__(self, order: int) -> int:

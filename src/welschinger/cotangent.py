@@ -32,10 +32,9 @@ a chain of more than MAX_DERIVATION_DEPTH reductions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache
 
-from .contact import ContactVector, LagrangianKind, _cached, f_point_count
+from .contact import ContactVector, LagrangianKind, _cached, _Record, f_point_count
 from .errors import UnresolvableFKey
 from .tables import _packaged_payload, _read_json, _table_entries
 
@@ -54,13 +53,15 @@ __all__ = [
 MAX_DERIVATION_DEPTH = 500
 
 
-@dataclass(frozen=True)
-class FKey:
-    kind: LagrangianKind
-    alpha: ContactVector
-    beta: ContactVector
-    r_l: int = 0
-    crosses: int = 0
+class FKey(_Record):
+    _fields = ("kind", "alpha", "beta", "r_l", "crosses")
+
+    def __init__(self, kind: LagrangianKind, alpha: ContactVector, beta: ContactVector, r_l: int = 0, crosses: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "r_l", r_l)
+        object.__setattr__(self, "crosses", crosses)
 
     @_cached
     def r(self) -> int:
@@ -92,14 +93,16 @@ def reduce_key(key: FKey) -> tuple[str, list[tuple[int, FKey]]]:
     raise UnresolvableFKey(f"{key} is outside the derivable closure")
 
 
-@dataclass(frozen=True)
-class FDerivation:
+class FDerivation(_Record):
     """One node of a derivation chain (audit trail for the derive command)."""
 
-    key: FKey
-    value: int
-    rule: str
-    terms: tuple[tuple[int, "FDerivation"], ...] = field(default_factory=tuple)
+    _fields = ("key", "value", "rule", "terms")
+
+    def __init__(self, key: FKey, value: int, rule: str, terms: tuple[tuple[int, FDerivation], ...] = ()):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "terms", terms)
 
     def lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent

@@ -16,10 +16,9 @@ ruled surface again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .contact import ContactVector
+from .contact import ContactVector, _Record
 from .errors import UnknownInvariant
 from .tables import _packaged_payload, _read_json, _table_entries
 
@@ -35,19 +34,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuledSurfaceClass:
+class RuledSurfaceClass(_Record):
     """Class a*e + b*f on the ruled surface of degree n (n = 2 or 4)."""
 
-    n: int
-    a: int
-    b: int
+    _fields = ("n", "a", "b")
 
-    def __post_init__(self):
-        if self.n not in (2, 4):
+    def __init__(self, n: int, a: int, b: int):
+        if n not in (2, 4):
             raise ValueError("only the degree-2 and degree-4 ruled surfaces occur")
-        if self.a < 0 or self.b < 0 or (self.a, self.b) == (0, 0):
+        if a < 0 or b < 0 or (a, b) == (0, 0):
             raise ValueError("class coefficients must be non-negative and not both zero")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __str__(self) -> str:
         e = "" if self.a == 1 else str(self.a)
@@ -59,18 +58,16 @@ class RuledSurfaceClass:
         return f"{e}e+{f}f"
 
 
-@dataclass(frozen=True)
-class RelativeKey:
-    surface: RuledSurfaceClass
-    alpha: ContactVector
-    beta: ContactVector
+class RelativeKey(_Record):
+    _fields = ("surface", "alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, surface: RuledSurfaceClass, alpha: ContactVector, beta: ContactVector):
         # total contact with the exceptional section equals b
-        if self.alpha.weight + self.beta.weight != self.surface.b:
-            raise ValueError(
-                f"contact weight {self.alpha.weight + self.beta.weight} differs from b={self.surface.b}"
-            )
+        if alpha.weight + beta.weight != surface.b:
+            raise ValueError(f"contact weight {alpha.weight + beta.weight} differs from b={surface.b}")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def __str__(self) -> str:
         return f"N{self.surface.n}^{{{self.surface}}}({self.alpha}, {self.beta})"

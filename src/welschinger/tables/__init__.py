@@ -8,14 +8,14 @@ with different values each raise WelschingerError naming the file and the row.
 """
 
 import json
-from importlib import resources
+import os
 
 from ..errors import NegativeDimension, WelschingerError
 
 
 def _packaged_payload(name: str):
     """The JSON payload of the table file ``name`` shipped in this package."""
-    return json.loads(resources.files(__name__).joinpath(name).read_text())
+    return _read_json(os.path.join(os.path.dirname(__file__), name))
 
 
 def _read_json(path):

@@ -61,13 +61,12 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from functools import cache
 from operator import itemgetter
-from typing import Iterator
 
-from .contact import ContactVector, GeometryKind, _cached, _point_count
+from .contact import ContactVector, GeometryKind, _cached, _point_count, _Record
 from .errors import EnumerationTooLarge, InvalidDegreeRealPair
 
 __all__ = [
@@ -95,8 +94,7 @@ PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True)
-class FamilyRules:
+class FamilyRules(_Record):
     """The rules that tell the three tree families apart.
 
     * Degree equation: ``scale * k_total + genus_coefficient * sum(g) = d``.
@@ -110,12 +108,23 @@ class FamilyRules:
       Lagrangian's dimension and orbit weight.
     """
 
-    geometry: GeometryKind
-    scale: int
-    genus_coefficient: int
-    point_coefficient: int
-    pendant: int
-    connectors: bool
+    _fields = ("geometry", "scale", "genus_coefficient", "point_coefficient", "pendant", "connectors")
+
+    def __init__(
+        self,
+        geometry: GeometryKind,
+        scale: int,
+        genus_coefficient: int,
+        point_coefficient: int,
+        pendant: int,
+        connectors: bool,
+    ):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "genus_coefficient", genus_coefficient)
+        object.__setattr__(self, "point_coefficient", point_coefficient)
+        object.__setattr__(self, "pendant", pendant)
+        object.__setattr__(self, "connectors", connectors)
 
     @property
     def even_shapes(self) -> set[tuple[int, ...]]:
@@ -303,8 +312,7 @@ class Shape:
         return _codes(self, {}, {})[self.root]
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
+class DecoratedTree(_Record):
     """Immutable decorated tree: a :class:`Shape` with r and its sign partition.
 
     ``signs`` is a sorted (vertex, sign) tuple over the root-adjacent odd
@@ -313,9 +321,12 @@ class DecoratedTree:
     from these fields are computed once per instance, on first use.
     """
 
-    shape: Shape
-    r: int
-    signs: tuple[tuple[int, str], ...]
+    _fields = ("shape", "r", "signs")
+
+    def __init__(self, shape: Shape, r: int, signs: tuple[tuple[int, str], ...]):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "signs", signs)
 
     @classmethod
     def build(cls, family, d, r, root, edges, genus, signs) -> "DecoratedTree":
@@ -608,10 +619,12 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
 # enumeration
 
 
-@dataclass(frozen=True)
-class TreeWithCount:
-    tree: DecoratedTree
-    r_x: int  # pair_condition_count of the tree's (family, d, r)
+class TreeWithCount(_Record):
+    _fields = ("tree", "r_x")
+
+    def __init__(self, tree: DecoratedTree, r_x: int):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "r_x", r_x)  # pair_condition_count of the tree's (family, d, r)
 
     @_cached
     def assignment_count(self) -> int:
@@ -623,15 +636,17 @@ class TreeWithCount:
         return multiplicity(self.tree)
 
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(_Record):
     """All decorated variants sharing one underlying weighted shape with its
     degree decoration.  The per-(d, r) class counts quoted in the acceptance
     suite are counts of these classes; a class can carry several sign/pair
     decorations (each a separate summand of the invariant)."""
 
-    shape_key: bytes
-    variants: tuple[TreeWithCount, ...]
+    _fields = ("shape_key", "variants")
+
+    def __init__(self, shape_key: bytes, variants: tuple[TreeWithCount, ...]):
+        object.__setattr__(self, "shape_key", shape_key)
+        object.__setattr__(self, "variants", variants)
 
 
 CANDIDATE_BOUND = 50_000

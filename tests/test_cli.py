@@ -284,6 +284,30 @@ def test_derive_follows_a_long_chain_within_the_bound(capsys):
     assert err == f"missing invariant: F[rp2]_(1+{'x' * 199},0)(250e1, 50e1) is outside the derivable closure\n"
 
 
+def test_derive_keeps_a_large_contact_order_as_a_miss(capsys):
+    code, out, err = run(capsys, "derive", "--kind", "sphere2", "--alpha", "e10000", "--beta", "0")
+    assert (code, out) == (3, "")
+    assert err == "missing invariant: F[sphere2]_(19999,0)(e10000, 0) needs a chain of more than 500 reductions\n"
+
+
+def test_derive_rejects_a_contact_order_beyond_the_bound():
+    # a dense profile of order 10^9 would take 8 GB: the address space is
+    # capped so that a parse without the bound fails fast
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-m", "welschinger.cli", "derive", "--kind", "sphere2", "--alpha", "e1000000000"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "welschinger derive: error: argument --alpha: contact order 1000000000 is above the bound 10,000\n"
+    )
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
