@@ -58,8 +58,6 @@ def _json_int(value: int):
 
 
 class LedgerRow(_Record):
-    _fields = ("tree", "assignment_count", "multiplicity", "sign", "f_value", "relative_factors", "contribution")
-
     def __init__(
         self,
         tree: str,
@@ -91,8 +89,6 @@ class LedgerRow(_Record):
 
 
 class ChiResult(_Record):
-    _fields = ("geometry", "d", "r", "value", "ledger")
-
     def __init__(self, geometry: GeometryKind, d: int, r: int, value: int, ledger: tuple[LedgerRow, ...]):
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "d", d)
@@ -115,7 +111,7 @@ def _admissible_range(geometry: GeometryKind, d: int) -> range:
     range: membership is tested without building a list."""
     if d < 1:
         raise InadmissiblePair("degree must be >= 1")
-    total = FAMILY_OF[geometry].rules.point_total(d)
+    total = FAMILY_OF[geometry].point_total(d)
     if total is None:
         return range(0)
     # r = 0 is excluded over the 3-quadric: its invariant needs a real point
@@ -212,8 +208,6 @@ class ChiPolynomial(_Record):
     """Coefficients r -> chi^d_r; entries whose table dependencies are out of
     range are reported as unavailable instead of being dropped."""
 
-    _fields = ("geometry", "d", "coefficients", "unavailable")
-
     def __init__(self, geometry: GeometryKind, d: int, coefficients: dict[int, int], unavailable: dict[int, str] | None = None):
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "d", d)
@@ -257,8 +251,6 @@ def chi_polynomial(
 class Clause(_Record):
     """One law about chi^d_r that applies to a value: ``modulus`` is the power
     of two a divisibility law says divides chi, None for any other law."""
-
-    _fields = ("name", "modulus", "passed")
 
     def __init__(self, name: str, modulus: int | None, passed: bool):
         object.__setattr__(self, "name", name)

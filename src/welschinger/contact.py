@@ -52,16 +52,16 @@ class _Record:
     """An immutable value: the semantics of ``@dataclass(frozen=True)``
     without the cost of generating its methods per class at import.
 
-    A subclass names its fields in ``_fields`` and writes an ``__init__``
-    that sets each with ``object.__setattr__``.  Records are equal when they
-    are of the same class with equal fields, hash as the tuple of their
-    fields and print as ``Name(field=value, ...)``; setting or deleting an
-    attribute raises AttributeError.
+    A subclass writes an ``__init__`` that sets each of its positional
+    parameters, the record's fields, with ``object.__setattr__``.  Records
+    are equal when they are of the same class with equal fields, hash as the
+    tuple of their fields and print as ``Name(field=value, ...)``; setting
+    or deleting an attribute raises AttributeError.
     """
 
-    _fields: tuple[str, ...]
-
     def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
         get = operator.attrgetter(*cls._fields)
         # attrgetter of one name returns the bare value; a record's values are a tuple
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
@@ -94,6 +94,14 @@ needs more reductions than ``MAX_DERIVATION_DEPTH``; at this bound ``derive``
 still answers in about a second."""
 
 
+def _trimmed(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """``counts`` without its trailing zeros, in one pass over them."""
+    n = len(counts)
+    while n and not counts[n - 1]:
+        n -= 1
+    return counts[:n]
+
+
 class ContactVector(_Record):
     """Sparse multiset of contact orders, canonical (trailing zeros trimmed).
 
@@ -102,15 +110,11 @@ class ContactVector(_Record):
     the total contact order; ``weight >= size`` always holds.
     """
 
-    _fields = ("counts",)
-
     def __init__(self, counts: tuple[int, ...] = ()) -> None:
         c = tuple(int(x) for x in counts)
         if any(x < 0 for x in c):
             raise ValueError("contact multiplicities must be non-negative")
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", _trimmed(c))
 
     @classmethod
     def _canonical(cls, counts: tuple[int, ...]) -> "ContactVector":
@@ -168,11 +172,12 @@ class ContactVector(_Record):
         return ContactVector._canonical(tuple(map(operator.add, a, b)) + a[len(b):])
 
     def __sub__(self, other: "ContactVector") -> "ContactVector":
-        n = max(len(self.counts), len(other.counts))
-        diff = tuple(self[i] - other[i] for i in range(1, n + 1))
-        if any(x < 0 for x in diff):
+        # a longer ``other`` ends in a positive count that nothing offsets
+        a, b = self.counts, other.counts
+        diff = tuple(map(operator.sub, a, b)) + a[len(b):]
+        if len(b) > len(a) or min(diff, default=0) < 0:
             raise ValueError("contact vector subtraction went negative")
-        return ContactVector(diff)
+        return ContactVector._canonical(_trimmed(diff))
 
     @property
     def size(self) -> int:
@@ -180,7 +185,7 @@ class ContactVector(_Record):
 
     @property
     def weight(self) -> int:
-        return sum(i * c for i, c in enumerate(self.counts, start=1))
+        return sum(map(operator.mul, self.counts, range(1, len(self.counts) + 1)))
 
     def orders(self):
         """Yield the distinct orders with non-zero count."""

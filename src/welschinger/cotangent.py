@@ -54,8 +54,6 @@ MAX_DERIVATION_DEPTH = 500
 
 
 class FKey(_Record):
-    _fields = ("kind", "alpha", "beta", "r_l", "crosses")
-
     def __init__(self, kind: LagrangianKind, alpha: ContactVector, beta: ContactVector, r_l: int = 0, crosses: int = 0):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "alpha", alpha)
@@ -95,8 +93,6 @@ def reduce_key(key: FKey) -> tuple[str, list[tuple[int, FKey]]]:
 
 class FDerivation(_Record):
     """One node of a derivation chain (audit trail for the derive command)."""
-
-    _fields = ("key", "value", "rule", "terms")
 
     def __init__(self, key: FKey, value: int, rule: str, terms: tuple[tuple[int, FDerivation], ...] = ()):
         object.__setattr__(self, "key", key)

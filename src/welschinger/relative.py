@@ -37,8 +37,6 @@ __all__ = [
 class RuledSurfaceClass(_Record):
     """Class a*e + b*f on the ruled surface of degree n (n = 2 or 4)."""
 
-    _fields = ("n", "a", "b")
-
     def __init__(self, n: int, a: int, b: int):
         if n not in (2, 4):
             raise ValueError("only the degree-2 and degree-4 ruled surfaces occur")
@@ -59,8 +57,6 @@ class RuledSurfaceClass(_Record):
 
 
 class RelativeKey(_Record):
-    _fields = ("surface", "alpha", "beta")
-
     def __init__(self, surface: RuledSurfaceClass, alpha: ContactVector, beta: ContactVector):
         # total contact with the exceptional section equals b
         if alpha.weight + beta.weight != surface.b:

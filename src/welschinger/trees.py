@@ -40,8 +40,8 @@ of the shapes' encodings, and decorates and validates a shape's trees only
 when it reaches that shape: chi, which stops at the first tree whose key is
 outside the tables, never decorates the shapes after it.
 
-The counting rules are the same for every family; they read the family's
-:class:`FamilyRules` and the dimension n of its Lagrangian:
+The counting rules are the same for every family; they read the constants
+of its :class:`TreeFamily` member and the dimension n of its Lagrangian:
 
 * point count: an odd vertex of degree g, total contact k_s and valence v
   holds the f >= 0 pairs with (n - 1)(f - v + [plus]) = point_coefficient * g
@@ -71,7 +71,6 @@ from .errors import EnumerationTooLarge, InvalidDegreeRealPair
 
 __all__ = [
     "TreeFamily",
-    "FamilyRules",
     "FAMILY_OF",
     "Shape",
     "DecoratedTree",
@@ -94,8 +93,9 @@ PLUS = "+"
 MINUS = "-"
 
 
-class FamilyRules(_Record):
-    """The rules that tell the three tree families apart.
+class TreeFamily(Enum):
+    """The three tree families.  Each member carries its geometry and the
+    five constants that tell the families apart:
 
     * Degree equation: ``scale * k_total + genus_coefficient * sum(g) = d``.
     * Even vertices other than the root are leaves on an edge of multiplicity
@@ -108,25 +108,22 @@ class FamilyRules(_Record):
       Lagrangian's dimension and orbit weight.
     """
 
-    _fields = ("geometry", "scale", "genus_coefficient", "point_coefficient", "pendant", "connectors")
+    # value, geometry, scale, genus_coefficient, point_coefficient, pendant, connectors
+    PROJECTIVE = ("projective", GeometryKind.PROJECTIVE_PLANE, 1, 4, 6, 2, True)
+    TWO_SPHERICAL = ("two-spherical", GeometryKind.ELLIPSOID_QUADRIC2, 1, 2, 4, 1, False)
+    THREE_SPHERICAL = ("three-spherical", GeometryKind.ELLIPSOID_QUADRIC3, 2, 2, 3, 0, False)
 
-    def __init__(
-        self,
-        geometry: GeometryKind,
-        scale: int,
-        genus_coefficient: int,
-        point_coefficient: int,
-        pendant: int,
-        connectors: bool,
-    ):
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "genus_coefficient", genus_coefficient)
-        object.__setattr__(self, "point_coefficient", point_coefficient)
-        object.__setattr__(self, "pendant", pendant)
-        object.__setattr__(self, "connectors", connectors)
+    def __new__(cls, value, geometry, scale, genus_coefficient, point_coefficient, pendant, connectors):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.geometry = geometry
+        member.scale = scale
+        member.genus_coefficient = genus_coefficient
+        member.point_coefficient = point_coefficient
+        member.pendant = pendant
+        member.connectors = connectors
+        return member
 
-    @property
     def even_shapes(self) -> set[tuple[int, ...]]:
         """Sorted edge multiplicities allowed at an even vertex other than the root."""
         shapes = {(self.pendant,)} if self.pendant else set()
@@ -147,30 +144,7 @@ class FamilyRules(_Record):
         return None if rem else total
 
 
-class TreeFamily(Enum):
-    """The three tree families, each with its :class:`FamilyRules`."""
-
-    PROJECTIVE = (
-        "projective",
-        FamilyRules(GeometryKind.PROJECTIVE_PLANE, scale=1, genus_coefficient=4, point_coefficient=6, pendant=2, connectors=True),
-    )
-    TWO_SPHERICAL = (
-        "two-spherical",
-        FamilyRules(GeometryKind.ELLIPSOID_QUADRIC2, scale=1, genus_coefficient=2, point_coefficient=4, pendant=1, connectors=False),
-    )
-    THREE_SPHERICAL = (
-        "three-spherical",
-        FamilyRules(GeometryKind.ELLIPSOID_QUADRIC3, scale=2, genus_coefficient=2, point_coefficient=3, pendant=0, connectors=False),
-    )
-
-    def __new__(cls, value: str, rules: FamilyRules):
-        member = object.__new__(cls)
-        member._value_ = value
-        member.rules = rules
-        return member
-
-
-FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.rules.geometry: family for family in TreeFamily}
+FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.geometry: family for family in TreeFamily}
 
 
 @cache
@@ -180,12 +154,12 @@ def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
     :meth:`DecoratedTree.validate` of each of its trees share it.
 
     Raises InvalidDegreeRealPair when the bookkeeping equation
-    r + 2 r_X = :meth:`FamilyRules.point_total` has no non-negative integer
+    r + 2 r_X = :meth:`TreeFamily.point_total` has no non-negative integer
     solution.
     """
     if d < 1 or r < 0:
         raise InvalidDegreeRealPair(f"need d >= 1 and r >= 0, got d={d}, r={r}")
-    total = family.rules.point_total(d)
+    total = family.point_total(d)
     if total is None:
         raise InvalidDegreeRealPair(f"{family.value}: no integral point count in degree d={d}")
     if r > total or (total - r) % 2:
@@ -272,7 +246,7 @@ class Shape:
         self.k_s = {v: sum(k for _, k in vs) for v, vs in adj.items()}
         self.bottom_up = tuple(reversed(top_down))
         root_edges = adj[root]
-        lagrangian = family.rules.geometry.lagrangian
+        lagrangian = family.geometry.lagrangian
         self.window_top = _point_count(lagrangian, len(root_edges), sum(k for _, k in root_edges)) if root_edges else None
 
     def profile(self, v: int) -> ContactVector:
@@ -289,8 +263,8 @@ class Shape:
     def problems(self) -> tuple[str, ...]:
         """The family rules that do not depend on r that the shape breaks,
         checked once per shape (empty for a valid shape)."""
-        rules, adj, genus, k_s = self.family.rules, self.adjacency, self.genus, self.k_s
-        even_shapes = rules.even_shapes
+        family, adj, genus, k_s = self.family, self.adjacency, self.genus, self.k_s
+        even_shapes = family.even_shapes()
         problems = []
         for v in self.even_vertices:
             if v != self.root and tuple(sorted([k for _, k in adj[v]])) not in even_shapes:
@@ -301,7 +275,7 @@ class Shape:
         for v, g in genus.items():
             if g == 0 and k_s[v] > 1:
                 problems.append(f"vertex {v} has degree 0 but contact multiplicity {k_s[v]}")
-        if rules.genus_total(self.d, sum(k_s.values()) // 2) != sum(genus.values()):  # k_s counts each edge twice
+        if family.genus_total(self.d, sum(k_s.values()) // 2) != sum(genus.values()):  # k_s counts each edge twice
             problems.append("degree equation fails")
         return tuple(problems)
 
@@ -316,12 +290,12 @@ class DecoratedTree(_Record):
     """Immutable decorated tree: a :class:`Shape` with r and its sign partition.
 
     ``signs`` is a sorted (vertex, sign) tuple over the root-adjacent odd
-    vertices; the pair counts follow from it (:meth:`f_size`).  Isomorphism
-    is decided by :func:`canonical_form`.  The maps and encodings derived
-    from these fields are computed once per instance, on first use.
+    vertices; the pair counts follow from it (:meth:`f_size`).  Equality
+    compares the shape by identity: a tree built again from the same data, a
+    pickled copy or a deep copy is unequal to the original.  Isomorphism is
+    decided by :func:`canonical_form`.  The maps and encodings derived from
+    these fields are computed once per instance, on first use.
     """
-
-    _fields = ("shape", "r", "signs")
 
     def __init__(self, shape: Shape, r: int, signs: tuple[tuple[int, str], ...]):
         object.__setattr__(self, "shape", shape)
@@ -428,8 +402,7 @@ def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus
     ``(n - 1)(f - valence + plus) = point_coefficient * g + k_s - 1``, n the
     dimension of the Lagrangian: a plus vertex gives up one condition to its
     prescribed asymptotic.  None when no integer f >= 0 solves it."""
-    rules = family.rules
-    q, rem = divmod(rules.point_coefficient * g + k_s - 1, rules.geometry.lagrangian.dimension - 1)
+    q, rem = divmod(family.point_coefficient * g + k_s - 1, family.geometry.lagrangian.dimension - 1)
     f = q + valence - plus
     return None if rem or f < 0 else f
 
@@ -620,8 +593,6 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
 
 
 class TreeWithCount(_Record):
-    _fields = ("tree", "r_x")
-
     def __init__(self, tree: DecoratedTree, r_x: int):
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "r_x", r_x)  # pair_condition_count of the tree's (family, d, r)
@@ -641,8 +612,6 @@ class TreeClass(_Record):
     degree decoration.  The per-(d, r) class counts quoted in the acceptance
     suite are counts of these classes; a class can carry several sign/pair
     decorations (each a separate summand of the invariant)."""
-
-    _fields = ("shape_key", "variants")
 
     def __init__(self, shape_key: bytes, variants: tuple[TreeWithCount, ...]):
         object.__setattr__(self, "shape_key", shape_key)
@@ -680,11 +649,10 @@ def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
     they do not depend on r, as tuples (window_top, v0, forest): the root's
     :attr:`Shape.window_top` and edge count, read off the forest.  Each has a
     slot in the list, filled with its :func:`_build` on first use."""
-    rules = family.rules
-    lagrangian = rules.geometry.lagrangian
+    lagrangian = family.geometry.lagrangian
     memo = _Memo(family, d)
     candidates = []
-    for forest in _forests(rules, memo, d, False):
+    for forest in _forests(memo, d, False):
         memo.count(1)
         candidates.append((_point_count(lagrangian, len(forest), sum(t[0] for t in forest)), len(forest), forest))
     return tuple(candidates), [None] * len(candidates)
@@ -706,7 +674,7 @@ def _decorate(r: int, r_l: int, runs, shape: Shape):
         yield tree
 
 
-def _forests(rules: FamilyRules, memo: _Memo, budget: int, via_connector: bool, items=None, start: int = 0):
+def _forests(memo: _Memo, budget: int, via_connector: bool, items=None, start: int = 0):
     """Every multiset of odd subtrees whose costs sum to ``budget``, once, as
     a non-decreasing tuple.  Root children take any edge multiplicity; a
     connector child enters on a simple edge and also pays for the
@@ -714,22 +682,24 @@ def _forests(rules: FamilyRules, memo: _Memo, budget: int, via_connector: bool, 
     if budget == 0:
         yield ()
         return
-    if items is None and via_connector:
-        top = budget - rules.scale if rules.connectors else 0
-        items = [(rules.scale + c, t) for c in range(1, top + 1) for t in _odd_subtrees(rules, memo, c, 1)]
-    elif items is None:
-        items = [
-            (c, t) for c in range(1, budget + 1) for k in range(1, c // rules.scale + 1) for t in _odd_subtrees(rules, memo, c, k)
-        ]
+    if items is None:
+        family = memo.family
+        if via_connector:
+            top = budget - family.scale if family.connectors else 0
+            items = [(family.scale + c, t) for c in range(1, top + 1) for t in _odd_subtrees(memo, c, 1)]
+        else:
+            items = [
+                (c, t) for c in range(1, budget + 1) for k in range(1, c // family.scale + 1) for t in _odd_subtrees(memo, c, k)
+            ]
     for j in range(start, len(items)):
         cost, subtree = items[j]
         if cost > budget:
             break  # items come in non-decreasing cost
-        for rest in _forests(rules, memo, budget - cost, via_connector, items, j):
+        for rest in _forests(memo, budget - cost, via_connector, items, j):
             yield (subtree,) + rest
 
 
-def _odd_subtrees(rules: FamilyRules, memo: _Memo, cost: int, k_in: int) -> list:
+def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
     """Every odd subtree entered by an edge of multiplicity k_in whose share
     ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
     as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
@@ -739,15 +709,16 @@ def _odd_subtrees(rules: FamilyRules, memo: _Memo, cost: int, k_in: int) -> list
     built once per ``memo``, which lives for one :func:`_candidates` run."""
     if (cost, k_in) in memo:
         return memo[cost, k_in]
-    rest = cost - rules.scale * k_in
+    family = memo.family
+    rest = cost - family.scale * k_in
     out = [(1, 0, 0, ())] if rest == 0 and k_in == 1 else []
-    step = rules.scale * rules.pendant
-    for g in range(1, rest // rules.genus_coefficient + 1):
-        left = rest - rules.genus_coefficient * g
+    step = family.scale * family.pendant
+    for g in range(1, rest // family.genus_coefficient + 1):
+        left = rest - family.genus_coefficient * g
         for pendants in range(left // step + 1 if step else 1):
-            for children in _forests(rules, memo, left - step * pendants, True):
-                k_s, valence = k_in + rules.pendant * pendants + len(children), 1 + pendants + len(children)
-                if expected_pair_count(memo.family, g, k_s, valence, False) is not None:
+            for children in _forests(memo, left - step * pendants, True):
+                k_s, valence = k_in + family.pendant * pendants + len(children), 1 + pendants + len(children)
+                if expected_pair_count(family, g, k_s, valence, False) is not None:
                     out.append((k_in, g, pendants, children))
     memo.count(len(out))
     memo[cost, k_in] = out
@@ -758,14 +729,13 @@ def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
     """The shape of a candidate forest, a root 0 carrying its odd subtrees,
     and ``runs``: the root children grouped into runs of identical subtrees
     (consecutive in the non-decreasing forest)."""
-    rules = family.rules
 
     def attach(parent, subtree, edges, gmap):
         k_in, g, pendants, children = subtree
         v = len(edges) + 1
         edges.append((parent, v, k_in))
         gmap[v] = g
-        edges.extend((v, v + 1 + i, rules.pendant) for i in range(pendants))
+        edges.extend((v, v + 1 + i, family.pendant) for i in range(pendants))
         for child in children:
             edges.append((v, len(edges) + 1, 1))
             attach(len(edges), child, edges, gmap)  # below the connector just added

@@ -13,7 +13,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OPS = [["chi", ["cp2", 5, 0]], ["chi", ["quadric2", 8, 5]], ["enumerate", ["projective", 9, 0]]]
+# one operation of each kind the workloads run; basis_engine comes before
+# derive, which reads the engine it builds
+OPS = [
+    ["chi", ["cp2", 5, 0]],
+    ["chi", ["quadric2", 8, 5]],
+    ["enumerate", ["projective", 9, 0]],
+    ["basis_engine", []],
+    ["derive", ["rp2", [], [0, 0, 1], 0, 0]],
+    ["n_sigma", [4, 1, 2, [], [0, 1]]],
+    ["n_three", [0, 0, 1, [1], []]],
+    ["quadric_count", [1, 2]],
+]
 
 
 def test_traced_worker_pass_gives_the_reference_outcomes():
@@ -33,4 +44,8 @@ def test_traced_worker_pass_gives_the_reference_outcomes():
     out = json.loads(proc.stdout)
     assert (ROOT / out["module"]).resolve() == ROOT / "src" / "welschinger" / "__init__.py"
     assert [outcome for _, outcome, _ in out["results"]] == [expected[json.dumps(op)] for op in OPS]
-    assert out["trace"]["trees.validate_calls"] > 0 and out["trace"]["assembly.chi_calls"] > 0
+    trace = out["trace"]
+    assert trace["trees.validate_calls"] > 0 and trace["assembly.chi_calls"] > 0
+    # the derive and relative operations reach the functions the tracer wraps
+    for name in ("cotangent.derive", "relative.n_sigma", "relative.n_three", "relative.quadric_count"):
+        assert trace[f"{name}_calls"] > 0, name

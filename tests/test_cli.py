@@ -290,6 +290,18 @@ def test_derive_keeps_a_large_contact_order_as_a_miss(capsys):
     assert err == "missing invariant: F[sphere2]_(19999,0)(e10000, 0) needs a chain of more than 500 reductions\n"
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ("1", "F[sphere2]_(19999,1)(0, e10000) needs a chain of more than 500 reductions"),
+        ("3", "F[sphere2]_(19995,2)(e10000, 0) is outside the derivable closure"),
+    ],
+)
+def test_derive_reduces_a_large_free_order_to_a_miss(capsys, pairs, message):
+    code, out, err = run(capsys, "derive", "--kind", "sphere2", "--beta", "e10000", "--pairs", pairs)
+    assert (code, out, err) == (3, "", f"missing invariant: {message}\n")
+
+
 def test_derive_rejects_a_contact_order_beyond_the_bound():
     # a dense profile of order 10^9 would take 8 GB: the address space is
     # capped so that a parse without the bound fails fast

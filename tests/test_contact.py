@@ -5,7 +5,7 @@ import importlib
 import pkgutil
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import welschinger
 from welschinger import (
@@ -53,6 +53,25 @@ def test_contact_vector_sum_is_canonical(a, b):
     assert hash(total) == hash(CV(tuple(padded))) and (not total.counts or total.counts[-1] > 0)
     assert all(type(x) is int for x in total.counts)
     assert total - CV(tuple(b)) == CV(tuple(a))
+
+
+@given(_counts, _counts)
+@example([1, 2], [0, 2])  # the top orders cancel
+@example([2, 3], [2, 3])  # every order cancels
+@example([1], [0, 1])  # the subtrahend is longer
+@example([0, 1], [1])  # negative at a lower order
+def test_contact_vector_difference_and_weight_follow_the_orders(a, b):
+    u, v = CV(tuple(a)), CV(tuple(b))
+    assert u.weight == sum(i * u[i] for i in range(1, len(u.counts) + 1))
+    n = max(len(u.counts), len(v.counts))
+    per_order = tuple(u[i] - v[i] for i in range(1, n + 1))
+    if min(per_order, default=0) < 0:
+        with pytest.raises(ValueError, match="^contact vector subtraction went negative$"):
+            u - v
+        return
+    diff = u - v
+    assert diff == CV(per_order) and diff.counts == CV(per_order).counts
+    assert not diff.counts or diff.counts[-1] > 0
 
 
 def test_contact_vector_parse_and_str():

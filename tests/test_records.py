@@ -12,13 +12,16 @@ import pytest
 
 from welschinger import (
     ChiPolynomial,
+    Clause,
     ContactVector,
     GeometryKind,
     LagrangianKind,
     RelativeKey,
     RuledSurfaceClass,
+    builtin_f_engine,
     chi,
 )
+from welschinger.contact import _Record
 from welschinger.cotangent import FKey
 
 CV = ContactVector
@@ -37,6 +40,10 @@ def _records():
         RelativeKey(RuledSurfaceClass(4, 1, 2), CV.e(2), CV.zero()),
         result.ledger[0],
         result,
+        RuledSurfaceClass(2, 1, 3),
+        Clause("pair-gap", 8, True),
+        # a derivation with one pair-to-real step above a table leaf
+        builtin_f_engine().derive(FKey(LagrangianKind.RP2, CV.zero(), CV.e(3), 1)),
     ]
 
 
@@ -94,6 +101,19 @@ def test_fields_cannot_be_set_or_deleted(record):
         delattr(record, name)
     with pytest.raises(AttributeError):
         record.unknown = 0
+
+
+def test_fields_are_the_positional_parameters_of_init():
+    class Pair(_Record):
+        def __init__(self, first, second=0):
+            local = first + second  # a local variable is not a field
+            object.__setattr__(self, "first", first)
+            object.__setattr__(self, "second", local - first)
+
+    assert Pair._fields == ("first", "second")
+    assert repr(Pair(1, 2)).endswith(".Pair(first=1, second=2)")
+    assert Pair(1, 2) != Pair(1, 3) and hash(Pair(1, 2)) == hash((1, 2))
+    assert FKey._fields == ("kind", "alpha", "beta", "r_l", "crosses")
 
 
 def test_each_polynomial_gets_its_own_unavailable_dict():

@@ -1,8 +1,10 @@
 """Decorated tree enumeration, canonical forms and multiplicity factors."""
 
+import copy
 import functools
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -73,6 +75,16 @@ def test_round_trip_validation():
         for d, r in table:
             for twc in enumerate_decorated_trees(family, d, r):
                 assert twc.tree.validate() == []
+
+
+def test_tree_equality_compares_the_shape_by_identity():
+    # a copy or a rebuild has its own Shape: unequal, yet the same isomorphism class
+    tree = enumerate_decorated_trees(F.PROJECTIVE, 3, 2)[0].tree
+    shape = tree.shape
+    rebuilt = DecoratedTree.build(shape.family, shape.d, tree.r, shape.root, shape.edges, shape.genus, dict(tree.signs))
+    for twin in (rebuilt, pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert twin != tree and canonical_form(twin) == canonical_form(tree)
+    assert DecoratedTree(shape, tree.r, tree.signs) == tree
 
 
 def test_degree_six_variants_and_multiplicities():
@@ -183,7 +195,7 @@ def test_candidate_window_matches_the_shape(family, top):
         for window_top, v0, forest in _candidates(family, d)[0]:
             shape = _build(family, d, forest)[1]
             assert (window_top, v0) == (shape.window_top, len(shape.root_adjacent)), (family, d, forest)
-            assert window_top == f_point_count(family.rules.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
+            assert window_top == f_point_count(family.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
             checked += 1
     # three-spherical: generation leaves out the forests holding a vertex with
     # no integer pair count (30 more up to d = 12)
@@ -736,7 +748,7 @@ def test_every_built_shape_carries_a_tree(monkeypatch):
     _candidates.cache_clear()
     for family in F:
         for d in range(1, 9):
-            for r in admissible_real_counts(family.rules.geometry, d):
+            for r in admissible_real_counts(family.geometry, d):
                 new = len(built)
                 carried = {id(twc.tree.shape) for twc in enumerate_decorated_trees(family, d, r)}
                 assert all(id(shape) in carried for _, shape in built[new:]), (family, d, r)
