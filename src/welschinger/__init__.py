@@ -7,120 +7,20 @@ two-stage limits of such curves under neck stretching along a real
 Lagrangian (RP^2, S^2 or S^3), and combining curated relative curve counts
 on ruled surfaces with open invariants of cotangent bundles.  Everything is
 arbitrary-precision integer arithmetic; there is no floating point anywhere.
+
+Each module's ``__all__`` lists its public names, and the package re-exports
+every one of them: ``welschinger.__all__`` is those lists in module order.
 """
 
-from .assembly import (
-    ChiPolynomial,
-    ChiResult,
-    Clause,
-    LedgerRow,
-    admissible_real_counts,
-    check_congruence,
-    check_sign_law,
-    chi,
-    chi_polynomial,
-)
-from .contact import (
-    ContactVector,
-    GeometryKind,
-    LagrangianKind,
-    f_point_count,
-    genus_smooth,
-)
-from .cotangent import (
-    FDerivation,
-    FInvariantEngine,
-    FKey,
-    basis_f_engine,
-    builtin_f_engine,
-    f_invariant,
-    reduce_key,
-)
-from .errors import (
-    DimensionMismatch,
-    EnumerationTooLarge,
-    InadmissiblePair,
-    InvalidDegreeRealPair,
-    NegativeDimension,
-    UnknownInvariant,
-    UnresolvableFKey,
-    WelschingerError,
-)
-from .relative import (
-    RelativeInvariantTable,
-    RelativeKey,
-    RuledSurfaceClass,
-    builtin_relative_table,
-    n_three,
-    point_count,
-    quadric_count,
-)
-from .trees import (
-    DecoratedTree,
-    TreeClass,
-    TreeFamily,
-    TreeWithCount,
-    assignment_count,
-    canonical_form,
-    enumerate_decorated_trees,
-    enumerate_trees,
-    m1_minus,
-    m1_plus,
-    m2_reconnection,
-    multiplicity,
-)
-from .verification import run_all
+from . import assembly, contact, cotangent, errors, relative, trees, verification
+from .assembly import *  # noqa: F403
+from .contact import *  # noqa: F403
+from .cotangent import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .relative import *  # noqa: F403
+from .trees import *  # noqa: F403
+from .verification import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChiPolynomial",
-    "ChiResult",
-    "Clause",
-    "ContactVector",
-    "DecoratedTree",
-    "DimensionMismatch",
-    "EnumerationTooLarge",
-    "FDerivation",
-    "FInvariantEngine",
-    "FKey",
-    "GeometryKind",
-    "InadmissiblePair",
-    "InvalidDegreeRealPair",
-    "LagrangianKind",
-    "LedgerRow",
-    "NegativeDimension",
-    "RelativeInvariantTable",
-    "RelativeKey",
-    "RuledSurfaceClass",
-    "TreeClass",
-    "TreeFamily",
-    "TreeWithCount",
-    "UnknownInvariant",
-    "UnresolvableFKey",
-    "WelschingerError",
-    "admissible_real_counts",
-    "assignment_count",
-    "basis_f_engine",
-    "builtin_f_engine",
-    "builtin_relative_table",
-    "canonical_form",
-    "check_congruence",
-    "check_sign_law",
-    "chi",
-    "chi_polynomial",
-    "enumerate_decorated_trees",
-    "enumerate_trees",
-    "f_invariant",
-    "f_point_count",
-    "genus_smooth",
-    "m1_minus",
-    "m1_plus",
-    "m2_reconnection",
-    "multiplicity",
-    "n_three",
-    "point_count",
-    "quadric_count",
-    "reduce_key",
-    "run_all",
-]
+__all__ = [name for m in (assembly, contact, cotangent, errors, relative, trees, verification) for name in m.__all__]

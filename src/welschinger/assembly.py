@@ -111,13 +111,9 @@ def _admissible_range(geometry: GeometryKind, d: int) -> range:
     range: membership is tested without building a list."""
     if d < 1:
         raise InadmissiblePair("degree must be >= 1")
-    total = FAMILY_OF[geometry].point_total(d)
-    if total is None:
-        return range(0)
+    counts = FAMILY_OF[geometry].real_point_counts(d)
     # r = 0 is excluded over the 3-quadric: its invariant needs a real point
-    first = 1 if geometry is GeometryKind.ELLIPSOID_QUADRIC3 else 0
-    start = total % 2
-    return range(start + 2 if start < first else start, total + 1, 2)
+    return counts[1:] if geometry is GeometryKind.ELLIPSOID_QUADRIC3 and 0 in counts else counts
 
 
 def admissible_real_counts(geometry: GeometryKind, d: int) -> list[int]:
@@ -137,7 +133,7 @@ def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: Relative
     shape = tree.shape
     for v in shape.odd_vertices:
         plus, g, k_s = tree.is_plus(v), shape.genus[v], shape.k_s[v]
-        alpha = ContactVector.e(shape.root_edge_multiplicity(v)) if plus else ContactVector.zero()
+        alpha = ContactVector.e(shape.root_edges[v]) if plus else ContactVector.zero()
         beta = shape.profile(v) - alpha
         if geometry.surface_degree is not None:
             factors.append(table.n_sigma(RelativeKey(RuledSurfaceClass(geometry.surface_degree, g, k_s), alpha, beta)))

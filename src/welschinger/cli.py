@@ -46,14 +46,16 @@ _KIND = {k.value: k for k in LagrangianKind}
 
 def _load_tables(args) -> tuple[RelativeInvariantTable, FInvariantEngine]:
     """The tables the options name, else those in WELSCHINGER_TABLE_DIR,
-    else the packaged ones; each file is looked up the same way."""
+    else the packaged ones; each file is looked up the same way.  A set
+    WELSCHINGER_TABLE_DIR that holds neither file is an error."""
     table_dir = os.environ.get("WELSCHINGER_TABLE_DIR")
-    paths = []
-    for path, name in ((args.invariant_table, "relative_invariants.json"), (args.f_table, "f_invariants.json")):
-        if path is None and table_dir and os.path.exists(os.path.join(table_dir, name)):
-            path = os.path.join(table_dir, name)
-        paths.append(path)
-    inv_path, f_path = paths
+    names = ("relative_invariants.json", "f_invariants.json")
+    found = {name: os.path.join(table_dir, name) for name in names} if table_dir else {}
+    found = {name: path for name, path in found.items() if os.path.exists(path)}
+    if table_dir and not found:
+        raise WelschingerError(f"WELSCHINGER_TABLE_DIR={table_dir} is not a directory holding {' or '.join(names)}")
+    inv_path = found.get(names[0]) if args.invariant_table is None else args.invariant_table
+    f_path = found.get(names[1]) if args.f_table is None else args.f_table
     table = RelativeInvariantTable.from_path(inv_path) if inv_path else builtin_relative_table()
     engine = FInvariantEngine.from_path(f_path) if f_path else builtin_f_engine()
     return table, engine

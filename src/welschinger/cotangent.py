@@ -138,8 +138,9 @@ class FInvariantEngine:
         return self.derive(key, order_seed=order_seed).value
 
     def derive(self, key: FKey, order_seed: int | None = None) -> FDerivation:
-        # Both reductions preserve r, so a negative real-point count can only
-        # start at the asked key: raise NegativeDimension naming it.
+        # Neither reduction makes r negative (pair-to-real keeps r, and
+        # real-pair-to-cross needs r >= 2), so a negative real-point count can
+        # only start at the asked key: raise NegativeDimension naming it.
         key.r
         rng = random.Random(order_seed) if order_seed is not None else None
         try:

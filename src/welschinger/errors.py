@@ -5,6 +5,17 @@ or approximate answer.  Whenever an input is outside the computable range the
 functions raise one of the exceptions below instead of returning a default.
 """
 
+__all__ = [
+    "WelschingerError",
+    "NegativeDimension",
+    "InvalidDegreeRealPair",
+    "InadmissiblePair",
+    "EnumerationTooLarge",
+    "UnknownInvariant",
+    "DimensionMismatch",
+    "UnresolvableFKey",
+]
+
 
 class WelschingerError(Exception):
     """Base class for all package errors."""

@@ -136,12 +136,13 @@ class TreeFamily(Enum):
         g, rem = divmod(d - self.scale * k_total, self.genus_coefficient)
         return None if rem or g < 0 else g
 
-    def point_total(self, d: int) -> int | None:
-        """r + 2 r_X in degree d, from (n - 1)(r + 2 r_X) = c1.d + n - 3 with
-        n the dimension of the Lagrangian; None when no integer solves it."""
+    def real_point_counts(self, d: int) -> range:
+        """The r that leave an integer r_X >= 0 in (n - 1)(r + 2 r_X) = c1.d +
+        n - 3, n the dimension of the Lagrangian: r_X = (counts[-1] - r) / 2.
+        Empty when the right-hand side is not a multiple of n - 1."""
         n = self.geometry.lagrangian.dimension
         total, rem = divmod(self.geometry.c1 * d + n - 3, n - 1)
-        return None if rem else total
+        return range(0) if rem else range(total % 2, total + 1, 2)
 
 
 FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.geometry: family for family in TreeFamily}
@@ -153,18 +154,13 @@ def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
     computed once per process for each (family, d, r): enumeration and
     :meth:`DecoratedTree.validate` of each of its trees share it.
 
-    Raises InvalidDegreeRealPair when the bookkeeping equation
-    r + 2 r_X = :meth:`TreeFamily.point_total` has no non-negative integer
-    solution.
+    Raises InvalidDegreeRealPair unless d >= 1 and r is in
+    :meth:`TreeFamily.real_point_counts`.
     """
-    if d < 1 or r < 0:
-        raise InvalidDegreeRealPair(f"need d >= 1 and r >= 0, got d={d}, r={r}")
-    total = family.point_total(d)
-    if total is None:
-        raise InvalidDegreeRealPair(f"{family.value}: no integral point count in degree d={d}")
-    if r > total or (total - r) % 2:
-        raise InvalidDegreeRealPair(f"{family.value}: no r_X >= 0 with the right parity for d={d}, r={r}")
-    return (total - r) // 2
+    counts = family.real_point_counts(d)
+    if d < 1 or r not in counts:
+        raise InvalidDegreeRealPair(f"{family.value}: no r_X >= 0 for d={d}, r={r}")
+    return (counts[-1] - r) // 2
 
 
 def minus_part_size(top: int, r: int, v0: int) -> int | None:
@@ -192,6 +188,8 @@ class Shape:
       order;
     * ``even_vertices``, ``odd_vertices`` (at even and odd distance from the
       root), ``root_adjacent``: sorted tuples;
+    * ``root_edges``: root-adjacent vertex -> multiplicity of its root edge,
+      in vertex order;
     * ``k_s``: vertex -> total multiplicity of its edges;
     * ``bottom_up``: (vertex, multiplicity of the edge from its parent,
       children), every vertex after its children;
@@ -242,22 +240,16 @@ class Shape:
         self.odd_vertices = tuple(v for v in adj if depths[v] % 2)
         if tuple(self.genus) != self.odd_vertices:
             raise ValueError("genus must decorate exactly the odd vertices")
-        self.root_adjacent = tuple(sorted(v for v, _ in adj[root]))
+        self.root_edges = root_edges = dict(sorted(adj[root]))
+        self.root_adjacent = tuple(root_edges)
         self.k_s = {v: sum(k for _, k in vs) for v, vs in adj.items()}
         self.bottom_up = tuple(reversed(top_down))
-        root_edges = adj[root]
         lagrangian = family.geometry.lagrangian
-        self.window_top = _point_count(lagrangian, len(root_edges), sum(k for _, k in root_edges)) if root_edges else None
+        self.window_top = _point_count(lagrangian, len(root_edges), sum(root_edges.values())) if root_edges else None
 
     def profile(self, v: int) -> ContactVector:
         """Multiset of adjacent-edge multiplicities as a contact vector."""
         return _contact([k for _, k in self.adjacency[v]])
-
-    def root_edge_multiplicity(self, v: int) -> int:
-        for u, k in self.adjacency[v]:
-            if u == self.root:
-                return k
-        raise ValueError(f"vertex {v} is not adjacent to the root")
 
     @_cached
     def problems(self) -> tuple[str, ...]:
@@ -352,7 +344,7 @@ class DecoratedTree(_Record):
     def root_profiles(self) -> tuple[ContactVector, ContactVector]:
         """(alpha_minus, beta_plus): root-edge multiplicities toward the minus
         and plus parts of the partition."""
-        edges = self.shape.adjacency[self.shape.root]
+        edges = self.shape.root_edges.items()
         return (
             _contact([k for v, k in edges if not self.is_plus(v)]),
             _contact([k for v, k in edges if self.is_plus(v)]),
@@ -369,11 +361,11 @@ class DecoratedTree(_Record):
         the decorations (empty for a valid tree)."""
         shape = self.shape
         problems = list(shape.problems)
-        if set(self._sign_map) != set(shape.root_adjacent):
+        if self._sign_map.keys() != shape.root_edges.keys():
             problems.append("sign partition must cover exactly the root-adjacent vertices")
 
         top = shape.window_top
-        r_l = None if top is None else minus_part_size(top, self.r, len(shape.adjacency[shape.root]))
+        r_l = None if top is None else minus_part_size(top, self.r, len(shape.root_edges))
         if r_l is None:
             problems.append("real-point count outside the root window")
         elif len(self.minus_vertices()) != r_l:
@@ -444,10 +436,10 @@ def shape_form(tree: DecoratedTree) -> bytes:
     return _form(tree.shape, tree.r, tree.shape.body)
 
 
-def automorphisms(tree: DecoratedTree, *, with_signs: bool = True, with_f: bool = True) -> list[dict[int, int]]:
-    """All root-fixing automorphisms preserving the selected decorations."""
+def automorphisms(tree: DecoratedTree, *, with_f: bool = True) -> list[dict[int, int]]:
+    """All root-fixing automorphisms preserving the signs, and f if ``with_f``."""
     adj = tree.shape.adjacency
-    codes = _codes(tree.shape, tree._sign_map if with_signs else {}, tree._f_map if with_f else {})
+    codes = _codes(tree.shape, tree._sign_map, tree._f_map if with_f else {})
 
     def extend(v, w, pv, pw, mapping):
         # map subtree rooted at v (parent pv) onto subtree at w (parent pw)
@@ -495,7 +487,7 @@ def m1_minus(tree: DecoratedTree) -> int:
     shape = tree.shape
     out = 1
     for v in tree.minus_vertices():
-        k_root = shape.root_edge_multiplicity(v)
+        k_root = shape.root_edges[v]
         out *= sum(1 for _, k in shape.adjacency[v] if k == k_root)
     return out
 
@@ -505,9 +497,9 @@ def m1_plus(tree: DecoratedTree) -> int:
     plus root edges, matching multiplicities (1 for an empty source): the
     product over k of perm(t_k, s_k), for t_k plus root edges of multiplicity
     k of which s_k lead to vertices holding pairs."""
-    k_root = tree.shape.root_edge_multiplicity
-    targets = Counter(k_root(v) for v in tree.plus_vertices())
-    sources = Counter(k_root(v) for v in tree.plus_vertices() if tree.f_size(v) > 0)
+    k_root = tree.shape.root_edges
+    targets = Counter(k_root[v] for v in tree.plus_vertices())
+    sources = Counter(k_root[v] for v in tree.plus_vertices() if tree.f_size(v) > 0)
     return math.prod(math.perm(targets[k], s) for k, s in sources.items())
 
 

@@ -269,6 +269,17 @@ def test_public_names_resolve_once():
     assert not {"CongruenceReport", "SignReport"} & set(dir(welschinger))
 
 
+def test_package_exports_are_the_module_lists():
+    # each public name is written once, in its module's __all__
+    import welschinger
+    from welschinger import assembly, contact, cotangent, errors, relative, trees, verification
+
+    modules = (assembly, contact, cotangent, errors, relative, trees, verification)
+    assert welschinger.__all__ == [name for module in modules for name in module.__all__]
+    for module in modules:
+        assert all(getattr(welschinger, name) is getattr(module, name) for name in module.__all__)
+
+
 def test_json_uses_decimal_strings_beyond_int64():
     from welschinger.assembly import _json_int
 

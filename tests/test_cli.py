@@ -344,6 +344,23 @@ def test_table_override_via_env(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", ["file", "missing", "empty directory"])
+def test_a_table_dir_without_tables_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # a typo in WELSCHINGER_TABLE_DIR must not fall back to the packaged tables
+    table_dir = tmp_path / "tables"
+    if kind == "file":
+        table_dir.write_text("")
+    elif kind == "empty directory":
+        table_dir.mkdir()
+    monkeypatch.setenv("WELSCHINGER_TABLE_DIR", str(table_dir))
+    code, out, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: WELSCHINGER_TABLE_DIR={table_dir} is not a directory holding "
+        "relative_invariants.json or f_invariants.json\n"
+    )
+
+
 def test_f_table_override_via_env(tmp_path, capsys, monkeypatch):
     # an empty F table in the directory replaces the packaged one, for chi
     # and derive alike; a flag still takes precedence over the directory

@@ -104,7 +104,7 @@ def test_point_count_matches_tree_pair_counts():
                 for v in shape.odd_vertices:
                     profile = shape.profile(v)
                     if tree.is_plus(v):
-                        alpha = CV.e(shape.root_edge_multiplicity(v))
+                        alpha = CV.e(shape.root_edges[v])
                         beta = profile - alpha
                     else:
                         alpha, beta = zero, profile

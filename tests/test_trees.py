@@ -70,6 +70,34 @@ def test_invalid_degree_real_pair():
         enumerate_trees(F.THREE_SPHERICAL, 3, 1)  # 3d odd
 
 
+# (c1, n): the Chern degree of the degree-1 class and the dimension of the Lagrangian
+POINT_EQUATION = {F.PROJECTIVE: (3, 2), F.TWO_SPHERICAL: (4, 2), F.THREE_SPHERICAL: (3, 3)}
+
+
+def brute_pair_count(family, d, r):
+    """The r_X >= 0 with (n - 1)(r + 2 r_X) = c1 d + n - 3, by search; None
+    when there is none or r < 0."""
+    c1, n = POINT_EQUATION[family]
+    return next((r_x for r_x in range(4 * d + 3) if r >= 0 and (n - 1) * (r + 2 * r_x) == c1 * d + n - 3), None)
+
+
+def test_the_domain_of_chi_against_a_brute_force_search():
+    for family in F:
+        for d in range(1, 31):
+            solved = []
+            for r in range(-2, 4 * d + 3):
+                r_x = brute_pair_count(family, d, r)
+                if r_x is None:
+                    with pytest.raises(InvalidDegreeRealPair):
+                        pair_condition_count(family, d, r)
+                else:
+                    assert pair_condition_count(family, d, r) == r_x, (family, d, r)
+                    solved.append(r)
+            # the 3-quadric's invariant needs a real point
+            expected = [r for r in solved if r or family is not F.THREE_SPHERICAL]
+            assert admissible_real_counts(family.geometry, d) == expected, (family, d)
+
+
 def test_round_trip_validation():
     for family, table in EXPECTED_CLASS_COUNTS.items():
         for d, r in table:
@@ -361,7 +389,7 @@ def test_m1_plus_injection_counts():
         {1: 1, 2: 0}, {1: PLUS, 2: PLUS},
     )
     assert tree._f_map == {1: 4, 2: 0}
-    targets = [v for v in tree.shape.root_adjacent if tree.shape.root_edge_multiplicity(v) == 1]
+    targets = [v for v in tree.shape.root_adjacent if tree.shape.root_edges[v] == 1]
     oracle = sum(1 for _ in itertools.permutations(targets, 1))
     assert m1_plus(tree) == oracle == 2
     # a plus vertex with no pairs imposes nothing
