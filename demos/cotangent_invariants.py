@@ -6,7 +6,7 @@ curated basis of rigid configurations plus two reduction rules determines
 every published value; the engine records the full derivation of each one.
 """
 
-from welschinger import ContactVector, FKey, LagrangianKind, basis_f_engine, f_invariant
+from welschinger import ContactVector, FKey, LagrangianKind, basis_f_engine, builtin_f_engine
 
 CV = ContactVector
 
@@ -15,17 +15,17 @@ def tables() -> None:
     print("cotangent invariants over the 2-sphere (r_L = 0):")
     for alpha, beta in [("e1", "0"), ("0", "e1"), ("e2", "0"), ("0", "e2"), ("2e1", "0"), ("e1", "e1"), ("0", "2e1")]:
         key = FKey(LagrangianKind.SPHERE2, CV.parse(alpha), CV.parse(beta))
-        value = f_invariant(LagrangianKind.SPHERE2, CV.parse(alpha), CV.parse(beta))
+        value = builtin_f_engine().value(key)
         print(f"  F({alpha}, {beta}) = {value}   (r = {key.r} real points)")
     print()
     print("over the real projective plane the same profiles nearly all give 1;")
     print("the interesting growth happens at total contact order three:")
     for alpha, beta in [("e3", "0"), ("0", "e3"), ("0", "e1+e2"), ("0", "3e1")]:
-        value = f_invariant(LagrangianKind.RP2, CV.parse(alpha), CV.parse(beta))
+        value = builtin_f_engine().value(FKey(LagrangianKind.RP2, CV.parse(alpha), CV.parse(beta)))
         print(f"  F({alpha}, {beta}) = {value}")
     print()
     print("over the 3-sphere the only curated value is signed by a spinor state:")
-    print(f"  F(e1, 0) = {f_invariant(LagrangianKind.SPHERE3, CV.e(1), CV.zero())}")
+    print(f"  F(e1, 0) = {builtin_f_engine().value(FKey(LagrangianKind.SPHERE3, CV.e(1), CV.zero()))}")
     print()
 
 

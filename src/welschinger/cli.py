@@ -37,6 +37,7 @@ from .contact import ContactVector, GeometryKind, LagrangianKind
 from .cotangent import FInvariantEngine, FKey, builtin_f_engine
 from .errors import EnumerationTooLarge, InadmissiblePair, UnknownInvariant, UnresolvableFKey, WelschingerError
 from .relative import RelativeInvariantTable, builtin_relative_table
+from .tables import F_TABLE, RELATIVE_TABLE
 from .trees import FAMILY_OF, enumerate_trees, trees_to_json
 from .verification import run_all
 
@@ -49,15 +50,15 @@ def _load_tables(args) -> tuple[RelativeInvariantTable, FInvariantEngine]:
     else the packaged ones; each file is looked up the same way.  A set
     WELSCHINGER_TABLE_DIR that holds neither file is an error."""
     table_dir = os.environ.get("WELSCHINGER_TABLE_DIR")
-    names = ("relative_invariants.json", "f_invariants.json")
+    names = (RELATIVE_TABLE, F_TABLE)
     found = {name: os.path.join(table_dir, name) for name in names} if table_dir else {}
     found = {name: path for name, path in found.items() if os.path.exists(path)}
     if table_dir and not found:
         raise WelschingerError(f"WELSCHINGER_TABLE_DIR={table_dir} is not a directory holding {' or '.join(names)}")
     inv_path = found.get(names[0]) if args.invariant_table is None else args.invariant_table
     f_path = found.get(names[1]) if args.f_table is None else args.f_table
-    table = RelativeInvariantTable.from_path(inv_path) if inv_path else builtin_relative_table()
-    engine = FInvariantEngine.from_path(f_path) if f_path else builtin_f_engine()
+    table = builtin_relative_table() if inv_path is None else RelativeInvariantTable.from_path(inv_path)
+    engine = builtin_f_engine() if f_path is None else FInvariantEngine.from_path(f_path)
     return table, engine
 
 

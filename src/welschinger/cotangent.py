@@ -36,7 +36,7 @@ from functools import cache
 
 from .contact import ContactVector, LagrangianKind, _cached, _Record, f_point_count
 from .errors import UnresolvableFKey
-from .tables import _packaged_payload, _read_json, _table_entries
+from .tables import F_TABLE, _packaged_payload, _read_json, _table_entries
 
 __all__ = [
     "FKey",
@@ -44,7 +44,6 @@ __all__ = [
     "FInvariantEngine",
     "builtin_f_engine",
     "basis_f_engine",
-    "f_invariant",
     "reduce_key",
 ]
 
@@ -152,7 +151,7 @@ class FInvariantEngine:
         tk = self._table_key(key)
         if tk in memo:
             return memo[tk]
-        known = self.lookup(key)
+        known = self._entries.get(tk)
         if known is not None:
             node = FDerivation(key, known, "table")
             memo[tk] = node
@@ -186,9 +185,9 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 
     def key_of(kind, alpha, beta, r_l, crosses, basis):
         alpha, beta = ContactVector(tuple(alpha)), ContactVector(tuple(beta))
-        if crosses < 0 or FKey(LagrangianKind(kind), alpha, beta, r_l, crosses).r < 0:
+        if crosses < 0 or (fkey := FKey(LagrangianKind(kind), alpha, beta, r_l, crosses)).r < 0:
             raise ValueError("crosses and the real-point count must be >= 0")
-        key = (kind, alpha.counts, beta.counts, r_l, crosses)
+        key = FInvariantEngine._table_key(fkey)
         if basis:
             basis_keys.add(key)
         return key
@@ -201,7 +200,7 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 def _packaged_table() -> tuple[dict[tuple, int], dict[tuple, int]]:
     """(entries, basis entries) of the packaged F table, read and checked
     once per process."""
-    return _checked_rows(_packaged_payload("f_invariants.json"), "F table")
+    return _checked_rows(_packaged_payload(F_TABLE), "F table")
 
 
 @cache
@@ -215,15 +214,3 @@ def basis_f_engine() -> FInvariantEngine:
     vanishing and rigid geometric entries); everything else must be derived."""
     _, basis = _packaged_table()
     return FInvariantEngine(basis)
-
-
-def f_invariant(
-    kind: LagrangianKind,
-    alpha: ContactVector,
-    beta: ContactVector,
-    r_l: int = 0,
-    engine: FInvariantEngine | None = None,
-) -> int:
-    """Public entry point; cross-marked keys stay internal to derivations."""
-    engine = engine or builtin_f_engine()
-    return engine.value(FKey(kind, alpha, beta, r_l, 0))

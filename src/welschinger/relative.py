@@ -20,7 +20,7 @@ from functools import cache
 
 from .contact import ContactVector, _Record
 from .errors import UnknownInvariant
-from .tables import _packaged_payload, _read_json, _table_entries
+from .tables import RELATIVE_TABLE, _packaged_payload, _read_json, _table_entries
 
 __all__ = [
     "RuledSurfaceClass",
@@ -134,7 +134,7 @@ class RelativeInvariantTable:
 
 @cache
 def builtin_relative_table() -> RelativeInvariantTable:
-    return RelativeInvariantTable.from_json_payload(_packaged_payload("relative_invariants.json"))
+    return RelativeInvariantTable.from_json_payload(_packaged_payload(RELATIVE_TABLE))
 
 
 # ---------------------------------------------------------------------------

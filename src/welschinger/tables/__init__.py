@@ -12,6 +12,10 @@ import os
 
 from ..errors import NegativeDimension, WelschingerError
 
+# The packaged tables' file names, also those looked up in WELSCHINGER_TABLE_DIR.
+RELATIVE_TABLE = "relative_invariants.json"
+F_TABLE = "f_invariants.json"
+
 
 def _packaged_payload(name: str):
     """The JSON payload of the table file ``name`` shipped in this package."""

@@ -36,8 +36,8 @@ the root edges' multiplicities.  A forest becomes a :class:`Shape` only for
 an r inside its window, at most once per process, and a (family, d) with
 more candidates than :data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
 :func:`tree_classes` then walks the window one shape at a time, in the order
-of the shapes' encodings, and decorates and validates a shape's trees only
-when it reaches that shape: chi, which stops at the first tree whose key is
+of the shapes' bodies, and decorates and validates a shape's trees only when
+it reaches that shape: chi, which stops at the first tree whose key is
 outside the tables, never decorates the shapes after it.
 
 The counting rules are the same for every family; they read the constants
@@ -187,7 +187,7 @@ class Shape:
     * ``adjacency``: vertex -> ((neighbour, multiplicity), ...), in vertex
       order;
     * ``even_vertices``, ``odd_vertices`` (at even and odd distance from the
-      root), ``root_adjacent``: sorted tuples;
+      root): sorted tuples;
     * ``root_edges``: root-adjacent vertex -> multiplicity of its root edge,
       in vertex order;
     * ``k_s``: vertex -> total multiplicity of its edges;
@@ -241,7 +241,6 @@ class Shape:
         if tuple(self.genus) != self.odd_vertices:
             raise ValueError("genus must decorate exactly the odd vertices")
         self.root_edges = root_edges = dict(sorted(adj[root]))
-        self.root_adjacent = tuple(root_edges)
         self.k_s = {v: sum(k for _, k in vs) for v, vs in adj.items()}
         self.bottom_up = tuple(reversed(top_down))
         lagrangian = family.geometry.lagrangian
@@ -436,10 +435,10 @@ def shape_form(tree: DecoratedTree) -> bytes:
     return _form(tree.shape, tree.r, tree.shape.body)
 
 
-def automorphisms(tree: DecoratedTree, *, with_f: bool = True) -> list[dict[int, int]]:
-    """All root-fixing automorphisms preserving the signs, and f if ``with_f``."""
+def automorphisms(tree: DecoratedTree) -> list[dict[int, int]]:
+    """All root-fixing automorphisms preserving the signs."""
     adj = tree.shape.adjacency
-    codes = _codes(tree.shape, tree._sign_map, tree._f_map if with_f else {})
+    codes = _codes(tree.shape, tree._sign_map, {})
 
     def extend(v, w, pv, pw, mapping):
         # map subtree rooted at v (parent pv) onto subtree at w (parent pw)
@@ -605,8 +604,7 @@ class TreeClass(_Record):
     suite are counts of these classes; a class can carry several sign/pair
     decorations (each a separate summand of the invariant)."""
 
-    def __init__(self, shape_key: bytes, variants: tuple[TreeWithCount, ...]):
-        object.__setattr__(self, "shape_key", shape_key)
+    def __init__(self, variants: tuple[TreeWithCount, ...]):
         object.__setattr__(self, "variants", variants)
 
 
@@ -742,11 +740,13 @@ def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
 def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
     """The decorated trees for (family, d, r), one shape class at a time.
 
-    Classes come sorted by shape encoding, variants by full canonical form.
+    Classes come sorted by :func:`shape_form`, which in one window is the
+    order of :attr:`Shape.body` (one ASCII prefix, the body, then ``)``; no
+    body is a proper prefix of another), variants by full canonical form.
     Every shape in r's root window is built first, since the order needs
-    their encodings; a shape's trees are decorated and validated only when
-    its class is reached, so a caller that stops at a class never decorates
-    the shapes after it.  The candidates come from the per-process cache of
+    their bodies; a shape's trees are decorated and validated only when its
+    class is reached, so a caller that stops at a class never decorates the
+    shapes after it.  The candidates come from the per-process cache of
     (family, d), and a candidate's shape is built at most once per process.
     Each tree's pair-assignment count is computed when it is first read."""
     r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
@@ -759,11 +759,11 @@ def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
         if built[i] is None:
             built[i] = _build(family, d, forest)
         runs, shape = built[i]
-        window.append((_form(shape, r, shape.body), r_l, runs, shape))
-    window.sort(key=itemgetter(0))  # each candidate's shape has its own encoding
-    for key, r_l, runs, shape in window:
+        window.append((shape.body, r_l, runs, shape))
+    window.sort(key=itemgetter(0))  # each candidate's shape has its own body
+    for _, r_l, runs, shape in window:
         trees = sorted(_decorate(r, r_l, runs, shape), key=canonical_form)
-        yield TreeClass(shape_key=key, variants=tuple(TreeWithCount(tree, r_x) for tree in trees))
+        yield TreeClass(tuple(TreeWithCount(tree, r_x) for tree in trees))
 
 
 def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:

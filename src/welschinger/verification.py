@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from functools import cache, partial
 
 from .assembly import Clause, check_congruence, check_sign_law, chi
@@ -257,14 +256,13 @@ def all_checks():
     return [(name, partial(_collect, *suite)) for name, *suite in suites]
 
 
-def run_all(verbose: bool = False, stream=None) -> bool:
-    stream = stream or sys.stdout
+def run_all(verbose: bool = False) -> bool:
     overall = True
     for name, check in all_checks():
         passed, details = check()
         overall = overall and passed
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}", file=stream)
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}")
         if verbose or not passed:
             for line in details:
-                print(f"    {line}", file=stream)
+                print(f"    {line}")
     return overall

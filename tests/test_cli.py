@@ -260,6 +260,27 @@ def test_deeply_nested_table_exits_2(tmp_path, capsys, flag):
     assert err.startswith(f"error: {path}: cannot read table") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--invariant-table", ""),
+        ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--f-table", ""),
+        ("derive", "--kind", "rp2", "--beta", "e1+e2", "--f-table", ""),
+    ],
+)
+def test_an_empty_table_path_exits_2(capsys, argv):
+    # an empty path is unreadable like any other, never the packaged table
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: : cannot read table") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_an_empty_table_dir_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("WELSCHINGER_TABLE_DIR", "")
+    code, out, _ = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0")
+    assert (code, out) == (0, "64\n")
+
+
 @pytest.mark.parametrize("argv", [("--beta", "foo"), ("--beta", "e0"), ("--pairs", "-1"), ("--kind", "torus2")])
 def test_derive_rejects_bad_arguments(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Cotangent invariants: curated bases, reduction rules, derivation engine."""
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,8 @@ from welschinger import (
     WelschingerError,
     basis_f_engine,
     builtin_f_engine,
-    f_invariant,
     reduce_key,
+    tables,
 )
 
 CV = ContactVector
@@ -54,22 +56,22 @@ RP2_VALUES = {
 
 def test_sphere2_table():
     for (alpha, beta), value in SPHERE2_VALUES.items():
-        assert f_invariant(K.SPHERE2, alpha, beta) == value
+        assert builtin_f_engine().value(FKey(K.SPHERE2, alpha, beta)) == value
 
 
 def test_rp2_table():
     for (alpha, beta), value in RP2_VALUES.items():
-        assert f_invariant(K.RP2, alpha, beta) == value
+        assert builtin_f_engine().value(FKey(K.RP2, alpha, beta)) == value
 
 
 def test_sphere3_value():
-    assert f_invariant(K.SPHERE3, e1, zero) == -1
+    assert builtin_f_engine().value(FKey(K.SPHERE3, e1, zero)) == -1
 
 
 def test_examples_with_specified_real_points():
-    assert f_invariant(K.SPHERE2, zero, CV.e(1, 2)) == 6
+    assert builtin_f_engine().value(FKey(K.SPHERE2, zero, CV.e(1, 2))) == 6
     assert FKey(K.SPHERE2, zero, CV.e(1, 2)).r == 7
-    assert f_invariant(K.RP2, zero, e1 + e2) == 24
+    assert builtin_f_engine().value(FKey(K.RP2, zero, e1 + e2)) == 24
     assert FKey(K.RP2, zero, e1 + e2).r == 6
     assert FKey(K.SPHERE3, e1, zero).r == 1
 
@@ -173,7 +175,7 @@ def test_unresolvable_keys_raise():
     with pytest.raises(UnresolvableFKey):
         engine.value(FKey(K.SPHERE3, CV.e(1, 2), zero))
     with pytest.raises(UnresolvableFKey):
-        f_invariant(K.RP2, CV.e(4), zero)
+        builtin_f_engine().value(FKey(K.RP2, CV.e(4), zero))
 
 
 def test_reductions_preserve_dimension_bookkeeping():
@@ -265,3 +267,15 @@ def test_real_point_count_is_computed_once_per_key(monkeypatch):
     # the cached value takes no part in equality, hashing or repr
     fresh = FKey(K.RP2, zero, e1 + e2, crosses=1)
     assert fresh == key and hash(fresh) == hash(key) and repr(fresh) == repr(key)
+
+
+def test_every_packaged_row_is_found_under_its_own_key():
+    # the loader and lookup build a row's table key the same way
+    rows = json.loads(Path(tables.__file__).with_name(tables.F_TABLE).read_text())["entries"]
+    assert len(rows) == 47 and sum(1 for row in rows if row["r_l"] or row["crosses"]) == 22
+    assert sum(1 for row in rows if row.get("basis")) == 30
+    full, basis = builtin_f_engine(), basis_f_engine()
+    for row in rows:
+        key = FKey(K(row["kind"]), CV(tuple(row["alpha"])), CV(tuple(row["beta"])), row["r_l"], row["crosses"])
+        assert full.lookup(key) == row["value"], row
+        assert basis.lookup(key) == (row["value"] if row.get("basis") else None), row

@@ -1,5 +1,8 @@
 """Curated relative invariants on the ruled surfaces and the ruled 3-fold."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,7 @@ from welschinger import (
     n_three,
     point_count,
     quadric_count,
+    tables,
 )
 from welschinger.relative import n_three_required_pairs
 
@@ -59,6 +63,15 @@ def test_n_sigma_full_curated_table():
     for (n, a, b), profiles in expected.items():
         for (alpha, beta), value in profiles.items():
             assert table.n_sigma(_key(n, a, b, alpha, beta)) == value
+
+
+def test_every_packaged_row_is_found_under_its_own_key():
+    rows = json.loads(Path(tables.__file__).with_name(tables.RELATIVE_TABLE).read_text())["entries"]
+    assert len(rows) == 22
+    table = builtin_relative_table()
+    for row in rows:
+        key = _key(row["n"], row["a"], row["b"], CV(tuple(row["alpha"])), CV(tuple(row["beta"])))
+        assert table.n_sigma(key) == row["value"], row
 
 
 def test_n_sigma_error_on_unknown():

@@ -150,7 +150,7 @@ def test_assignment_count_multinomial_oracle():
         v.tree
         for cls in classes
         for v in cls.variants
-        if len(v.tree.shape.root_adjacent) == 3
+        if len(v.tree.shape.root_edges) == 3
     )
     genus = tree.shape.genus
     twins = [v for v, g in genus.items() if g == 0]
@@ -176,7 +176,7 @@ def burnside_assignment_count(tree, r_x):
     multinomial = math.factorial(r_x)
     for f in fmap.values():
         multinomial //= math.factorial(f)
-    group = automorphisms(tree, with_f=False)
+    group = automorphisms(tree)
     orbit = {tuple(sorted((pi[v], f) for v, f in fmap.items())) for pi in group}
     hits = sum(1 for pi in group for profile in orbit if all(pi[v] == v for v, f in profile if f > 0))
     assert (multinomial * hits) % len(group) == 0
@@ -222,7 +222,7 @@ def test_candidate_window_matches_the_shape(family, top):
     for d in range(1, top + 1):
         for window_top, v0, forest in _candidates(family, d)[0]:
             shape = _build(family, d, forest)[1]
-            assert (window_top, v0) == (shape.window_top, len(shape.root_adjacent)), (family, d, forest)
+            assert (window_top, v0) == (shape.window_top, len(shape.root_edges)), (family, d, forest)
             assert window_top == f_point_count(family.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
             checked += 1
     # three-spherical: generation leaves out the forests holding a vertex with
@@ -254,13 +254,24 @@ def test_encodings_match_the_nested_tuple_reference(family, top, trees):
     checked = 0
     for _, d, r, _ in _valid_keys({family: top}):
         for cls in enumerate_trees(family, d, r):
-            assert cls.shape_key == reference_form(cls.variants[0].tree, with_signs=False, with_f=False)
+            assert shape_form(cls.variants[0].tree) == reference_form(cls.variants[0].tree, with_signs=False, with_f=False)
             for twc in cls.variants:
                 tree = twc.tree
                 assert canonical_form(tree) == reference_form(tree), (family, d, r)
-                assert shape_form(tree) == cls.shape_key
+                assert shape_form(tree) == shape_form(cls.variants[0].tree)
                 checked += 1
     assert checked == trees
+
+
+def test_tree_classes_come_in_shape_form_order():
+    # classes are sorted by Shape.body: that must be the order of the full
+    # shape encodings, which name the first failing tree of a miss
+    pairs = 0
+    for family, d, r, _ in _valid_keys({F.PROJECTIVE: 8, F.TWO_SPHERICAL: 8, F.THREE_SPHERICAL: 12}):
+        forms = [shape_form(cls.variants[0].tree) for cls in enumerate_trees(family, d, r)]
+        assert all(a < b for a, b in zip(forms, forms[1:])), (family, d, r)
+        pairs += max(len(forms) - 1, 0)
+    assert pairs == 351
 
 
 def test_shapes_are_generated_once_per_family_and_degree(monkeypatch):
@@ -389,7 +400,7 @@ def test_m1_plus_injection_counts():
         {1: 1, 2: 0}, {1: PLUS, 2: PLUS},
     )
     assert tree._f_map == {1: 4, 2: 0}
-    targets = [v for v in tree.shape.root_adjacent if tree.shape.root_edges[v] == 1]
+    targets = [v for v in tree.shape.root_edges if tree.shape.root_edges[v] == 1]
     oracle = sum(1 for _ in itertools.permutations(targets, 1))
     assert m1_plus(tree) == oracle == 2
     # a plus vertex with no pairs imposes nothing
