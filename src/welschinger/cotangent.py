@@ -128,7 +128,7 @@ class FInvariantEngine:
 
     @classmethod
     def from_path(cls, path) -> "FInvariantEngine":
-        return cls.from_json_payload(_read_json(path), where=str(path))
+        return cls.from_json_payload(_read_json(path), where=repr(str(path)))
 
     def lookup(self, key: FKey):
         return self._entries.get(self._table_key(key))

@@ -108,7 +108,7 @@ class RelativeInvariantTable:
 
     @classmethod
     def from_path(cls, path) -> "RelativeInvariantTable":
-        return cls.from_json_payload(_read_json(path), where=str(path))
+        return cls.from_json_payload(_read_json(path), where=repr(str(path)))
 
     def n_sigma(self, key: RelativeKey) -> int:
         s = key.surface

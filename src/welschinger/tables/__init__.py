@@ -27,7 +27,7 @@ def _read_json(path):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise WelschingerError(f"{path}: cannot read table: {exc}") from None
+        raise WelschingerError(f"{str(path)!r}: cannot read table: {exc}") from None
 
 
 def _field(row: dict, name: str, kind: type, default=None):

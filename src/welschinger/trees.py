@@ -32,13 +32,14 @@ signs: partition cover, root window, minus-part size and pair counts.
 
 Enumeration generates the candidate forests of each (family, d) once per
 process, as light tuples that carry their root window: the window needs only
-the root edges' multiplicities.  A forest becomes a :class:`Shape` only for
-an r inside its window, at most once per process, and a (family, d) with
-more candidates than :data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
-:func:`tree_classes` then walks the window one shape at a time, in the order
-of the shapes' bodies, and decorates and validates a shape's trees only when
-it reaches that shape: chi, which stops at the first tree whose key is
-outside the tables, never decorates the shapes after it.
+the root edges' multiplicities.  A (family, d) with more candidates than
+:data:`CANDIDATE_BOUND` raises EnumerationTooLarge.  :func:`tree_classes`
+sorts r's window by the code each forest's shape would have
+(:attr:`Shape.body`), read off the nested tuples and kept with the
+candidates, then walks it one class at a time: a forest becomes a
+:class:`Shape`, at most once per process, and its trees are decorated and
+validated only when its class is reached.  So chi, which stops at the first
+tree whose key is outside the tables, builds no shape after it.
 
 The counting rules are the same for every family; they read the constants
 of its :class:`TreeFamily` member and the dimension n of its Lagrangian:
@@ -200,11 +201,14 @@ class Shape:
       candidates do before any shape is built.
 
     A shape is shared by all its decorated trees; its dicts must not be
-    modified.
+    modified.  ``body``, when given, must be the shape's :attr:`body`, as the
+    code of a candidate forest (:func:`_forest_code`) is.
     """
 
-    def __init__(self, family: TreeFamily, d: int, root: int, edges, genus):
+    def __init__(self, family: TreeFamily, d: int, root: int, edges, genus, body: str | None = None):
         self.family, self.d, self.root = family, d, root
+        if body is not None:
+            self.body = body  # shadows the cached property below
         self.edges = tuple(sorted((int(u), int(v), int(k)) for u, v, k in edges))
         self.genus = dict(sorted((int(v), int(g)) for v, g in dict(genus).items()))
         if any(k < 1 for _, _, k in self.edges):
@@ -273,7 +277,8 @@ class Shape:
     @_cached
     def body(self) -> str:
         """AHU code of the whole shape, degrees as the only labels: the part
-        of :func:`shape_form` that does not depend on r."""
+        of :func:`shape_form` that does not depend on r.  An enumerated shape
+        is given it; any other computes it on first read."""
         return _codes(self, {}, {})[self.root]
 
 
@@ -402,17 +407,22 @@ def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus
 # canonical forms, automorphisms
 
 
+def _code(k_in: int, label, kids: list[str]) -> str:
+    """AHU code of a vertex entered by an edge of multiplicity k_in: the
+    ``repr`` of the nested tuple ``(k_in, label, sorted child codes)``."""
+    kids.sort()
+    return f"({k_in}, {label}, ({', '.join(kids)}{',' if len(kids) == 1 else ''}))"
+
+
 def _codes(shape: Shape, signs: dict[int, str], f_sizes: dict[int, int]) -> dict[int, str]:
-    """Rooted AHU code of every vertex's subtree, built bottom-up as the
-    ``repr`` of the nested tuple ``(k_in, label, sorted child codes)``: the
-    label of an odd vertex is ``(g, sign, f)`` (sign and f None where the
-    given maps have no entry), that of an even vertex None."""
+    """Rooted AHU code of every vertex's subtree, built bottom-up: the label
+    of an odd vertex is ``(g, sign, f)`` (sign and f None where the given
+    maps have no entry), that of an even vertex None."""
     genus = shape.genus
     codes: dict[int, str] = {}
     for v, k_in, children in shape.bottom_up:
-        kids = sorted([codes[w] for w in children])
         label = f"({genus[v]}, {signs.get(v)!r}, {f_sizes.get(v)})" if v in genus else None
-        codes[v] = f"({k_in}, {label}, ({', '.join(kids)}{',' if len(kids) == 1 else ''}))"
+        codes[v] = _code(k_in, label, [codes[w] for w in children])
     return codes
 
 
@@ -612,8 +622,9 @@ CANDIDATE_BOUND = 50_000
 """Most odd subtrees plus forests one (family, d) may generate before
 :class:`EnumerationTooLarge`.  Tests, ``verify`` and ``frontier --max-degree
 22`` reach 44,143 (two-spherical d = 22); plane d = 26 makes 25,463, d = 28
-56,181.  On a 2-core Xeon, generating 50,000 takes about 0.15 s and 25 MB,
-and building a shape for each (a ``poly`` over every r) about 3 s and 280 MB."""
+56,181.  On a 2-core Xeon, generating 50,000 takes about 0.15 s and 25 MB.
+A miss then builds one shape, but a ``poly`` over every r builds a shape for
+each candidate, about 3 s and 280 MB."""
 
 
 class _Memo(dict):
@@ -634,18 +645,19 @@ class _Memo(dict):
 
 
 @cache
-def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
+def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list, dict]:
     """The candidate forests of (family, d), generated once per process since
     they do not depend on r, as tuples (window_top, v0, forest): the root's
     :attr:`Shape.window_top` and edge count, read off the forest.  Each has a
-    slot in the list, filled with its :func:`_build` on first use."""
+    slot in the list, filled with its :func:`_build` on first use, and the
+    dict holds the codes :func:`_forest_code` has read off them."""
     lagrangian = family.geometry.lagrangian
     memo = _Memo(family, d)
     candidates = []
     for forest in _forests(memo, d, False):
         memo.count(1)
         candidates.append((_point_count(lagrangian, len(forest), sum(t[0] for t in forest)), len(forest), forest))
-    return tuple(candidates), [None] * len(candidates)
+    return tuple(candidates), [None] * len(candidates), {}
 
 
 def _decorate(r: int, r_l: int, runs, shape: Shape):
@@ -715,10 +727,33 @@ def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
     return out
 
 
-def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
-    """The shape of a candidate forest, a root 0 carrying its odd subtrees,
-    and ``runs``: the root children grouped into runs of identical subtrees
-    (consecutive in the non-decreasing forest)."""
+def _forest_code(family: TreeFamily, forest, codes: dict) -> str:
+    """:attr:`Shape.body` of a candidate forest's shape, read off its nested
+    tuples without building it: a pendant is an even leaf on an edge of
+    multiplicity ``family.pendant``, and a connector child an even vertex on
+    a simple edge above its odd subtree.  ``codes`` keeps each subtree's and
+    forest's code by id, which no other tuple can take while the candidates
+    that hold them live (:func:`_candidates` keeps both together)."""
+    code = codes.get(id(forest))
+    if code is None:
+        code = codes[id(forest)] = _code(0, None, [_subtree_code(family, t, codes) for t in forest])
+    return code
+
+
+def _subtree_code(family: TreeFamily, subtree, codes: dict) -> str:
+    code = codes.get(id(subtree))
+    if code is None:
+        k_in, g, pendants, children = subtree
+        kids = [_code(family.pendant, None, [])] * pendants
+        kids += [_code(1, None, [_subtree_code(family, child, codes)]) for child in children]
+        code = codes[id(subtree)] = _code(k_in, f"({g}, None, None)", kids)
+    return code
+
+
+def _build(family: TreeFamily, d: int, body: str | None, forest) -> tuple[tuple, Shape]:
+    """The shape of a candidate forest with its code ``body``, a root 0
+    carrying its odd subtrees, and ``runs``: the root children grouped into
+    runs of identical subtrees (consecutive in the non-decreasing forest)."""
 
     def attach(parent, subtree, edges, gmap):
         k_in, g, pendants, children = subtree
@@ -734,7 +769,7 @@ def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
     edges: list[tuple[int, int, int]] = []
     gmap: dict[int, int] = {}
     runs = tuple(tuple(attach(0, subtree, edges, gmap) for subtree in run) for _, run in itertools.groupby(forest))
-    return runs, Shape(family, d, 0, edges, gmap)
+    return runs, Shape(family, d, 0, edges, gmap, body)
 
 
 def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
@@ -743,25 +778,25 @@ def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
     Classes come sorted by :func:`shape_form`, which in one window is the
     order of :attr:`Shape.body` (one ASCII prefix, the body, then ``)``; no
     body is a proper prefix of another), variants by full canonical form.
-    Every shape in r's root window is built first, since the order needs
-    their bodies; a shape's trees are decorated and validated only when its
-    class is reached, so a caller that stops at a class never decorates the
-    shapes after it.  The candidates come from the per-process cache of
-    (family, d), and a candidate's shape is built at most once per process.
-    Each tree's pair-assignment count is computed when it is first read."""
+    The window is sorted by the bodies read off the candidates' tuples, so
+    no shape is built for the order: a candidate's shape is built, at most
+    once per process, and its trees are decorated and validated only when
+    its class is reached, and a caller that stops at a class builds no shape
+    after it.  The candidates and their codes come from the per-process
+    cache of (family, d).  Each tree's pair-assignment count is computed
+    when it is first read."""
     r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
-    candidates, built = _candidates(family, d)
+    candidates, built, codes = _candidates(family, d)
     window = []
     for i, (top, v0, forest) in enumerate(candidates):
         r_l = minus_part_size(top, r, v0)
-        if r_l is None:
-            continue
-        if built[i] is None:
-            built[i] = _build(family, d, forest)
-        runs, shape = built[i]
-        window.append((shape.body, r_l, runs, shape))
+        if r_l is not None:
+            window.append((_forest_code(family, forest, codes), r_l, i))
     window.sort(key=itemgetter(0))  # each candidate's shape has its own body
-    for _, r_l, runs, shape in window:
+    for body, r_l, i in window:
+        if built[i] is None:
+            built[i] = _build(family, d, body, candidates[i][2])
+        runs, shape = built[i]
         trees = sorted(_decorate(r, r_l, runs, shape), key=canonical_form)
         yield TreeClass(tuple(TreeWithCount(tree, r_x) for tree in trees))
 

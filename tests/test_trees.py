@@ -35,6 +35,8 @@ from welschinger.trees import (
     Shape,
     _build,
     _candidates,
+    _codes,
+    _forest_code,
     automorphisms,
     pair_condition_count,
     shape_form,
@@ -205,13 +207,27 @@ def test_assignment_count_matches_burnside():
 @pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
 def test_each_candidate_shape_is_generated_once(family, top):
     for d in range(1, top + 1):
-        shapes = [_build(family, d, forest)[1].body for _, _, forest in _candidates(family, d)[0]]
+        shapes = [_build(family, d, None, forest)[1].body for _, _, forest in _candidates(family, d)[0]]
         assert len(shapes) == len(set(shapes)), (family, d)
     # and each decorated tree: no two that the decoration step yields are
     # isomorphic (enumeration sorts them but merges none)
     for _, d, r, _ in _valid_keys({family: top}):
         forms = [canonical_form(twc.tree) for twc in enumerate_decorated_trees(family, d, r)]
         assert len(forms) == len(set(forms)), (family, d, r)
+
+
+def test_candidate_code_is_the_body_of_its_shape():
+    # the code read off a candidate's nested tuples, by which the window is
+    # sorted before any shape is built, is the AHU code of the built shape
+    checked = 0
+    for family in F:
+        for d in range(1, 17):
+            candidates, _, codes = _candidates(family, d)
+            for _, _, forest in candidates:
+                shape = _build(family, d, None, forest)[1]
+                assert _forest_code(family, forest, codes) == _codes(shape, {}, {})[shape.root], (family, d, forest)
+                checked += 1
+    assert checked == 7648
 
 
 @pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
@@ -221,7 +237,7 @@ def test_candidate_window_matches_the_shape(family, top):
     checked = 0
     for d in range(1, top + 1):
         for window_top, v0, forest in _candidates(family, d)[0]:
-            shape = _build(family, d, forest)[1]
+            shape = _build(family, d, None, forest)[1]
             assert (window_top, v0) == (shape.window_top, len(shape.root_edges)), (family, d, forest)
             assert window_top == f_point_count(family.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
             checked += 1
@@ -302,8 +318,8 @@ def _count_shapes(monkeypatch):
     built = Counter()
 
     class Counted(Shape):
-        def __init__(self, family, d, root, edges, genus):
-            super().__init__(family, d, root, edges, genus)
+        def __init__(self, family, d, root, edges, genus, body=None):
+            super().__init__(family, d, root, edges, genus, body)
             built[family, d, self.body] += 1
 
     monkeypatch.setattr(trees_module, "Shape", Counted)
@@ -324,13 +340,19 @@ def test_shapes_are_built_only_inside_the_root_window(monkeypatch, d, r, shapes,
     assert {id(twc.tree.shape) for twc in twcs} <= {id(slot[1]) for slot in _candidates(F.PROJECTIVE, d)[1] if slot}
 
 
-def test_plane_degree_26_builds_only_the_window_shapes(monkeypatch, capsys):
+def test_plane_degree_26_builds_only_the_shapes_it_reaches(monkeypatch, capsys):
+    # a miss stops at its first class: of the 2,137 candidates in the root
+    # window, only the one whose class is reached becomes a shape
     from welschinger.cli import main
 
     built = _count_shapes(monkeypatch)
+    reached = []
+    decorate = trees_module._decorate
+    monkeypatch.setattr(trees_module, "_decorate", lambda *args: reached.append(args[-1]) or decorate(*args))
     assert main(["chi", "--geometry", "cp2", "--degree", "26", "--real-points", "1"]) == 3
     assert "missing invariant" in capsys.readouterr().err
-    assert sum(built.values()) == len(_inside_the_window(F.PROJECTIVE, 26, 1)) == 2137
+    assert sum(built.values()) == len(reached) == 1
+    assert len(_inside_the_window(F.PROJECTIVE, 26, 1)) == 2137
     assert len(_candidates(F.PROJECTIVE, 26)[0]) == 19852
 
 
@@ -764,18 +786,19 @@ def test_decorated_trees_share_their_cached_shape(monkeypatch):
     monkeypatch.setattr(trees_module, "_codes", counted)
     _candidates.cache_clear()
     variants = [twc.tree for r in (1, 3) for c in enumerate_trees(F.PROJECTIVE, 6, r) for twc in c.variants]
-    candidates, slots = _candidates(F.PROJECTIVE, 6)
+    candidates, slots, _ = _candidates(F.PROJECTIVE, 6)
     shapes = [slot[1] for slot in slots if slot is not None]
     # every tree holds its cached shape by identity, only the shapes that
-    # carry a tree are built and encoded, and each once for both values of r
+    # carry a tree are built, each once for both values of r, and a shape
+    # takes its body from its candidate: only the trees are encoded
     assert all(any(tree.shape is shape for shape in shapes) for tree in variants)
     used = {id(tree.shape) for tree in variants}
     assert len(variants) == 5 and len(used) == len(shapes) == 2 < len(candidates)
-    assert Counter(encoded) == {"tree": 5, "shape": 2}
+    assert Counter(encoded) == {"tree": 5}
     for tree in variants:
         assert canonical_form(tree) is canonical_form(tree) and tree.codes is tree.codes
         assert shape_form(tree) == shape_form(tree)
-    assert Counter(encoded) == {"tree": 5, "shape": 2}
+    assert Counter(encoded) == {"tree": 5}
 
 
 def test_every_built_shape_carries_a_tree(monkeypatch):
