@@ -112,10 +112,15 @@ class FDerivation(_Record):
 
 
 class FInvariantEngine:
-    """Resolve F-keys against a table, falling back to the reduction rules."""
+    """Resolve F-keys against a table, falling back to the reduction rules.
 
-    def __init__(self, entries: dict[tuple, int]):
-        self._entries = dict(entries)
+    ``entries`` maps each table key to its value; lookups go through the
+    tuple :meth:`_table_key` of a key, which hashes faster than the record.
+    """
+
+    def __init__(self, entries: dict[FKey, int]):
+        self._keys = tuple(entries)
+        self._entries = {self._table_key(key): value for key, value in entries.items()}
 
     @staticmethod
     def _table_key(key: FKey) -> tuple:
@@ -170,14 +175,10 @@ class FInvariantEngine:
 
     def plain_keys(self) -> list[FKey]:
         """Keys without conjugate pairs or crosses (the published values)."""
-        out = []
-        for kind, alpha, beta, r_l, crosses in self._entries:
-            if r_l == 0 and crosses == 0:
-                out.append(FKey(LagrangianKind(kind), ContactVector(alpha), ContactVector(beta)))
-        return out
+        return [key for key in self._keys if key.r_l == 0 and key.crosses == 0]
 
 
-def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tuple, int]]:
+def _checked_rows(payload: dict, where: str) -> tuple[dict[FKey, int], dict[FKey, int]]:
     """The checked entries of an F-table payload, and those of its basis rows."""
     fields = [("kind", str), ("alpha", list), ("beta", list)]
     fields += [("r_l", int, 0), ("crosses", int, 0), ("basis", bool, False)]
@@ -185,9 +186,8 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 
     def key_of(kind, alpha, beta, r_l, crosses, basis):
         alpha, beta = ContactVector(tuple(alpha)), ContactVector(tuple(beta))
-        if crosses < 0 or (fkey := FKey(LagrangianKind(kind), alpha, beta, r_l, crosses)).r < 0:
+        if crosses < 0 or (key := FKey(LagrangianKind(kind), alpha, beta, r_l, crosses)).r < 0:
             raise ValueError("crosses and the real-point count must be >= 0")
-        key = FInvariantEngine._table_key(fkey)
         if basis:
             basis_keys.add(key)
         return key
@@ -197,7 +197,7 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 
 
 @cache
-def _packaged_table() -> tuple[dict[tuple, int], dict[tuple, int]]:
+def _packaged_table() -> tuple[dict[FKey, int], dict[FKey, int]]:
     """(entries, basis entries) of the packaged F table, read and checked
     once per process."""
     return _checked_rows(_packaged_payload(F_TABLE), "F table")

@@ -31,15 +31,16 @@ every formula.  :meth:`DecoratedTree.validate` adds the rules on r and the
 signs: partition cover, root window, minus-part size and pair counts.
 
 Enumeration generates the candidate forests of each (family, d) once per
-process, as light tuples that carry their root window: the window needs only
-the root edges' multiplicities.  A (family, d) with more candidates than
-:data:`CANDIDATE_BOUND` raises EnumerationTooLarge.  :func:`tree_classes`
-sorts r's window by the code each forest's shape would have
-(:attr:`Shape.body`), read off the nested tuples and kept with the
-candidates, then walks it one class at a time: a forest becomes a
-:class:`Shape`, at most once per process, and its trees are decorated and
-validated only when its class is reached.  So chi, which stops at the first
-tree whose key is outside the tables, builds no shape after it.
+process, as light tuples that carry their root window (the window needs only
+the root edges' multiplicities) and the code their shape will have
+(:attr:`Shape.body`), built with each subtree from its children's codes; the
+candidates are sorted by that code once.  A (family, d) with more candidates
+than :data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
+:func:`tree_classes` walks the sorted candidates in r's window one class at
+a time: a forest becomes a :class:`Shape`, at most once per process, and its
+trees are decorated and validated only when its class is reached.  So chi,
+which stops at the first tree whose key is outside the tables, builds no
+shape after it.
 
 The counting rules are the same for every family; they read the constants
 of its :class:`TreeFamily` member and the dimension n of its Lagrangian:
@@ -202,7 +203,7 @@ class Shape:
 
     A shape is shared by all its decorated trees; its dicts must not be
     modified.  ``body``, when given, must be the shape's :attr:`body`, as the
-    code of a candidate forest (:func:`_forest_code`) is.
+    code a candidate forest carries (:func:`_candidates`) is.
     """
 
     def __init__(self, family: TreeFamily, d: int, root: int, edges, genus, body: str | None = None):
@@ -536,10 +537,10 @@ def m2_reconnection(tree: DecoratedTree) -> int:
         if v in connectors:  # the piece below is a root of F, a sibling of the others
             below.append(codes[children[0]])
             continue
-        kids = sorted(codes[w] for w in children if w not in connectors)
+        kids = [codes[w] for w in children if w not in connectors]
         siblings.append(kids)
         label = (shape.genus[v], tree.sign(v), tree.f_size(v), slots[v]) if v in slots else None
-        codes[v] = f"({k_in}, {label}, ({', '.join(kids)}))"
+        codes[v] = _code(k_in, label, kids)
     aut_f = _symmetries(siblings + [below])
     return math.prod(math.factorial(s) for s in slots.values()) * aut_f // tree._aut_order
 
@@ -622,18 +623,21 @@ CANDIDATE_BOUND = 50_000
 """Most odd subtrees plus forests one (family, d) may generate before
 :class:`EnumerationTooLarge`.  Tests, ``verify`` and ``frontier --max-degree
 22`` reach 44,143 (two-spherical d = 22); plane d = 26 makes 25,463, d = 28
-56,181.  On a 2-core Xeon, generating 50,000 takes about 0.15 s and 25 MB.
-A miss then builds one shape, but a ``poly`` over every r builds a shape for
-each candidate, about 3 s and 280 MB."""
+56,181.  On a 2-core Xeon, generating them with their codes takes about
+0.1-0.15 s and a 25 MB peak for plane d = 26, and 0.2 s and 32 MB for
+two-spherical d = 22.  A miss then builds one shape; building every shape of
+two-spherical d = 22 takes about 2.6 s more and a 260 MB peak."""
 
 
 class _Memo(dict):
-    """The odd-subtree lists of one generation run, keyed by (cost, k_in);
-    :meth:`count` adds the run's subtrees and forests up against the bound."""
+    """The odd-subtree lists of one generation run, keyed by (cost, k_in),
+    and the code of the family's pendant leaf; :meth:`count` adds the run's
+    subtrees and forests up against the bound."""
 
     def __init__(self, family: TreeFamily, d: int):
         super().__init__()
         self.family, self.d, self.made = family, d, 0
+        self.pendant = _code(family.pendant, None, [])
 
     def count(self, n: int) -> None:
         self.made += n
@@ -645,19 +649,22 @@ class _Memo(dict):
 
 
 @cache
-def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list, dict]:
+def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
     """The candidate forests of (family, d), generated once per process since
-    they do not depend on r, as tuples (window_top, v0, forest): the root's
-    :attr:`Shape.window_top` and edge count, read off the forest.  Each has a
-    slot in the list, filled with its :func:`_build` on first use, and the
-    dict holds the codes :func:`_forest_code` has read off them."""
+    they do not depend on r, as tuples (body, window_top, v0, forest): the
+    code of the forest's shape (:attr:`Shape.body`), built from its odd
+    subtrees' codes, and the root's :attr:`Shape.window_top` and edge count,
+    read off the forest.  They come sorted by body, once for every r; each
+    has a slot in the list, filled with its :func:`_build` on first use."""
     lagrangian = family.geometry.lagrangian
     memo = _Memo(family, d)
     candidates = []
     for forest in _forests(memo, d, False):
         memo.count(1)
-        candidates.append((_point_count(lagrangian, len(forest), sum(t[0] for t in forest)), len(forest), forest))
-    return tuple(candidates), [None] * len(candidates), {}
+        body = _code(0, None, [t[4] for t in forest])
+        candidates.append((body, _point_count(lagrangian, len(forest), sum(t[0] for t in forest)), len(forest), forest))
+    candidates.sort(key=itemgetter(0))  # each candidate's shape has its own body
+    return tuple(candidates), [None] * len(candidates)
 
 
 def _decorate(r: int, r_l: int, runs, shape: Shape):
@@ -704,50 +711,33 @@ def _forests(memo: _Memo, budget: int, via_connector: bool, items=None, start: i
 def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
     """Every odd subtree entered by an edge of multiplicity k_in whose share
     ``scale * k + genus_coefficient * g`` of the degree equation is ``cost``,
-    as (k_in, g, pendant count, connector children).  A g = 0 vertex is a
-    leaf on a simple edge: any other is a multiple fibre class, which
-    :attr:`Shape.problems` reports.  A vertex with no integer pair count
-    carries no tree for either sign, so it is not generated.  Each list is
-    built once per ``memo``, which lives for one :func:`_candidates` run."""
+    as (k_in, g, pendant count, connector children, code).  The code is the
+    AHU code (:func:`_code`) the subtree's vertex has in its shape, built from
+    its children's: a pendant is an even leaf on an edge of multiplicity
+    ``family.pendant``, and a connector child an even vertex on a simple edge
+    above its odd subtree.  A g = 0 vertex is a leaf on a simple edge: any
+    other is a multiple fibre class, which :attr:`Shape.problems` reports.  A
+    vertex with no integer pair count carries no tree for either sign, so it
+    is not generated.  Each list is built once per ``memo``, which lives for
+    one :func:`_candidates` run."""
     if (cost, k_in) in memo:
         return memo[cost, k_in]
     family = memo.family
     rest = cost - family.scale * k_in
-    out = [(1, 0, 0, ())] if rest == 0 and k_in == 1 else []
+    out = [(1, 0, 0, (), _code(1, "(0, None, None)", []))] if rest == 0 and k_in == 1 else []
     step = family.scale * family.pendant
     for g in range(1, rest // family.genus_coefficient + 1):
         left = rest - family.genus_coefficient * g
+        label = f"({g}, None, None)"
         for pendants in range(left // step + 1 if step else 1):
             for children in _forests(memo, left - step * pendants, True):
                 k_s, valence = k_in + family.pendant * pendants + len(children), 1 + pendants + len(children)
                 if expected_pair_count(family, g, k_s, valence, False) is not None:
-                    out.append((k_in, g, pendants, children))
+                    kids = [memo.pendant] * pendants + [_code(1, None, [child[4]]) for child in children]
+                    out.append((k_in, g, pendants, children, _code(k_in, label, kids)))
     memo.count(len(out))
     memo[cost, k_in] = out
     return out
-
-
-def _forest_code(family: TreeFamily, forest, codes: dict) -> str:
-    """:attr:`Shape.body` of a candidate forest's shape, read off its nested
-    tuples without building it: a pendant is an even leaf on an edge of
-    multiplicity ``family.pendant``, and a connector child an even vertex on
-    a simple edge above its odd subtree.  ``codes`` keeps each subtree's and
-    forest's code by id, which no other tuple can take while the candidates
-    that hold them live (:func:`_candidates` keeps both together)."""
-    code = codes.get(id(forest))
-    if code is None:
-        code = codes[id(forest)] = _code(0, None, [_subtree_code(family, t, codes) for t in forest])
-    return code
-
-
-def _subtree_code(family: TreeFamily, subtree, codes: dict) -> str:
-    code = codes.get(id(subtree))
-    if code is None:
-        k_in, g, pendants, children = subtree
-        kids = [_code(family.pendant, None, [])] * pendants
-        kids += [_code(1, None, [_subtree_code(family, child, codes)]) for child in children]
-        code = codes[id(subtree)] = _code(k_in, f"({g}, None, None)", kids)
-    return code
 
 
 def _build(family: TreeFamily, d: int, body: str | None, forest) -> tuple[tuple, Shape]:
@@ -756,7 +746,7 @@ def _build(family: TreeFamily, d: int, body: str | None, forest) -> tuple[tuple,
     runs of identical subtrees (consecutive in the non-decreasing forest)."""
 
     def attach(parent, subtree, edges, gmap):
-        k_in, g, pendants, children = subtree
+        k_in, g, pendants, children, _ = subtree
         v = len(edges) + 1
         edges.append((parent, v, k_in))
         gmap[v] = g
@@ -778,24 +768,20 @@ def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
     Classes come sorted by :func:`shape_form`, which in one window is the
     order of :attr:`Shape.body` (one ASCII prefix, the body, then ``)``; no
     body is a proper prefix of another), variants by full canonical form.
-    The window is sorted by the bodies read off the candidates' tuples, so
-    no shape is built for the order: a candidate's shape is built, at most
-    once per process, and its trees are decorated and validated only when
-    its class is reached, and a caller that stops at a class builds no shape
-    after it.  The candidates and their codes come from the per-process
-    cache of (family, d).  Each tree's pair-assignment count is computed
-    when it is first read."""
+    The candidates of (family, d) come from its per-process cache, sorted by
+    the bodies they carry, so r only skips those outside its window: a
+    candidate's shape is built, at most once per process, and its trees are
+    decorated and validated only when its class is reached, and a caller
+    that stops at a class builds no shape after it.  Each tree's
+    pair-assignment count is computed when it is first read."""
     r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
-    candidates, built, codes = _candidates(family, d)
-    window = []
-    for i, (top, v0, forest) in enumerate(candidates):
+    candidates, built = _candidates(family, d)
+    for i, (body, top, v0, forest) in enumerate(candidates):
         r_l = minus_part_size(top, r, v0)
-        if r_l is not None:
-            window.append((_forest_code(family, forest, codes), r_l, i))
-    window.sort(key=itemgetter(0))  # each candidate's shape has its own body
-    for body, r_l, i in window:
+        if r_l is None:
+            continue
         if built[i] is None:
-            built[i] = _build(family, d, body, candidates[i][2])
+            built[i] = _build(family, d, body, forest)
         runs, shape = built[i]
         trees = sorted(_decorate(r, r_l, runs, shape), key=canonical_form)
         yield TreeClass(tuple(TreeWithCount(tree, r_x) for tree in trees))

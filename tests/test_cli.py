@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, table overrides."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -179,6 +180,18 @@ def test_frontier_to_degree_16_matches_its_pinned_output(capsys):
     # failing class of its window in Shape.body order
     expected = (Path(__file__).resolve().parent / "data" / "frontier_max_degree_16.txt").read_text()
     assert run(capsys, "frontier", "--max-degree", "16") == (0, expected, "")
+
+
+def test_frontier_to_degree_24_stops_at_the_enumeration_bound(capsys):
+    # two-spherical d = 23 is the first (family, d) past CANDIDATE_BOUND; the
+    # output before it is pinned by its sha256
+    code, out, err = run(capsys, "frontier", "--max-degree", "24")
+    assert code == 3
+    assert err == (
+        "beyond the computable range: (two-spherical, d=23) has more than 50,000 candidate subtrees and forests, "
+        "the enumeration bound\n"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == "97e3b310b59d20c6579b88a49b8c3fb2e78bf0fb1b7fb6a5be0e1094d8cb1cfc"
 
 
 def test_poly_text_lists_each_unavailable_value(capsys):

@@ -36,7 +36,6 @@ from welschinger.trees import (
     _build,
     _candidates,
     _codes,
-    _forest_code,
     automorphisms,
     pair_condition_count,
     shape_form,
@@ -207,7 +206,7 @@ def test_assignment_count_matches_burnside():
 @pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
 def test_each_candidate_shape_is_generated_once(family, top):
     for d in range(1, top + 1):
-        shapes = [_build(family, d, None, forest)[1].body for _, _, forest in _candidates(family, d)[0]]
+        shapes = [_build(family, d, None, forest)[1].body for *_, forest in _candidates(family, d)[0]]
         assert len(shapes) == len(set(shapes)), (family, d)
     # and each decorated tree: no two that the decoration step yields are
     # isomorphic (enumeration sorts them but merges none)
@@ -217,16 +216,19 @@ def test_each_candidate_shape_is_generated_once(family, top):
 
 
 def test_candidate_code_is_the_body_of_its_shape():
-    # the code read off a candidate's nested tuples, by which the window is
-    # sorted before any shape is built, is the AHU code of the built shape
+    # the body a candidate carries, built with its subtrees and by which the
+    # candidates are sorted before any shape is built, is the AHU code of
+    # the built shape
     checked = 0
     for family in F:
         for d in range(1, 17):
-            candidates, _, codes = _candidates(family, d)
-            for _, _, forest in candidates:
+            candidates = _candidates(family, d)[0]
+            for body, _, _, forest in candidates:
                 shape = _build(family, d, None, forest)[1]
-                assert _forest_code(family, forest, codes) == _codes(shape, {}, {})[shape.root], (family, d, forest)
+                assert body == _codes(shape, {}, {})[shape.root], (family, d, forest)
                 checked += 1
+            bodies = [body for body, *_ in candidates]
+            assert bodies == sorted(bodies), (family, d)
     assert checked == 7648
 
 
@@ -236,7 +238,7 @@ def test_candidate_window_matches_the_shape(family, top):
     # multiplicity, is the one its shape computes from its own root edges
     checked = 0
     for d in range(1, top + 1):
-        for window_top, v0, forest in _candidates(family, d)[0]:
+        for _, window_top, v0, forest in _candidates(family, d)[0]:
             shape = _build(family, d, None, forest)[1]
             assert (window_top, v0) == (shape.window_top, len(shape.root_edges)), (family, d, forest)
             assert window_top == f_point_count(family.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
@@ -328,7 +330,7 @@ def _count_shapes(monkeypatch):
 
 
 def _inside_the_window(family, d, r):
-    return [c for c in _candidates(family, d)[0] if trees_module.minus_part_size(c[0], r, c[1]) is not None]
+    return [c for c in _candidates(family, d)[0] if trees_module.minus_part_size(c[1], r, c[2]) is not None]
 
 
 @pytest.mark.parametrize("d,r,shapes,trees", [(9, 0, 4, 4), (10, 1, 9, 9)])
@@ -786,7 +788,7 @@ def test_decorated_trees_share_their_cached_shape(monkeypatch):
     monkeypatch.setattr(trees_module, "_codes", counted)
     _candidates.cache_clear()
     variants = [twc.tree for r in (1, 3) for c in enumerate_trees(F.PROJECTIVE, 6, r) for twc in c.variants]
-    candidates, slots, _ = _candidates(F.PROJECTIVE, 6)
+    candidates, slots = _candidates(F.PROJECTIVE, 6)
     shapes = [slot[1] for slot in slots if slot is not None]
     # every tree holds its cached shape by identity, only the shapes that
     # carry a tree are built, each once for both values of r, and a shape
