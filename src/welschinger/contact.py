@@ -91,7 +91,7 @@ stores one count per order up to its largest, so a parsed ``e1000000000``
 would ask for 8 GB, and each reduction of a key copies its vectors.  A tree
 of degree d has orders at most d, and a key with an order past a few hundred
 needs more reductions than ``MAX_DERIVATION_DEPTH``; at this bound ``derive``
-still answers in about a second."""
+still answers in under 0.2 s (``--beta e10000 --pairs 1``, a 2-core Xeon)."""
 
 
 def _trimmed(counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,7 +103,8 @@ def _trimmed(counts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class ContactVector(_Record):
-    """Sparse multiset of contact orders, canonical (trailing zeros trimmed).
+    """Multiset of contact orders stored densely, one count per order up to
+    the largest; canonical (trailing zeros trimmed).
 
     Equality and hashing act on the canonical form, so contact vectors can be
     used as dictionary keys.  ``size`` is the number of contacts, ``weight``
@@ -179,6 +180,14 @@ class ContactVector(_Record):
             raise ValueError("contact vector subtraction went negative")
         return ContactVector._canonical(_trimmed(diff))
 
+    def _moved(self, order: int, step: int) -> "ContactVector":
+        """This vector with ``step`` (1 or -1) more contacts of ``order``, a
+        removed one being present; only the changed count can need a trim."""
+        c, i = self.counts, order - 1
+        if i < len(c):
+            return ContactVector._canonical(_trimmed(c[:i] + (c[i] + step,) + c[order:]))
+        return ContactVector._canonical(c + (0,) * (i - len(c)) + (step,))
+
     @property
     def size(self) -> int:
         return sum(self.counts)
@@ -186,12 +195,6 @@ class ContactVector(_Record):
     @property
     def weight(self) -> int:
         return sum(map(operator.mul, self.counts, range(1, len(self.counts) + 1)))
-
-    def orders(self):
-        """Yield the distinct orders with non-zero count."""
-        for i, c in enumerate(self.counts, start=1):
-            if c:
-                yield i
 
     def __str__(self) -> str:
         if not self.counts:

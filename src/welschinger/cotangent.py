@@ -5,7 +5,8 @@ asymptotic to prescribed (alpha) and free (beta) pairs of Reeb orbits,
 through r real points and r_L conjugate point pairs; the sign is the parity
 of the isolated real double points (dim L = 2) or the spinor state
 (dim L = 3).  The real-point count r is always the one forced by the
-dimension equation, so keys never store it.
+dimension equation, so it is no field of a key; a reduction step's children
+take it from their rule, and a pair-to-real child moves one contact.
 
 Two reduction rules resolve values from a small curated basis; a key with
 no table entry takes one reduction step, :func:`reduce_key`, which picks the
@@ -67,6 +68,13 @@ class FKey(_Record):
         base = f_point_count(self.kind, self.alpha, self.beta, self.r_l)
         return base - 2 * self.crosses
 
+    @classmethod
+    def _reduced(cls, kind, alpha, beta, r_l, crosses, r) -> "FKey":
+        """A child key of :func:`reduce_key`, with the ``r`` its rule fixes."""
+        key = cls(kind, alpha, beta, r_l, crosses)
+        key.__dict__["r"] = r
+        return key
+
     def __str__(self) -> str:
         marks = "+" + "x" * self.crosses if self.crosses else ""
         return f"F[{self.kind.value}]_({self.r}{marks},{self.r_l})({self.alpha}, {self.beta})"
@@ -77,15 +85,16 @@ def reduce_key(key: FKey) -> tuple[str, list[tuple[int, FKey]]]:
     (coefficient, child) terms.  pair-to-real applies when a conjugate pair
     and a free orbit are left, else real-pair-to-cross when no pair and at
     least two real points are; UnresolvableFKey when neither does."""
-    if key.r_l >= 1 and key.beta:
+    kind, alpha, beta, r_l, crosses, r = key.kind, key.alpha, key.beta, key.r_l, key.crosses, key.r
+    if r_l >= 1 and beta:
         return "pair-to-real", [
-            (k, FKey(key.kind, key.alpha + ContactVector.e(k), key.beta - ContactVector.e(k), key.r_l - 1, key.crosses))
-            for k in key.beta.orders()
+            (k, FKey._reduced(kind, alpha._moved(k, 1), beta._moved(k, -1), r_l - 1, crosses, r))
+            for k, count in enumerate(beta.counts, 1) if count
         ]
-    if key.r_l == 0 and key.r >= 2:
+    if r_l == 0 and r >= 2:
         return "real-pair-to-cross", [
-            (2, FKey(key.kind, key.alpha, key.beta, 0, key.crosses + 1)),
-            (1, FKey(key.kind, key.alpha, key.beta, 1, key.crosses)),
+            (2, FKey._reduced(kind, alpha, beta, 0, crosses + 1, r - 2)),
+            (1, FKey._reduced(kind, alpha, beta, 1, crosses, r - 2)),
         ]
     raise UnresolvableFKey(f"{key} is outside the derivable closure")
 

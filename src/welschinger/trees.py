@@ -62,7 +62,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
 from functools import cache
@@ -391,7 +390,7 @@ class DecoratedTree(_Record):
 
 def _contact(ks: list[int]) -> ContactVector:
     """The multiset of edge multiplicities ``ks`` (each >= 1) as a contact vector."""
-    return ContactVector(tuple(ks.count(i) for i in range(1, max(ks, default=0) + 1)))
+    return ContactVector._canonical(tuple(ks.count(i) for i in range(1, max(ks, default=0) + 1)))
 
 
 def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus: bool):
@@ -488,7 +487,14 @@ def _symmetries(sibling_codes) -> int:
     """Product of c! over every c equal codes within each list of sibling
     codes: the order of a rooted tree's automorphism group when the lists are
     the child codes of its vertices."""
-    return math.prod(math.factorial(c) for codes in sibling_codes for c in Counter(codes).values())
+    out = 1
+    for codes in sibling_codes:
+        if len(codes) > 1:  # a lone child has no twin
+            seen = {}
+            for code in codes:
+                seen[code] = seen.get(code, 0) + 1
+            out *= math.prod(map(math.factorial, seen.values()))
+    return out
 
 
 def m1_minus(tree: DecoratedTree) -> int:
@@ -508,8 +514,12 @@ def m1_plus(tree: DecoratedTree) -> int:
     product over k of perm(t_k, s_k), for t_k plus root edges of multiplicity
     k of which s_k lead to vertices holding pairs."""
     k_root = tree.shape.root_edges
-    targets = Counter(k_root[v] for v in tree.plus_vertices())
-    sources = Counter(k_root[v] for v in tree.plus_vertices() if tree.f_size(v) > 0)
+    targets, sources = {}, {}
+    for v in tree.plus_vertices():
+        k = k_root[v]
+        targets[k] = targets.get(k, 0) + 1
+        if tree.f_size(v) > 0:
+            sources[k] = sources.get(k, 0) + 1
     return math.prod(math.perm(targets[k], s) for k, s in sources.items())
 
 
@@ -662,7 +672,7 @@ def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
     for forest in _forests(memo, d, False):
         memo.count(1)
         body = _code(0, None, [t[4] for t in forest])
-        candidates.append((body, _point_count(lagrangian, len(forest), sum(t[0] for t in forest)), len(forest), forest))
+        candidates.append((body, _point_count(lagrangian, len(forest), sum([t[0] for t in forest])), len(forest), forest))
     candidates.sort(key=itemgetter(0))  # each candidate's shape has its own body
     return tuple(candidates), [None] * len(candidates)
 

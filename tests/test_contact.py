@@ -74,6 +74,17 @@ def test_contact_vector_difference_and_weight_follow_the_orders(a, b):
     assert not diff.counts or diff.counts[-1] > 0
 
 
+@given(_counts, st.integers(min_value=1, max_value=8))
+@example([0, 0, 1], 3)  # the last count falls to 0 and the zeros below it go too
+def test_moving_one_contact_is_the_vector_arithmetic(counts, order):
+    v = CV(tuple(counts))
+    added = v._moved(order, 1)
+    assert added == v + CV.e(order) and added.counts == (v + CV.e(order)).counts
+    if v[order]:
+        removed = v._moved(order, -1)
+        assert removed == v - CV.e(order) and removed.counts == (v - CV.e(order)).counts
+
+
 def test_contact_vector_parse_and_str():
     assert CV.parse("0") == CV.zero()
     assert CV.parse("2e1+e3") == CV.e(1, 2) + CV.e(3)

@@ -178,33 +178,83 @@ def test_unresolvable_keys_raise():
         builtin_f_engine().value(FKey(K.RP2, CV.e(4), zero))
 
 
-def test_reductions_preserve_dimension_bookkeeping():
-    key = FKey(K.RP2, zero, e1 + e2, r_l=1)
-    for _, child in pair_to_real(key):
-        assert child.r == key.r
-    key = FKey(K.SPHERE2, zero, e2)
-    for _, child in reduce_key(key)[1]:
-        assert child.r == key.r - 2
-    # pair-to-real moves one contact from beta to alpha, real-pair-to-cross
-    # moves none: every child keeps its parent's kind and total profile
-    keys = [
-        FKey(kind, alpha, beta, r_l, crosses)
-        for kind in K
-        for alpha in (zero, e1, e2, CV.e(1, 2))
-        for beta in (zero, e1, e3, e1 + e2)
-        for r_l in range(3)
-        for crosses in range(2)
-    ]
-    rules = set()
+GRID_KEYS = [
+    FKey(kind, alpha, beta, r_l, crosses)
+    for kind in K
+    for alpha in (zero, e1, e2, CV.e(1, 2))
+    for beta in (zero, e1, e3, e1 + e2)
+    for r_l in range(3)
+    for crosses in range(2)
+]
+
+
+def fresh(key):
+    """``key`` built anew from its fields, so that its r is computed by
+    f_point_count rather than handed down by a reduction rule."""
+    return FKey(key.kind, key.alpha, key.beta, key.r_l, key.crosses)
+
+
+def reducible(keys):
+    """(key, rule, combo) for each key that takes a reduction step."""
     for key in keys:
         try:
-            rule, combo = reduce_key(key)
+            yield key, *reduce_key(key)
         except WelschingerError:  # a negative real-point count, or neither rule
             continue
+
+
+def test_reductions_preserve_dimension_bookkeeping():
+    # pair-to-real keeps r, real-pair-to-cross lowers it by 2: the r a child
+    # carries must be the one the dimension equation gives its fields
+    key = FKey(K.RP2, zero, e1 + e2, r_l=1)
+    for _, child in pair_to_real(key):
+        assert child.r == fresh(child).r == key.r == 4
+    key = FKey(K.SPHERE2, zero, e2)
+    for _, child in reduce_key(key)[1]:
+        assert child.r == fresh(child).r == key.r - 2 == 3
+    # pair-to-real moves one contact from beta to alpha, real-pair-to-cross
+    # moves none: every child keeps its parent's kind and total profile
+    rules = set()
+    for key, rule, combo in reducible(GRID_KEYS):
         rules.add(rule)
         for _, child in combo:
             assert child.kind is key.kind and child.alpha + child.beta == key.alpha + key.beta
     assert rules == {"pair-to-real", "real-pair-to-cross"}
+
+
+def packaged_rows():
+    return json.loads(Path(tables.__file__).with_name(tables.F_TABLE).read_text())["entries"]
+
+
+def test_reduction_steps_match_the_rules_written_with_vector_arithmetic():
+    # the oracle: each rule built from ContactVector.e, + and - and fresh keys,
+    # over the key grid and every key met deriving the packaged keys from the basis
+    basis, reached = basis_f_engine(), []
+
+    def walk(node):
+        reached.append(node.key)
+        for _, child in node.terms:
+            walk(child)
+
+    for row in packaged_rows():
+        walk(basis.derive(FKey(K(row["kind"]), CV(tuple(row["alpha"])), CV(tuple(row["beta"])), row["r_l"], row["crosses"])))
+    steps = 0
+    for key, rule, combo in reducible(GRID_KEYS + reached):
+        if rule == "pair-to-real":
+            expected = [
+                (k, FKey(key.kind, key.alpha + CV.e(k), key.beta - CV.e(k), key.r_l - 1, key.crosses))
+                for k in range(1, len(key.beta.counts) + 1)
+                if key.beta[k]
+            ]
+        else:
+            expected = [
+                (2, FKey(key.kind, key.alpha, key.beta, 0, key.crosses + 1)),
+                (1, FKey(key.kind, key.alpha, key.beta, 1, key.crosses)),
+            ]
+        assert combo == expected, key
+        assert [child.r for _, child in combo] == [oracle.r for _, oracle in expected], key
+        steps += 1
+    assert len(reached) > len(packaged_rows()) and steps > 100
 
 
 @pytest.mark.parametrize(
@@ -271,7 +321,7 @@ def test_real_point_count_is_computed_once_per_key(monkeypatch):
 
 def test_every_packaged_row_is_found_under_its_own_key():
     # the loader and lookup build a row's table key the same way
-    rows = json.loads(Path(tables.__file__).with_name(tables.F_TABLE).read_text())["entries"]
+    rows = packaged_rows()
     assert len(rows) == 47 and sum(1 for row in rows if row["r_l"] or row["crosses"]) == 22
     assert sum(1 for row in rows if row.get("basis")) == 30
     full, basis = builtin_f_engine(), basis_f_engine()

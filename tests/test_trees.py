@@ -436,6 +436,13 @@ def test_m1_plus_injection_counts():
     assert m1_plus(tree_empty) == 1
 
 
+@given(st.lists(st.lists(st.sampled_from(["(0, None, ())", "(1, None, ())", "(2, None, ())"]), max_size=6), max_size=5))
+def test_symmetries_is_the_product_of_factorials_of_equal_sibling_codes(sibling_codes):
+    # the Counter formula, as the reference
+    expected = math.prod(math.factorial(c) for codes in sibling_codes for c in Counter(codes).values())
+    assert trees_module._symmetries(list(codes) for codes in sibling_codes) == expected
+
+
 def _independent_code(edges, decorations, root):
     """Tiny AHU oracle used to certify the reconnection count."""
     adj = {}
