@@ -49,7 +49,7 @@ def admissibility():
     print("admissible real-point counts r per degree:")
     for geometry, ds in ((Q2, [2, 3]), (Q3, [2, 4, 6, 10])):
         for d in ds:
-            counts = admissible_real_counts(geometry, d)
+            counts = list(admissible_real_counts(geometry, d))
             print(f"  {geometry.value} d={d}: r in {counts or 'nothing (odd degree)'}")
     print()
 

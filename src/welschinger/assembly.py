@@ -34,7 +34,6 @@ from .trees import (
     FAMILY_OF,
     DecoratedTree,
     canonical_form,
-    multiplicity,
     pair_condition_count,
     tree_classes,
 )
@@ -106,9 +105,9 @@ class ChiResult(_Record):
         }
 
 
-def _admissible_range(geometry: GeometryKind, d: int) -> range:
+def admissible_real_counts(geometry: GeometryKind, d: int) -> range:
     """Real-point counts r for which chi(geometry, d, r) is defined, as a
-    range: membership is tested without building a list."""
+    range: at a huge degree nothing is listed before the first r is used."""
     if d < 1:
         raise InadmissiblePair("degree must be >= 1")
     counts = FAMILY_OF[geometry].real_point_counts(d)
@@ -116,14 +115,9 @@ def _admissible_range(geometry: GeometryKind, d: int) -> range:
     return counts[1:] if geometry is GeometryKind.ELLIPSOID_QUADRIC3 and 0 in counts else counts
 
 
-def admissible_real_counts(geometry: GeometryKind, d: int) -> list[int]:
-    """Real-point counts r for which chi(geometry, d, r) is defined."""
-    return list(_admissible_range(geometry, d))
-
-
 def check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
     """Raise InadmissiblePair unless chi(geometry, d, r) is defined."""
-    if d < 1 or r not in _admissible_range(geometry, d):
+    if d < 1 or r not in admissible_real_counts(geometry, d):
         raise InadmissiblePair(f"({geometry.value}, d={d}, r={r}) is not an admissible pair")
 
 
@@ -180,16 +174,15 @@ def chi(
                 factors = _vertex_factors(geometry, tree, table)
             except (UnknownInvariant, UnresolvableFKey) as exc:
                 raise type(exc)(f"{exc} [required by tree {label}]") from exc
-            mult = multiplicity(tree)
             sign = tree.sign_factor()
-            contribution = sign * twc.assignment_count * mult * f_value
+            contribution = sign * twc.assignment_count * twc.multiplicity * f_value
             for factor in factors:
                 contribution *= factor
             rows.append(
                 LedgerRow(
                     tree=label,
                     assignment_count=twc.assignment_count,
-                    multiplicity=mult,
+                    multiplicity=twc.multiplicity,
                     sign=sign,
                     f_value=f_value,
                     relative_factors=tuple(factors),

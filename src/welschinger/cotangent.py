@@ -133,7 +133,8 @@ class FInvariantEngine:
 
     @staticmethod
     def _table_key(key: FKey) -> tuple:
-        return (key.kind.value, key.alpha.counts, key.beta.counts, key.r_l, key.crosses)
+        # _value_ is the plain attribute each member holds; .value is a descriptor call
+        return (key.kind._value_, key.alpha.counts, key.beta.counts, key.r_l, key.crosses)
 
     @classmethod
     def from_json_payload(cls, payload: dict, where: str = "F table") -> "FInvariantEngine":

@@ -32,10 +32,10 @@ signs: partition cover, root window, minus-part size and pair counts.
 
 Enumeration generates the candidate forests of each (family, d) once per
 process, as light tuples that carry their root window (the window needs only
-the root edges' multiplicities) and the code their shape will have
-(:attr:`Shape.body`), built with each subtree from its children's codes; the
-candidates are sorted by that code once.  A (family, d) with more candidates
-than :data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
+the root edges' multiplicities), and sorts them once by the degree-labelled
+AHU code their shape will have, read off the codes each subtree got when it
+was generated.  A (family, d) with more candidates than
+:data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
 :func:`tree_classes` walks the sorted candidates in r's window one class at
 a time: a forest becomes a :class:`Shape`, at most once per process, and its
 trees are decorated and validated only when its class is reached.  So chi,
@@ -65,7 +65,6 @@ import math
 from collections.abc import Iterator
 from enum import Enum
 from functools import cache
-from operator import itemgetter
 
 from .contact import ContactVector, GeometryKind, _cached, _point_count, _Record
 from .errors import EnumerationTooLarge, InvalidDegreeRealPair
@@ -201,14 +200,11 @@ class Shape:
       candidates do before any shape is built.
 
     A shape is shared by all its decorated trees; its dicts must not be
-    modified.  ``body``, when given, must be the shape's :attr:`body`, as the
-    code a candidate forest carries (:func:`_candidates`) is.
+    modified.
     """
 
-    def __init__(self, family: TreeFamily, d: int, root: int, edges, genus, body: str | None = None):
+    def __init__(self, family: TreeFamily, d: int, root: int, edges, genus):
         self.family, self.d, self.root = family, d, root
-        if body is not None:
-            self.body = body  # shadows the cached property below
         self.edges = tuple(sorted((int(u), int(v), int(k)) for u, v, k in edges))
         self.genus = dict(sorted((int(v), int(g)) for v, g in dict(genus).items()))
         if any(k < 1 for _, _, k in self.edges):
@@ -273,13 +269,6 @@ class Shape:
         if family.genus_total(self.d, sum(k_s.values()) // 2) != sum(genus.values()):  # k_s counts each edge twice
             problems.append("degree equation fails")
         return tuple(problems)
-
-    @_cached
-    def body(self) -> str:
-        """AHU code of the whole shape, degrees as the only labels: the part
-        of :func:`shape_form` that does not depend on r.  An enumerated shape
-        is given it; any other computes it on first read."""
-        return _codes(self, {}, {})[self.root]
 
 
 class DecoratedTree(_Record):
@@ -427,7 +416,8 @@ def _codes(shape: Shape, signs: dict[int, str], f_sizes: dict[int, int]) -> dict
 
 
 def _form(shape: Shape, r: int, body: str) -> bytes:
-    return f"({shape.family.value!r}, {shape.d}, {r}, {body})".encode()
+    # _value_ is the plain attribute TreeFamily.__new__ sets; .value is a descriptor call
+    return f"({shape.family._value_!r}, {shape.d}, {r}, {body})".encode()
 
 
 def canonical_form(tree: DecoratedTree) -> bytes:
@@ -437,12 +427,6 @@ def canonical_form(tree: DecoratedTree) -> bytes:
     vertices never changes the encoding.  Computed once per tree.
     """
     return tree._canonical
-
-
-def shape_form(tree: DecoratedTree) -> bytes:
-    """Encoding of the underlying weighted tree with its degree decoration
-    only; the shape's part of it is computed once per shape."""
-    return _form(tree.shape, tree.r, tree.shape.body)
 
 
 def automorphisms(tree: DecoratedTree) -> list[dict[int, int]]:
@@ -614,8 +598,9 @@ class TreeWithCount(_Record):
         """Pair-assignment classes of the tree, counted on first read."""
         return assignment_count(self.tree, self.r_x)
 
-    @property
+    @_cached
     def multiplicity(self) -> int:
+        """Gluing multiplicity of the tree, computed on first read."""
         return multiplicity(self.tree)
 
 
@@ -661,19 +646,18 @@ class _Memo(dict):
 @cache
 def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
     """The candidate forests of (family, d), generated once per process since
-    they do not depend on r, as tuples (body, window_top, v0, forest): the
-    code of the forest's shape (:attr:`Shape.body`), built from its odd
-    subtrees' codes, and the root's :attr:`Shape.window_top` and edge count,
-    read off the forest.  They come sorted by body, once for every r; each
-    has a slot in the list, filled with its :func:`_build` on first use."""
+    they do not depend on r, as tuples (window_top, v0, forest): the root's
+    :attr:`Shape.window_top` and edge count, read off the forest.  They come
+    sorted, once for every r, by the degree-labelled AHU code of their
+    shapes, built from their odd subtrees' codes (no two shapes share one);
+    each has a slot in the list, filled with its :func:`_build` on first use."""
     lagrangian = family.geometry.lagrangian
     memo = _Memo(family, d)
     candidates = []
     for forest in _forests(memo, d, False):
         memo.count(1)
-        body = _code(0, None, [t[4] for t in forest])
-        candidates.append((body, _point_count(lagrangian, len(forest), sum([t[0] for t in forest])), len(forest), forest))
-    candidates.sort(key=itemgetter(0))  # each candidate's shape has its own body
+        candidates.append((_point_count(lagrangian, len(forest), sum([t[0] for t in forest])), len(forest), forest))
+    candidates.sort(key=lambda c: _code(0, None, [t[4] for t in c[2]]))
     return tuple(candidates), [None] * len(candidates)
 
 
@@ -736,7 +720,9 @@ def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
     rest = cost - family.scale * k_in
     out = [(1, 0, 0, (), _code(1, "(0, None, None)", []))] if rest == 0 and k_in == 1 else []
     step = family.scale * family.pendant
-    for g in range(1, rest // family.genus_coefficient + 1):
+    # a vertex with no pendant and no connector has no child: only the largest g can use up the cost
+    first = 1 if step or family.connectors else max(1, rest // family.genus_coefficient)
+    for g in range(first, rest // family.genus_coefficient + 1):
         left = rest - family.genus_coefficient * g
         label = f"({g}, None, None)"
         for pendants in range(left // step + 1 if step else 1):
@@ -750,10 +736,10 @@ def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
     return out
 
 
-def _build(family: TreeFamily, d: int, body: str | None, forest) -> tuple[tuple, Shape]:
-    """The shape of a candidate forest with its code ``body``, a root 0
-    carrying its odd subtrees, and ``runs``: the root children grouped into
-    runs of identical subtrees (consecutive in the non-decreasing forest)."""
+def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
+    """The shape of a candidate forest, a root 0 carrying its odd subtrees,
+    and ``runs``: the root children grouped into runs of identical subtrees
+    (consecutive in the non-decreasing forest)."""
 
     def attach(parent, subtree, edges, gmap):
         k_in, g, pendants, children, _ = subtree
@@ -769,29 +755,28 @@ def _build(family: TreeFamily, d: int, body: str | None, forest) -> tuple[tuple,
     edges: list[tuple[int, int, int]] = []
     gmap: dict[int, int] = {}
     runs = tuple(tuple(attach(0, subtree, edges, gmap) for subtree in run) for _, run in itertools.groupby(forest))
-    return runs, Shape(family, d, 0, edges, gmap, body)
+    return runs, Shape(family, d, 0, edges, gmap)
 
 
 def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
     """The decorated trees for (family, d, r), one shape class at a time.
 
-    Classes come sorted by :func:`shape_form`, which in one window is the
-    order of :attr:`Shape.body` (one ASCII prefix, the body, then ``)``; no
-    body is a proper prefix of another), variants by full canonical form.
-    The candidates of (family, d) come from its per-process cache, sorted by
-    the bodies they carry, so r only skips those outside its window: a
+    Classes come sorted by their shapes' degree-labelled AHU codes
+    (:func:`_codes` with no signs or pair counts), variants by full
+    canonical form.  The candidates of (family, d) come from its per-process
+    cache in that order, so r only skips those outside its window: a
     candidate's shape is built, at most once per process, and its trees are
     decorated and validated only when its class is reached, and a caller
     that stops at a class builds no shape after it.  Each tree's
-    pair-assignment count is computed when it is first read."""
+    pair-assignment count and multiplicity are computed when first read."""
     r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
     candidates, built = _candidates(family, d)
-    for i, (body, top, v0, forest) in enumerate(candidates):
+    for i, (top, v0, forest) in enumerate(candidates):
         r_l = minus_part_size(top, r, v0)
         if r_l is None:
             continue
         if built[i] is None:
-            built[i] = _build(family, d, body, forest)
+            built[i] = _build(family, d, forest)
         runs, shape = built[i]
         trees = sorted(_decorate(r, r_l, runs, shape), key=canonical_form)
         yield TreeClass(tuple(TreeWithCount(tree, r_x) for tree in trees))

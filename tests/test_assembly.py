@@ -84,10 +84,22 @@ def test_chi_deterministic():
 
 
 def test_admissible_real_counts():
-    assert admissible_real_counts(G.PROJECTIVE_PLANE, 5) == [0, 2, 4, 6, 8, 10, 12, 14]
-    assert admissible_real_counts(G.ELLIPSOID_QUADRIC2, 2) == [1, 3, 5, 7]
-    assert admissible_real_counts(G.ELLIPSOID_QUADRIC3, 10) == [1, 3, 5, 7, 9, 11, 13, 15]
-    assert admissible_real_counts(G.ELLIPSOID_QUADRIC3, 3) == []
+    assert list(admissible_real_counts(G.PROJECTIVE_PLANE, 5)) == [0, 2, 4, 6, 8, 10, 12, 14]
+    assert list(admissible_real_counts(G.ELLIPSOID_QUADRIC2, 2)) == [1, 3, 5, 7]
+    assert list(admissible_real_counts(G.ELLIPSOID_QUADRIC3, 10)) == [1, 3, 5, 7, 9, 11, 13, 15]
+    assert list(admissible_real_counts(G.ELLIPSOID_QUADRIC3, 3)) == []
+
+
+def test_admissible_real_counts_builds_no_list():
+    # the plane admits 1,500,000 values of r in degree 10^6
+    tracemalloc.start()
+    try:
+        counts = admissible_real_counts(G.PROJECTIVE_PLANE, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(counts), counts[0], counts[-1]) == (1_500_000, 1, 2_999_999)
+    assert peak < 1 << 20
 
 
 def test_check_admissible_builds_no_list_of_counts():

@@ -123,6 +123,17 @@ def test_exit_3_beyond_the_enumeration_bound(capsys, monkeypatch):
     assert err == "beyond the computable range: (projective, d=11) has more than 60 candidate subtrees and forests, the enumeration bound\n"
 
 
+def test_poly_at_a_huge_degree_stops_at_the_enumeration_bound(capsys):
+    # the admissible r are not listed before the first chi: a list of the
+    # 1.5 * 10^9 plane counts would take more than 10 GB
+    code, out, err = run(capsys, "poly", "--geometry", "cp2", "--degree", "1000000000")
+    assert (code, out) == (3, "")
+    assert err == (
+        "beyond the computable range: (projective, d=1000000000) has more than 50,000 candidate subtrees and forests, "
+        "the enumeration bound\n"
+    )
+
+
 def test_exit_2_on_inadmissible(capsys):
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "1")
     assert code == 2 and "error" in err
@@ -177,7 +188,7 @@ def test_frontier(capsys):
 
 def test_frontier_to_degree_16_matches_its_pinned_output(capsys):
     # past the tables every (family, d, r) is a miss, decided by the first
-    # failing class of its window in Shape.body order
+    # failing class of its window in the order of its shapes' codes
     expected = (Path(__file__).resolve().parent / "data" / "frontier_max_degree_16.txt").read_text()
     assert run(capsys, "frontier", "--max-degree", "16") == (0, expected, "")
 

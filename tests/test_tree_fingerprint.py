@@ -54,7 +54,7 @@ def tree_fingerprint(degrees=DEGREES) -> dict:
 
 def admissible_fingerprint() -> dict:
     return {
-        f"{g.value}/{d}": admissible_real_counts(g, d)
+        f"{g.value}/{d}": list(admissible_real_counts(g, d))
         for g in GeometryKind
         for d in range(1, MAX_ADMISSIBLE_DEGREE + 1)
     }

@@ -35,15 +35,27 @@ from welschinger.trees import (
     Shape,
     _build,
     _candidates,
+    _code,
     _codes,
+    _form,
     automorphisms,
     pair_condition_count,
-    shape_form,
     tree_to_json_dict,
     trees_to_json,
 )
 
 F = TreeFamily
+
+
+def shape_code(shape):
+    """AHU code of a whole shape, degrees as the only labels."""
+    return _codes(shape, {}, {})[shape.root]
+
+
+def shape_form(tree):
+    """Encoding of a tree's shape with its degree decoration only."""
+    return _form(tree.shape, tree.r, shape_code(tree.shape))
+
 
 EXPECTED_CLASS_COUNTS = {
     F.PROJECTIVE: {(4, 1): 0, (5, 0): 1, (5, 2): 1, (6, 1): 2, (6, 3): 2, (7, 0): 2, (7, 2): 5, (8, 1): 4},
@@ -96,7 +108,7 @@ def test_the_domain_of_chi_against_a_brute_force_search():
                     solved.append(r)
             # the 3-quadric's invariant needs a real point
             expected = [r for r in solved if r or family is not F.THREE_SPHERICAL]
-            assert admissible_real_counts(family.geometry, d) == expected, (family, d)
+            assert list(admissible_real_counts(family.geometry, d)) == expected, (family, d)
 
 
 def test_round_trip_validation():
@@ -206,7 +218,7 @@ def test_assignment_count_matches_burnside():
 @pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
 def test_each_candidate_shape_is_generated_once(family, top):
     for d in range(1, top + 1):
-        shapes = [_build(family, d, None, forest)[1].body for *_, forest in _candidates(family, d)[0]]
+        shapes = [shape_code(_build(family, d, forest)[1]) for *_, forest in _candidates(family, d)[0]]
         assert len(shapes) == len(set(shapes)), (family, d)
     # and each decorated tree: no two that the decoration step yields are
     # isomorphic (enumeration sorts them but merges none)
@@ -216,18 +228,17 @@ def test_each_candidate_shape_is_generated_once(family, top):
 
 
 def test_candidate_code_is_the_body_of_its_shape():
-    # the body a candidate carries, built with its subtrees and by which the
-    # candidates are sorted before any shape is built, is the AHU code of
-    # the built shape
+    # the candidates come sorted, before any shape is built, by the code read
+    # off their subtrees' codes, which is the AHU code of the built shape
     checked = 0
     for family in F:
         for d in range(1, 17):
-            candidates = _candidates(family, d)[0]
-            for body, _, _, forest in candidates:
-                shape = _build(family, d, None, forest)[1]
-                assert body == _codes(shape, {}, {})[shape.root], (family, d, forest)
+            bodies = []
+            for _, _, forest in _candidates(family, d)[0]:
+                body = shape_code(_build(family, d, forest)[1])
+                assert body == _code(0, None, [t[4] for t in forest]), (family, d, forest)
+                bodies.append(body)
                 checked += 1
-            bodies = [body for body, *_ in candidates]
             assert bodies == sorted(bodies), (family, d)
     assert checked == 7648
 
@@ -238,8 +249,8 @@ def test_candidate_window_matches_the_shape(family, top):
     # multiplicity, is the one its shape computes from its own root edges
     checked = 0
     for d in range(1, top + 1):
-        for _, window_top, v0, forest in _candidates(family, d)[0]:
-            shape = _build(family, d, None, forest)[1]
+        for window_top, v0, forest in _candidates(family, d)[0]:
+            shape = _build(family, d, forest)[1]
             assert (window_top, v0) == (shape.window_top, len(shape.root_edges)), (family, d, forest)
             assert window_top == f_point_count(family.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
             checked += 1
@@ -282,8 +293,8 @@ def test_encodings_match_the_nested_tuple_reference(family, top, trees):
 
 
 def test_tree_classes_come_in_shape_form_order():
-    # classes are sorted by Shape.body: that must be the order of the full
-    # shape encodings, which name the first failing tree of a miss
+    # classes are sorted by their shapes' codes: that must be the order of
+    # the full shape encodings, which name the first failing tree of a miss
     pairs = 0
     for family, d, r, _ in _valid_keys({F.PROJECTIVE: 8, F.TWO_SPHERICAL: 8, F.THREE_SPHERICAL: 12}):
         forms = [shape_form(cls.variants[0].tree) for cls in enumerate_trees(family, d, r)]
@@ -320,9 +331,9 @@ def _count_shapes(monkeypatch):
     built = Counter()
 
     class Counted(Shape):
-        def __init__(self, family, d, root, edges, genus, body=None):
-            super().__init__(family, d, root, edges, genus, body)
-            built[family, d, self.body] += 1
+        def __init__(self, family, d, root, edges, genus):
+            super().__init__(family, d, root, edges, genus)
+            built[family, d, shape_code(self)] += 1
 
     monkeypatch.setattr(trees_module, "Shape", Counted)
     _candidates.cache_clear()
@@ -330,7 +341,7 @@ def _count_shapes(monkeypatch):
 
 
 def _inside_the_window(family, d, r):
-    return [c for c in _candidates(family, d)[0] if trees_module.minus_part_size(c[1], r, c[2]) is not None]
+    return [c for c in _candidates(family, d)[0] if trees_module.minus_part_size(c[0], r, c[1]) is not None]
 
 
 @pytest.mark.parametrize("d,r,shapes,trees", [(9, 0, 4, 4), (10, 1, 9, 9)])
@@ -385,6 +396,19 @@ def test_assignment_counts_are_computed_when_read(monkeypatch):
     assert [twc.assignment_count for twc in twcs] == [assignment_count(twc.tree, r_x) for twc in twcs]
     [twc.assignment_count for twc in twcs]  # a second read is cached
     assert calls == [twc.tree for twc in twcs]
+
+
+def test_a_multiplicity_is_computed_once_per_variant(monkeypatch):
+    calls = []
+
+    def counted(tree):
+        calls.append(tree)
+        return multiplicity(tree)
+
+    monkeypatch.setattr(trees_module, "multiplicity", counted)
+    twc = enumerate_decorated_trees(F.PROJECTIVE, 6, 1)[0]
+    assert twc.multiplicity == twc.multiplicity == multiplicity(twc.tree)
+    assert calls == [twc.tree]
 
 
 def test_assignment_count_single_vertex():
@@ -784,6 +808,17 @@ def test_enumeration_bound_raises_a_typed_error(monkeypatch):
     assert _candidates.cache_info().currsize == 1
 
 
+def test_a_three_spherical_vertex_tries_only_the_degree_that_uses_up_its_cost(monkeypatch):
+    # with no pendant and no connector an odd vertex has no child, so a huge
+    # degree reaches the bound without a forest generator per smaller g
+    calls = []
+    forests = trees_module._forests
+    monkeypatch.setattr(trees_module, "_forests", lambda *args: calls.append(1) or forests(*args))
+    with pytest.raises(EnumerationTooLarge, match=r"^\(three-spherical, d=1000000000\) has more than 50,000 "):
+        _candidates(F.THREE_SPHERICAL, 10**9)
+    assert len(calls) < 1_000_000
+
+
 def test_decorated_trees_share_their_cached_shape(monkeypatch):
     encoded = []
     codes = trees_module._codes
@@ -798,15 +833,14 @@ def test_decorated_trees_share_their_cached_shape(monkeypatch):
     candidates, slots = _candidates(F.PROJECTIVE, 6)
     shapes = [slot[1] for slot in slots if slot is not None]
     # every tree holds its cached shape by identity, only the shapes that
-    # carry a tree are built, each once for both values of r, and a shape
-    # takes its body from its candidate: only the trees are encoded
+    # carry a tree are built, each once for both values of r, and no shape
+    # is encoded on its own: only the trees are
     assert all(any(tree.shape is shape for shape in shapes) for tree in variants)
     used = {id(tree.shape) for tree in variants}
     assert len(variants) == 5 and len(used) == len(shapes) == 2 < len(candidates)
     assert Counter(encoded) == {"tree": 5}
     for tree in variants:
         assert canonical_form(tree) is canonical_form(tree) and tree.codes is tree.codes
-        assert shape_form(tree) == shape_form(tree)
     assert Counter(encoded) == {"tree": 5}
 
 
