@@ -9,8 +9,8 @@ root-edge profiles toward the minus and plus parts) and each odd vertex
 contributes one relative count.  A vertex's profile splits into alpha, the
 edge to the root for a plus vertex, and beta, the rest; the count is that of
 the ruled surface of the geometry's ``surface_degree`` (4 over the plane,
-2 over the 2-quadric) or, over the 3-quadric, a sum of ruled-3-fold counts
-over bidegree splittings of its degree.
+2 over the 2-quadric) or, over the 3-quadric, the ruled-3-fold count of
+:func:`~welschinger.relative.three_fold_count`.
 
 The sign is (-1)^(#even vertices + 1) in every geometry.  Missing table
 values abort the computation with the offending tree in the message; a
@@ -27,8 +27,7 @@ from .relative import (
     RelativeKey,
     RuledSurfaceClass,
     builtin_relative_table,
-    n_three,
-    n_three_required_pairs,
+    three_fold_count,
 )
 from .trees import (
     FAMILY_OF,
@@ -126,22 +125,13 @@ def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: Relative
     factors = []
     shape = tree.shape
     for v in shape.odd_vertices:
-        plus, g, k_s = tree.is_plus(v), shape.genus[v], shape.k_s[v]
-        alpha = ContactVector.e(shape.root_edges[v]) if plus else ContactVector.zero()
+        g, k_s = shape.genus[v], shape.k_s[v]
+        alpha = ContactVector.e(shape.root_edges[v]) if tree.is_plus(v) else ContactVector.zero()
         beta = shape.profile(v) - alpha
         if geometry.surface_degree is not None:
             factors.append(table.n_sigma(RelativeKey(RuledSurfaceClass(geometry.surface_degree, g, k_s), alpha, beta)))
         else:
-            # a bidegree term only counts when the vertex's point pairs make
-            # both the quadric projection and the ruled-surface curve rigid;
-            # with more pairs than the family's dimension, generic pairs meet
-            # no curve and the term is 0; with fewer, the curves move.  The
-            # pairs needed, 2g - 1 - [plus] (1 - [plus] at g = 0), do not
-            # depend on the bidegree (a, g - a)
-            f, need = tree.f_size(v), n_three_required_pairs(0, g, plus)
-            if f < need:
-                raise UnknownInvariant(f"N3 of (0, {g}) + {k_s}f moves with {f} < {need} point pairs: count is not defined")
-            factors.append(0 if f > need else sum(n_three(a, g - a, k_s, alpha, beta, table) for a in range(g + 1)))
+            factors.append(three_fold_count(g, k_s, alpha, beta, tree.f_size(v), table))
     return factors
 
 

@@ -11,7 +11,9 @@ raise instead of defaulting to zero.
 ``n_three`` covers the 3-fold P(O(1,1) + O) over the 2-dimensional quadric Q:
 a class (a,b) + c f splits into a rational curve of bidegree (a,b) on Q and a
 section-with-fibre curve in the restricted ruling, which is the degree-4
-ruled surface again.
+ruled surface again.  ``three_fold_count`` is the count of a 3-quadric tree
+vertex: the ``n_three`` sum over its bidegrees when its point pairs make the
+curves rigid, 0 when they over-determine them, and a miss when they do not.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "point_count",
     "quadric_count",
     "n_three",
-    "n_three_required_pairs",
+    "three_fold_count",
 ]
 
 
@@ -165,19 +167,6 @@ def quadric_count(a: int, b: int) -> int:
     return value
 
 
-def n_three_required_pairs(a: int, b: int, prescribed: bool) -> int:
-    """Conjugate point pairs that make the 3-fold count rigid.
-
-    A pure fibre ((a, b) = (0, 0)) is fixed by one point pair, or by its
-    prescribed contact alone.  Otherwise the bidegree-(a, b) projection must
-    be pinned by the pairs, minus one condition when the contact with the
-    exceptional section is prescribed.
-    """
-    if (a, b) == (0, 0):
-        return 0 if prescribed else 1
-    return 2 * (a + b) - 1 - (1 if prescribed else 0)
-
-
 def n_three(
     a: int,
     b: int,
@@ -203,3 +192,20 @@ def n_three(
     surface = RuledSurfaceClass(4, 1, 1)
     key = RelativeKey(surface, alpha, beta)
     return quadric_count(a, b) * table.n_sigma(key)
+
+
+def three_fold_count(
+    g: int, c: int, alpha: ContactVector, beta: ContactVector, pairs: int, table: RelativeInvariantTable | None = None
+) -> int:
+    """The count of a 3-fold tree vertex of degree g holding ``pairs`` point
+    pairs.  A bidegree term counts only when the pairs make both the quadric
+    projection and the ruled-surface curve rigid.  The pairs needed,
+    2g - 1 - [prescribed] (1 - [prescribed] at g = 0), do not depend on the
+    bidegree (a, g - a); the contact is prescribed when alpha holds it.  With
+    more pairs, generic pairs meet no curve and the count is 0; with fewer,
+    the curves move and UnknownInvariant is raised; with exactly those, it is
+    the sum of :func:`n_three` over the bidegrees."""
+    need = (2 * g - 1 if g else 1) - (1 if alpha else 0)
+    if pairs < need:
+        raise UnknownInvariant(f"N3 of (0, {g}) + {c}f moves with {pairs} < {need} point pairs: count is not defined")
+    return 0 if pairs > need else sum(n_three(a, g - a, c, alpha, beta, table) for a in range(g + 1))

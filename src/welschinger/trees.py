@@ -554,13 +554,13 @@ def multiplicity(tree: DecoratedTree) -> int:
     return (1 << exponent) * m1_plus(tree) * m1_minus(tree) * m2_reconnection(tree) * factors
 
 
-def assignment_count(tree: DecoratedTree, r_x: int) -> int:
+def assignment_count(tree: DecoratedTree) -> int:
     """Number of isomorphism classes of pair assignments with the tree's
     pair-count profile f.
 
     Assignments are functions from odd vertices to disjoint subsets of the
-    r_x conjugate pairs, identified under the automorphisms that preserve
-    degree and sign decorations.  The class of an assignment with profile f
+    tree's r_x = sum(f) conjugate pairs, identified under the automorphisms
+    that preserve degree and sign decorations.  The class of an assignment with profile f
     meets those assignments in one orbit of H, the automorphisms that also
     preserve f, and H/K acts freely on that orbit, K being the subgroup that
     fixes every vertex holding pairs.  So the count is
@@ -570,8 +570,7 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
     pairs for K.
     """
     fmap = tree._f_map
-    if sum(fmap.values()) != r_x:
-        raise ValueError("pair counts do not sum to the pair-condition count")
+    r_x = sum(fmap.values())
     multinomial = math.factorial(r_x) // math.prod(math.factorial(f) for f in fmap.values())
     codes, bottom_up = tree.codes, tree.shape.bottom_up
     holds: dict[int, bool] = {}
@@ -589,14 +588,13 @@ def assignment_count(tree: DecoratedTree, r_x: int) -> int:
 
 
 class TreeWithCount(_Record):
-    def __init__(self, tree: DecoratedTree, r_x: int):
+    def __init__(self, tree: DecoratedTree):
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "r_x", r_x)  # pair_condition_count of the tree's (family, d, r)
 
     @_cached
     def assignment_count(self) -> int:
         """Pair-assignment classes of the tree, counted on first read."""
-        return assignment_count(self.tree, self.r_x)
+        return assignment_count(self.tree)
 
     @_cached
     def multiplicity(self) -> int:
@@ -677,13 +675,14 @@ def _decorate(r: int, r_l: int, runs, shape: Shape):
         yield tree
 
 
-def _forests(memo: _Memo, budget: int, via_connector: bool, items=None, start: int = 0):
+def _forests(memo: _Memo, budget: int, via_connector: bool, items=None, start: int = 0, forest=()):
     """Every multiset of odd subtrees whose costs sum to ``budget``, once, as
-    a non-decreasing tuple.  Root children take any edge multiplicity; a
+    a non-decreasing tuple after the prefix ``forest``, which each level
+    extends by one subtree.  Root children take any edge multiplicity; a
     connector child enters on a simple edge and also pays for the
     connector's upper simple edge."""
     if budget == 0:
-        yield ()
+        yield forest
         return
     if items is None:
         family = memo.family
@@ -698,8 +697,7 @@ def _forests(memo: _Memo, budget: int, via_connector: bool, items=None, start: i
         cost, subtree = items[j]
         if cost > budget:
             break  # items come in non-decreasing cost
-        for rest in _forests(memo, budget - cost, via_connector, items, j):
-            yield (subtree,) + rest
+        yield from _forests(memo, budget - cost, via_connector, items, j, forest + (subtree,))
 
 
 def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
@@ -769,7 +767,7 @@ def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
     decorated and validated only when its class is reached, and a caller
     that stops at a class builds no shape after it.  Each tree's
     pair-assignment count and multiplicity are computed when first read."""
-    r_x = pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
+    pair_condition_count(family, d, r)  # an inadmissible (d, r) raises here
     candidates, built = _candidates(family, d)
     for i, (top, v0, forest) in enumerate(candidates):
         r_l = minus_part_size(top, r, v0)
@@ -779,7 +777,7 @@ def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
             built[i] = _build(family, d, forest)
         runs, shape = built[i]
         trees = sorted(_decorate(r, r_l, runs, shape), key=canonical_form)
-        yield TreeClass(tuple(TreeWithCount(tree, r_x) for tree in trees))
+        yield TreeClass(tuple(TreeWithCount(tree) for tree in trees))
 
 
 def enumerate_trees(family: TreeFamily, d: int, r: int) -> list[TreeClass]:

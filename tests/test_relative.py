@@ -17,7 +17,7 @@ from welschinger import (
     quadric_count,
     tables,
 )
-from welschinger.relative import n_three_required_pairs
+from welschinger.relative import three_fold_count
 
 CV = ContactVector
 e1, e2, e3 = CV.e(1), CV.e(2), CV.e(3)
@@ -186,8 +186,19 @@ def test_n_three_preconditions():
         n_three(2, 2, 1, zero, e2)
 
 
-def test_n_three_required_pairs():
-    assert n_three_required_pairs(0, 0, prescribed=False) == 1
-    assert n_three_required_pairs(0, 0, prescribed=True) == 0
-    assert n_three_required_pairs(2, 2, prescribed=False) == 7
-    assert n_three_required_pairs(2, 2, prescribed=True) == 6
+def test_three_fold_count():
+    # (g, alpha, beta, pairs needed): 2g - 1 - [prescribed], 1 - [prescribed] at g = 0
+    for g, alpha, beta, need in [(0, zero, e1, 1), (0, e1, zero, 0), (4, zero, e1, 7), (4, e1, zero, 6)]:
+        total = sum(n_three(a, g - a, 1, alpha, beta) for a in range(g + 1))
+        assert three_fold_count(g, 1, alpha, beta, need) == total
+        assert three_fold_count(g, 1, alpha, beta, need + 1) == 0
+        if need:  # a vertex holds no fewer than 0 pairs
+            message = f"N3 of (0, {g}) + 1f moves with {need - 1} < {need} point pairs: count is not defined"
+            with pytest.raises(UnknownInvariant) as excinfo:
+                three_fold_count(g, 1, alpha, beta, need - 1)
+            assert str(excinfo.value) == message
+    # the minus leaves of the 3-quadric trees: g = 2 holds 4 > 3 pairs, g = 6 holds 10 < 11
+    assert three_fold_count(2, 1, zero, e1, 4) == 0
+    with pytest.raises(UnknownInvariant) as excinfo:
+        three_fold_count(6, 1, zero, e1, 10)
+    assert str(excinfo.value) == "N3 of (0, 6) + 1f moves with 10 < 11 point pairs: count is not defined"

@@ -178,7 +178,7 @@ def test_assignment_count_multinomial_oracle():
             # determined up to isomorphism by the unordered pair {a, b}
             labelings.add((frozenset({a, b}), tuple(sorted(big))))
     assert len(twins) == 2 and genus[heavy] == 1
-    assert assignment_count(tree, 9) == len(labelings) == 36
+    assert assignment_count(tree) == len(labelings) == 36
 
 
 def burnside_assignment_count(tree, r_x):
@@ -383,17 +383,16 @@ def test_each_forest_is_built_at_most_once_across_r(monkeypatch, family, d):
 def test_assignment_counts_are_computed_when_read(monkeypatch):
     calls = []
 
-    def counted(tree, r_x):
+    def counted(tree):
         calls.append(tree)
-        return assignment_count(tree, r_x)
+        return assignment_count(tree)
 
     monkeypatch.setattr(trees_module, "assignment_count", counted)
     twcs = enumerate_decorated_trees(F.PROJECTIVE, 8, 1)
     assert twcs and calls == []
-    r_x = pair_condition_count(F.PROJECTIVE, 8, 1)
-    # reading a count reuses the r_X the enumeration computed
+    # reading a count computes no r_X: it is the sum of the tree's pair counts
     monkeypatch.setattr(trees_module, "pair_condition_count", None)
-    assert [twc.assignment_count for twc in twcs] == [assignment_count(twc.tree, r_x) for twc in twcs]
+    assert [twc.assignment_count for twc in twcs] == [assignment_count(twc.tree) for twc in twcs]
     [twc.assignment_count for twc in twcs]  # a second read is cached
     assert calls == [twc.tree for twc in twcs]
 
@@ -415,7 +414,7 @@ def test_assignment_count_single_vertex():
     tree = next(
         v.tree for cls in enumerate_trees(F.PROJECTIVE, 5, 0) for v in cls.variants
     )
-    assert assignment_count(tree, 7) == 1
+    assert assignment_count(tree) == 1
 
 
 def test_m1_minus_examples():
