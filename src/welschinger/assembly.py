@@ -106,9 +106,9 @@ class ChiResult(_Record):
 
 def admissible_real_counts(geometry: GeometryKind, d: int) -> range:
     """Real-point counts r for which chi(geometry, d, r) is defined, as a
-    range: at a huge degree nothing is listed before the first r is used."""
-    if d < 1:
-        raise InadmissiblePair("degree must be >= 1")
+    range: the family's ``real_point_counts`` (empty for d < 1) less r = 0
+    over the 3-quadric.  At a huge degree nothing is listed before the first
+    r is used."""
     counts = FAMILY_OF[geometry].real_point_counts(d)
     # r = 0 is excluded over the 3-quadric: its invariant needs a real point
     return counts[1:] if geometry is GeometryKind.ELLIPSOID_QUADRIC3 and 0 in counts else counts
@@ -116,7 +116,7 @@ def admissible_real_counts(geometry: GeometryKind, d: int) -> range:
 
 def check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
     """Raise InadmissiblePair unless chi(geometry, d, r) is defined."""
-    if d < 1 or r not in admissible_real_counts(geometry, d):
+    if r not in admissible_real_counts(geometry, d):
         raise InadmissiblePair(f"({geometry.value}, d={d}, r={r}) is not an admissible pair")
 
 
@@ -242,8 +242,8 @@ def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> tupl
     as (name, the condition under which it holds, k); raises InadmissiblePair
     unless chi(geometry, d, r) is defined."""
     check_admissible(geometry, d, r)
+    r_x = pair_condition_count(FAMILY_OF[geometry], d, r)
     if geometry is GeometryKind.PROJECTIVE_PLANE:
-        r_x = pair_condition_count(FAMILY_OF[geometry], d, r)
         laws = [
             ("pair-gap", r + 1 < r_x, r_x - r - 1),
             ("pair-gap-aligned", r < r_x and (r - (d + 1)) % 4 == 0, r_x - r),
@@ -256,8 +256,7 @@ def check_congruence(geometry: GeometryKind, d: int, r: int, value: int) -> tupl
             ("sixteen-at-top", r == 2 * d - 3 and d >= 2, 4),
         ]
     else:
-        # admissible (d, r) pairs always make 3(d - 2r) a multiple of four
-        laws = [("three-quarter-gap", 6 * r + 1 <= 3 * d and (3 * (d - 2 * r)) % 4 == 0, 3 * (d - 2 * r) // 4)]
+        laws = [("three-quarter-gap", r < r_x, r_x - r)]
     return tuple(Clause(name, 1 << k, value % (1 << k) == 0) for name, applies, k in laws if applies)
 
 

@@ -8,7 +8,6 @@ functions raise one of the exceptions below instead of returning a default.
 __all__ = [
     "WelschingerError",
     "NegativeDimension",
-    "InvalidDegreeRealPair",
     "InadmissiblePair",
     "EnumerationTooLarge",
     "UnknownInvariant",
@@ -25,12 +24,9 @@ class NegativeDimension(WelschingerError):
     """No non-negative real-point count solves the dimension equation."""
 
 
-class InvalidDegreeRealPair(WelschingerError):
-    """(degree, real points) admits no non-negative conjugate-pair count."""
-
-
 class InadmissiblePair(WelschingerError):
-    """(degree, real points) is outside the domain of the invariant."""
+    """(degree, real points) is outside the domain of the invariant (d < 1, no
+    integer pair count r_X >= 0, or r = 0 over the 3-quadric), in every layer."""
 
 
 class EnumerationTooLarge(WelschingerError):

@@ -29,7 +29,6 @@ __all__ = [
     "RelativeKey",
     "RelativeInvariantTable",
     "builtin_relative_table",
-    "point_count",
     "quadric_count",
     "n_three",
     "three_fold_count",
@@ -71,17 +70,6 @@ class RelativeKey(_Record):
         return f"N{self.surface.n}^{{{self.surface}}}({self.alpha}, {self.beta})"
 
 
-def point_count(key: RelativeKey) -> int:
-    """Point conditions making the relative count rigid.
-
-    Rational curves in |a e + b f| move in a ((n+2)a + 2b - 1)-dimensional
-    family; a prescribed order-i contact costs i conditions and a free one
-    costs i - 1.
-    """
-    s = key.surface
-    return (s.n + 2) * s.a + 2 * s.b - 1 - key.alpha.weight - (key.beta.weight - key.beta.size)
-
-
 class RelativeInvariantTable:
     """Exact curated table behind the ``n_sigma`` contract.
 
@@ -106,7 +94,7 @@ class RelativeInvariantTable:
         fields = [("n", int), ("a", int), ("b", int), ("alpha", list), ("beta", list)]
 
         def key_of(n, a, b, alpha, beta):
-            # RelativeKey's weight rule also keeps point_count = (n+2)a + b - 1 + |beta| >= 0
+            # RelativeKey's weight rule also keeps the key's point conditions, (n+2)a + b - 1 + |beta|, >= 0
             return RelativeKey(RuledSurfaceClass(n, a, b), ContactVector(tuple(alpha)), ContactVector(tuple(beta)))
 
         return cls(_table_entries(payload, fields, key_of, where))

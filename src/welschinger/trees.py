@@ -67,7 +67,7 @@ from enum import Enum
 from functools import cache
 
 from .contact import ContactVector, GeometryKind, _cached, _point_count, _Record
-from .errors import EnumerationTooLarge, InvalidDegreeRealPair
+from .errors import EnumerationTooLarge, InadmissiblePair
 
 __all__ = [
     "TreeFamily",
@@ -139,10 +139,12 @@ class TreeFamily(Enum):
     def real_point_counts(self, d: int) -> range:
         """The r that leave an integer r_X >= 0 in (n - 1)(r + 2 r_X) = c1.d +
         n - 3, n the dimension of the Lagrangian: r_X = (counts[-1] - r) / 2.
-        Empty when the right-hand side is not a multiple of n - 1."""
+        Empty when the right-hand side is not a multiple of n - 1, and for
+        d < 1 (alone, the equation would admit r = 0 over the 3-quadric at
+        d = 0)."""
         n = self.geometry.lagrangian.dimension
         total, rem = divmod(self.geometry.c1 * d + n - 3, n - 1)
-        return range(0) if rem else range(total % 2, total + 1, 2)
+        return range(0) if rem or d < 1 else range(total % 2, total + 1, 2)
 
 
 FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.geometry: family for family in TreeFamily}
@@ -150,16 +152,13 @@ FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.geometry: family for family 
 
 @cache
 def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
-    """Number r_X of conjugate point pairs imposed together with r real points,
-    computed once per process for each (family, d, r): enumeration and
-    :meth:`DecoratedTree.validate` of each of its trees share it.
-
-    Raises InvalidDegreeRealPair unless d >= 1 and r is in
-    :meth:`TreeFamily.real_point_counts`.
-    """
+    """Number r_X of conjugate point pairs imposed together with r real points;
+    raises InadmissiblePair unless r is in :meth:`TreeFamily.real_point_counts`.
+    Cached per (family, d, r): :meth:`DecoratedTree.validate` asks it for
+    every tree."""
     counts = family.real_point_counts(d)
-    if d < 1 or r not in counts:
-        raise InvalidDegreeRealPair(f"{family.value}: no r_X >= 0 for d={d}, r={r}")
+    if r not in counts:
+        raise InadmissiblePair(f"{family.value}: no r_X >= 0 for d={d}, r={r}")
     return (counts[-1] - r) // 2
 
 
@@ -351,7 +350,8 @@ class DecoratedTree(_Record):
 
     def validate(self) -> list[str]:
         """The shape's :attr:`Shape.problems`, then the violated rules on r and
-        the decorations (empty for a valid tree)."""
+        the decorations (empty for a valid tree).  Raises InadmissiblePair
+        when (d, r) is outside the family's domain."""
         shape = self.shape
         problems = list(shape.problems)
         if self._sign_map.keys() != shape.root_edges.keys():
@@ -365,11 +365,7 @@ class DecoratedTree(_Record):
             problems.append("minus part of the partition has the wrong size")
 
         # Per-vertex point counts and their sum.
-        try:
-            r_x = pair_condition_count(shape.family, shape.d, self.r)
-        except InvalidDegreeRealPair as exc:
-            problems.append(str(exc))
-            return problems
+        r_x = pair_condition_count(shape.family, shape.d, self.r)
         unsolved = [v for v, f in self._f_map.items() if f is None]
         problems += [f"no pair count at vertex {v} solves the point-count equation" for v in unsolved]
         if not unsolved and sum(self._f_map.values()) != r_x:

@@ -27,7 +27,7 @@ from welschinger import (
     multiplicity,
 )
 from welschinger.assembly import _vertex_factors, check_admissible
-from welschinger.trees import FAMILY_OF
+from welschinger.trees import FAMILY_OF, pair_condition_count
 from welschinger.verification import GOLDEN_VALUES, gromov_witten_clause, kontsevich_count
 
 G = GeometryKind
@@ -124,6 +124,31 @@ def test_inadmissible_pairs():
         chi(G.ELLIPSOID_QUADRIC3, 4, 0)  # a real point is required
     with pytest.raises(InadmissiblePair):
         chi(G.ELLIPSOID_QUADRIC3, 5, 1)  # odd degree
+
+
+def test_no_degree_below_one_is_in_the_domain():
+    # alone, the dimension equation would admit r = 0 over the 3-quadric at d = 0
+    for geometry in G:
+        family = FAMILY_OF[geometry]
+        for d in (-2, -1, 0):
+            assert not family.real_point_counts(d) and not admissible_real_counts(geometry, d)
+            poly = chi_polynomial(geometry, d)
+            assert (poly.coefficients, poly.unavailable) == ({}, {})
+            for r in range(-1, 4):
+                with pytest.raises(InadmissiblePair, match=rf"^{family.value}: no r_X >= 0 for d={d}, r={r}$"):
+                    pair_condition_count(family, d, r)
+                with pytest.raises(InadmissiblePair, match=r"is not an admissible pair$"):
+                    chi(geometry, d, r)
+
+
+def test_plane_cubics_follow_welschinger_law():
+    """A plane cubic through r real points and s = (8 - r) / 2 conjugate pairs
+    has chi^3_r = 8 - 2s (Welschinger, Invariants of real symplectic
+    4-manifolds and lower bounds in real enumerative geometry, Invent. Math.
+    162 (2005)): r = 0, 2, 4, 6, 8 give 0, 2, 4, 6, 8."""
+    for r in range(0, 9, 2):
+        s = (8 - r) // 2
+        assert chi(G.PROJECTIVE_PLANE, 3, r).value == 8 - 2 * s == r
 
 
 def test_missing_tables_abort_with_tree_context():
@@ -235,6 +260,16 @@ def test_congruence_examples():
     assert required["pair-gap"] == 256
     assert "pair-gap-aligned" not in required  # 26880 = 2^8 * 105 is sharp
     assert all(c.passed for c in clauses)
+
+
+def test_three_quarter_gap_is_the_pair_gap_over_the_three_quadric():
+    # 2^(r_X - r) | chi when r < r_X, as the law 2^(3(d - 2r)/4) | chi when
+    # 6r + 1 <= 3d was first written
+    pairs = [(d, r) for d in range(1, 400) for r in admissible_real_counts(G.ELLIPSOID_QUADRIC3, d)]
+    assert len(pairs) == 29_900
+    for d, r in pairs:
+        want = [1 << 3 * (d - 2 * r) // 4] if 6 * r + 1 <= 3 * d else []
+        assert [c.modulus for c in check_congruence(G.ELLIPSOID_QUADRIC3, d, r, 0)] == want, (d, r)
 
 
 def test_congruence_failure_detected():

@@ -147,6 +147,10 @@ def test_exit_2_on_inadmissible(capsys):
     code, out, err = run(capsys, "poly", "--geometry", "quadric3", "--degree", "3")
     assert (code, out) == (2, "")
     assert err == "error: quadric3 has no admissible real-point count in degree 3\n"
+    # and a degree below one, which admits none in any geometry
+    code, out, err = run(capsys, "poly", "--geometry", "cp2", "--degree", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: cp2 has no admissible real-point count in degree 0\n"
 
 
 def test_exit_2_on_bad_flags(capsys):

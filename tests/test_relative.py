@@ -13,7 +13,6 @@ from welschinger import (
     UnknownInvariant,
     builtin_relative_table,
     n_three,
-    point_count,
     quadric_count,
     tables,
 )
@@ -26,6 +25,18 @@ zero = CV.zero()
 
 def _key(n, a, b, alpha, beta):
     return RelativeKey(RuledSurfaceClass(n, a, b), alpha, beta)
+
+
+def point_count(key: RelativeKey) -> int:
+    """Point conditions making the relative count rigid, the reference the
+    tree's pair counts are checked against.
+
+    Rational curves in |a e + b f| move in a ((n+2)a + 2b - 1)-dimensional
+    family; a prescribed order-i contact costs i conditions and a free one
+    costs i - 1.
+    """
+    s = key.surface
+    return (s.n + 2) * s.a + 2 * s.b - 1 - key.alpha.weight - (key.beta.weight - key.beta.size)
 
 
 def test_key_invariant_contact_weight():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from welschinger import (
     GeometryKind,
-    InvalidDegreeRealPair,
+    InadmissiblePair,
     TreeFamily,
     admissible_real_counts,
     canonical_form,
@@ -41,7 +41,7 @@ def tree_fingerprint(degrees=DEGREES) -> dict:
             for r in range(0, 4 * d + 1):
                 try:
                     twcs = enumerate_decorated_trees(family, d, r)
-                except InvalidDegreeRealPair:
+                except InadmissiblePair:
                     continue
                 forms = sorted(canonical_form(t.tree) for t in twcs)
                 out[f"{family.value}/{d}/{r}"] = {

@@ -14,7 +14,7 @@ from welschinger import (
     ContactVector,
     DecoratedTree,
     EnumerationTooLarge,
-    InvalidDegreeRealPair,
+    InadmissiblePair,
     TreeFamily,
     admissible_real_counts,
     assignment_count,
@@ -77,9 +77,9 @@ def test_empty_set_for_degree_four():
 
 
 def test_invalid_degree_real_pair():
-    with pytest.raises(InvalidDegreeRealPair):
+    with pytest.raises(InadmissiblePair):
         enumerate_trees(F.PROJECTIVE, 5, 1)  # parity of 3d-1 forces r even
-    with pytest.raises(InvalidDegreeRealPair):
+    with pytest.raises(InadmissiblePair):
         enumerate_trees(F.THREE_SPHERICAL, 3, 1)  # 3d odd
 
 
@@ -101,7 +101,7 @@ def test_the_domain_of_chi_against_a_brute_force_search():
             for r in range(-2, 4 * d + 3):
                 r_x = brute_pair_count(family, d, r)
                 if r_x is None:
-                    with pytest.raises(InvalidDegreeRealPair):
+                    with pytest.raises(InadmissiblePair):
                         pair_condition_count(family, d, r)
                 else:
                     assert pair_condition_count(family, d, r) == r_x, (family, d, r)
@@ -202,7 +202,7 @@ def _valid_keys(top_degrees):
             for r in range(0, 4 * d + 1):
                 try:
                     yield family, d, r, pair_condition_count(family, d, r)
-                except InvalidDegreeRealPair:
+                except InadmissiblePair:
                     continue
 
 
@@ -319,7 +319,7 @@ def test_shapes_are_generated_once_per_family_and_degree(monkeypatch):
         for r in range(0, 4 * 8 + 1):
             try:
                 enumerate_trees(family, 8, r)
-            except InvalidDegreeRealPair:
+            except InadmissiblePair:
                 continue
             enumerated += 1
     assert enumerated == 12 + 16  # r = 1, 3, ..., 23 and r = 1, 3, ..., 31
@@ -752,7 +752,7 @@ _VALID = dict(
             "even vertex 2 has a shape",
         ),
         (
-            {"family": F.THREE_SPHERICAL, "d": 4, "r": 1, "edges": [(0, 1, 1), (1, 2, 1)]},
+            {"family": F.THREE_SPHERICAL, "d": 4, "r": 2, "edges": [(0, 1, 1), (1, 2, 1)]},
             "even vertex 2 has a shape",
         ),
         ({"edges": [(0, 1, 5)], "genus": {1: 0}}, "degree 0 but contact multiplicity 5"),
@@ -775,6 +775,13 @@ def test_validate_rejects_each_broken_rule(changes, problem):
     assert DecoratedTree.build(**_VALID).validate() == []
     problems = DecoratedTree.build(**{**_VALID, **changes}).validate()
     assert problems and any(problem in p for p in problems), problems
+
+
+def test_validate_raises_outside_the_domain():
+    # (d, r) = (4, 1) leaves no integer r_X over the 3-quadric: a domain error, not a rule of the tree
+    tree = DecoratedTree.build(**{**_VALID, "family": F.THREE_SPHERICAL, "d": 4, "r": 1})
+    with pytest.raises(InadmissiblePair, match=r"^three-spherical: no r_X >= 0 for d=4, r=1$"):
+        tree.validate()
 
 
 @pytest.mark.parametrize(
