@@ -15,20 +15,21 @@ the ruled surface of the geometry's ``surface_degree`` (4 over the plane,
 The sign is (-1)^(#even vertices + 1) in every geometry.  Missing table
 values abort the computation with the offending tree in the message; a
 partial sum is never reported.
+
+Each factor is looked up by the count tuples of its contact profiles, which
+are the tables' own keys: a table hit builds no record.  An ``FKey``, or a
+``RelativeKey`` with its ``RuledSurfaceClass``, is built only for a miss, to
+derive the value or to name the key in the message.  The checks those
+records make hold by construction here: the weights of a vertex's alpha and
+beta add up to its total edge multiplicity, the b of its key.
 """
 
 from __future__ import annotations
 
-from .contact import ContactVector, GeometryKind, _Record, genus_smooth
-from .cotangent import FInvariantEngine, FKey, builtin_f_engine
+from .contact import ContactVector, GeometryKind, _counts, _Record, genus_smooth
+from .cotangent import FInvariantEngine, builtin_f_engine
 from .errors import InadmissiblePair, UnknownInvariant, UnresolvableFKey
-from .relative import (
-    RelativeInvariantTable,
-    RelativeKey,
-    RuledSurfaceClass,
-    builtin_relative_table,
-    three_fold_count,
-)
+from .relative import RelativeInvariantTable, builtin_relative_table, three_fold_count
 from .trees import (
     FAMILY_OF,
     DecoratedTree,
@@ -124,13 +125,16 @@ def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: Relative
     """The relative count of each odd vertex, in vertex order."""
     factors = []
     shape = tree.shape
+    adj, root, n = shape.adjacency, shape.root, geometry.surface_degree
     for v in shape.odd_vertices:
-        g, k_s = shape.genus[v], shape.k_s[v]
-        alpha = ContactVector.e(shape.root_edges[v]) if tree.is_plus(v) else ContactVector.zero()
-        beta = shape.profile(v) - alpha
-        if geometry.surface_degree is not None:
-            factors.append(table.n_sigma(RelativeKey(RuledSurfaceClass(geometry.surface_degree, g, k_s), alpha, beta)))
+        g, k_s, plus = shape.genus[v], shape.k_s[v], tree.is_plus(v)
+        # the weights of alpha and beta add up to k_s, the b of the key
+        alpha = _counts([shape.root_edges[v]]) if plus else ()
+        beta = _counts([k for w, k in adj[v] if not (plus and w == root)])
+        if n is not None:
+            factors.append(table.count(n, g, k_s, alpha, beta))
         else:
+            alpha, beta = ContactVector._canonical(alpha), ContactVector._canonical(beta)
             factors.append(three_fold_count(g, k_s, alpha, beta, tree.f_size(v), table))
     return factors
 
@@ -158,9 +162,8 @@ def chi(
         for twc in cls.variants:
             tree = twc.tree
             label = canonical_form(tree).decode()
-            alpha_minus, beta_plus = tree.root_profiles()
             try:
-                f_value = engine.value(FKey(kind, alpha_minus, beta_plus))
+                f_value = engine.plain_value(kind, *tree.root_counts)
                 factors = _vertex_factors(geometry, tree, table)
             except (UnknownInvariant, UnresolvableFKey) as exc:
                 raise type(exc)(f"{exc} [required by tree {label}]") from exc

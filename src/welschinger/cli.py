@@ -218,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "chi" and args.ledger and args.format == "csv":
+        parser.error("argument --ledger: not allowed with --format csv, whose one row has no ledger")
     try:
         return args.func(args)
     except (UnknownInvariant, UnresolvableFKey) as exc:

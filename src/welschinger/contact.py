@@ -102,6 +102,15 @@ def _trimmed(counts: tuple[int, ...]) -> tuple[int, ...]:
     return counts[:n]
 
 
+def _counts(orders) -> tuple[int, ...]:
+    """The canonical counts of the contact orders ``orders`` (each >= 1): the
+    ``counts`` of their contact vector, and a table key's field as it stands."""
+    counts = [0] * max(orders, default=0)
+    for order in orders:  # a loop: faster than one count() per order on a vertex's few edges
+        counts[order - 1] += 1
+    return tuple(counts)
+
+
 class ContactVector(_Record):
     """Multiset of contact orders stored densely, one count per order up to
     the largest; canonical (trailing zeros trimmed).

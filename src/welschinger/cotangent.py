@@ -125,6 +125,7 @@ class FInvariantEngine:
 
     ``entries`` maps each table key to its value; lookups go through the
     tuple :meth:`_table_key` of a key, which hashes faster than the record.
+    :meth:`plain_value` looks up that tuple from count tuples directly.
     """
 
     def __init__(self, entries: dict[FKey, int]):
@@ -149,7 +150,18 @@ class FInvariantEngine:
         return self._entries.get(self._table_key(key))
 
     def value(self, key: FKey, order_seed: int | None = None) -> int:
-        return self.derive(key, order_seed=order_seed).value
+        """F(key): a table hit is read from the table, and anything else is
+        derived.  No hit is lost to NegativeDimension: every table key's
+        real-point count was checked to be >= 0 when the table loaded."""
+        known = self.lookup(key)
+        return self.derive(key, order_seed=order_seed).value if known is None else known
+
+    def plain_value(self, kind: LagrangianKind, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+        """:meth:`value` of the key with no pairs or crosses whose profiles
+        have the counts ``alpha`` and ``beta``; the FKey is built only when
+        the table misses."""
+        known = self._entries.get((kind._value_, alpha, beta, 0, 0))
+        return self.value(FKey(kind, ContactVector(alpha), ContactVector(beta))) if known is None else known
 
     def derive(self, key: FKey, order_seed: int | None = None) -> FDerivation:
         # Neither reduction makes r negative (pair-to-real keeps r, and

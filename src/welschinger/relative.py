@@ -73,11 +73,12 @@ class RelativeKey(_Record):
 class RelativeInvariantTable:
     """Exact curated table behind the ``n_sigma`` contract.
 
-    Fibre classes are rule-based: the unique fibre through a point (b = 1,
-    one simple contact) counts 1.  Every other key must be present in the
-    table; otherwise UnknownInvariant is raised (never a silent zero).
-    Lookups go through the tuple :meth:`_key` of a key, which hashes faster
-    than the record.
+    One lookup rule, :meth:`count`, keyed by plain values: fibre classes are
+    rule-based (the unique fibre through a point, b = 1 with one simple
+    contact, counts 1), and every other key must be present in the table;
+    otherwise UnknownInvariant is raised (never a silent zero).  ``n_sigma``
+    unpacks its key and applies the same rule.  Entries are keyed by the
+    tuple :meth:`_key` of a key, which hashes faster than the record.
     """
 
     def __init__(self, entries: dict[RelativeKey, int]):
@@ -104,17 +105,26 @@ class RelativeInvariantTable:
         return cls.from_json_payload(_read_json(path), where=repr(str(path)))
 
     def n_sigma(self, key: RelativeKey) -> int:
-        s = key.surface
-        if s.a == 0:
+        return self.count(*self._key(key))
+
+    def count(self, n: int, a: int, b: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+        """The count of class a*e + b*f on the degree-n ruled surface with the
+        contact counts ``alpha`` (prescribed) and ``beta`` (free), whose
+        weights add up to b; RelativeKey and RuledSurfaceClass are built only
+        to name a miss."""
+        if a == 0:
             # a curve with zero section coefficient is a union of fibres;
             # only the single fibre through a point is irreducible rational
-            if s.b == 1:
+            if b == 1:
                 return 1
-            raise UnknownInvariant(f"{key}: multiple-fibre classes carry no irreducible count")
-        value = self._entries.get(self._key(key))
-        if value is None:
-            raise UnknownInvariant(f"{key} is outside the curated table")
-        return value
+            reason = ": multiple-fibre classes carry no irreducible count"
+        else:
+            value = self._entries.get((n, a, b, alpha, beta))
+            if value is not None:
+                return value
+            reason = " is outside the curated table"
+        key = RelativeKey(RuledSurfaceClass(n, a, b), ContactVector(alpha), ContactVector(beta))
+        raise UnknownInvariant(f"{key}{reason}")
 
     def known_keys(self) -> list[RelativeKey]:
         return list(self._keys)
@@ -155,6 +165,22 @@ def quadric_count(a: int, b: int) -> int:
     return value
 
 
+def _check_three_fold_contact(c: int, alpha: ContactVector, beta: ContactVector) -> None:
+    """Raise UnknownInvariant unless a 3-fold count has fibre coefficient 1
+    and a single simple contact, prescribed or free: the only counts that
+    occur in the assembled invariants."""
+    if c != 1:
+        raise UnknownInvariant(f"no curated 3-fold count for fibre coefficient {c}")
+    if (alpha + beta).counts != (1,) or (alpha and beta):
+        raise UnknownInvariant("3-fold counts need exactly one simple contact")
+
+
+def _section_count(alpha: ContactVector, beta: ContactVector, table: RelativeInvariantTable | None) -> int:
+    """The degree-4 ruled-surface count of e + f, the factor of every 3-fold
+    count past the pure fibre."""
+    return (table or builtin_relative_table()).count(4, 1, 1, alpha.counts, beta.counts)
+
+
 def n_three(
     a: int,
     b: int,
@@ -169,17 +195,10 @@ def n_three(
     or free) occurs in the assembled invariants; the count factors as
     quadric_count(a, b) times the degree-4 ruled-surface count of e + f.
     """
-    if c != 1:
-        raise UnknownInvariant(f"no curated 3-fold count for fibre coefficient {c}")
-    profile = alpha + beta
-    if profile.counts != (1,) or (alpha and beta):
-        raise UnknownInvariant("3-fold counts need exactly one simple contact")
+    _check_three_fold_contact(c, alpha, beta)
     if (a, b) == (0, 0):
         return 1
-    table = table or builtin_relative_table()
-    surface = RuledSurfaceClass(4, 1, 1)
-    key = RelativeKey(surface, alpha, beta)
-    return quadric_count(a, b) * table.n_sigma(key)
+    return quadric_count(a, b) * _section_count(alpha, beta, table)
 
 
 def three_fold_count(
@@ -192,8 +211,17 @@ def three_fold_count(
     bidegree (a, g - a); the contact is prescribed when alpha holds it.  With
     more pairs, generic pairs meet no curve and the count is 0; with fewer,
     the curves move and UnknownInvariant is raised; with exactly those, it is
-    the sum of :func:`n_three` over the bidegrees."""
+    the sum of :func:`n_three` over the bidegrees.  That sum is computed as
+    one ruled-surface lookup, the factor every bidegree shares, times the sum
+    of :func:`quadric_count` over the bidegrees; so a ruled-surface miss is
+    raised before the first missing bidegree, as the sum would raise them
+    (``quadric_count(0, g)`` never raises for g >= 1)."""
     need = (2 * g - 1 if g else 1) - (1 if alpha else 0)
     if pairs < need:
         raise UnknownInvariant(f"N3 of (0, {g}) + {c}f moves with {pairs} < {need} point pairs: count is not defined")
-    return 0 if pairs > need else sum(n_three(a, g - a, c, alpha, beta, table) for a in range(g + 1))
+    if pairs > need:
+        return 0
+    _check_three_fold_contact(c, alpha, beta)
+    if not g:
+        return 1
+    return _section_count(alpha, beta, table) * sum(quadric_count(a, g - a) for a in range(g + 1))

@@ -66,7 +66,7 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import cache
 
-from .contact import ContactVector, GeometryKind, _cached, _point_count, _Record
+from .contact import ContactVector, GeometryKind, _cached, _counts, _point_count, _Record
 from .errors import EnumerationTooLarge, InadmissiblePair
 
 __all__ = [
@@ -247,7 +247,7 @@ class Shape:
 
     def profile(self, v: int) -> ContactVector:
         """Multiset of adjacent-edge multiplicities as a contact vector."""
-        return _contact([k for _, k in self.adjacency[v]])
+        return ContactVector._canonical(_counts([k for _, k in self.adjacency[v]]))
 
     @_cached
     def problems(self) -> tuple[str, ...]:
@@ -333,14 +333,20 @@ class DecoratedTree(_Record):
     def is_plus(self, v: int) -> bool:
         return self._sign_map.get(v) == PLUS
 
-    def root_profiles(self) -> tuple[ContactVector, ContactVector]:
-        """(alpha_minus, beta_plus): root-edge multiplicities toward the minus
-        and plus parts of the partition."""
+    @_cached
+    def root_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The counts of (alpha_minus, beta_plus): root-edge multiplicities
+        toward the minus and plus parts of the partition, computed once."""
         edges = self.shape.root_edges.items()
         return (
-            _contact([k for v, k in edges if not self.is_plus(v)]),
-            _contact([k for v, k in edges if self.is_plus(v)]),
+            _counts([k for v, k in edges if not self.is_plus(v)]),
+            _counts([k for v, k in edges if self.is_plus(v)]),
         )
+
+    def root_profiles(self) -> tuple[ContactVector, ContactVector]:
+        """(alpha_minus, beta_plus) of :attr:`root_counts` as contact vectors."""
+        minus, plus = self.root_counts
+        return ContactVector._canonical(minus), ContactVector._canonical(plus)
 
     def sign_factor(self) -> int:
         """Global sign of the tree's contribution, (-1)^(#even vertices + 1):
@@ -371,11 +377,6 @@ class DecoratedTree(_Record):
         if not unsolved and sum(self._f_map.values()) != r_x:
             problems.append("total assigned pairs differ from the pair-condition count")
         return problems
-
-
-def _contact(ks: list[int]) -> ContactVector:
-    """The multiset of edge multiplicities ``ks`` (each >= 1) as a contact vector."""
-    return ContactVector._canonical(tuple(ks.count(i) for i in range(1, max(ks, default=0) + 1)))
 
 
 def expected_pair_count(family: TreeFamily, g: int, k_s: int, valence: int, plus: bool):

@@ -6,11 +6,14 @@ import tracemalloc
 import pytest
 
 from welschinger import (
+    ContactVector,
     DecoratedTree,
     FKey,
     GeometryKind,
     InadmissiblePair,
     LedgerRow,
+    RelativeKey,
+    RuledSurfaceClass,
     TreeFamily,
     UnknownInvariant,
     UnresolvableFKey,
@@ -181,6 +184,36 @@ def _eager_chi(geometry, d, r):
             contribution = sign * twc.assignment_count * mult * f_value * math.prod(factors)
             rows.append(LedgerRow(label, twc.assignment_count, mult, sign, f_value, tuple(factors), contribution))
     return sum(row.contribution for row in rows), tuple(rows)
+
+
+def test_vertex_factors_agree_with_n_sigma_of_each_vertex_key():
+    # _vertex_factors looks up count tuples; each vertex's RelativeKey, built
+    # with its weight check, must give the same value or the same miss
+    table, outcomes = builtin_relative_table(), {"value": 0, "miss": 0}
+    for geometry in (G.PROJECTIVE_PLANE, G.ELLIPSOID_QUADRIC2):
+        for d in range(1, 11):
+            for r in admissible_real_counts(geometry, d):
+                for cls in enumerate_trees(FAMILY_OF[geometry], d, r):
+                    for twc in cls.variants:
+                        tree, shape = twc.tree, twc.tree.shape
+                        want = []
+                        for v in shape.odd_vertices:
+                            alpha = ContactVector.e(shape.root_edges[v]) if tree.is_plus(v) else ContactVector.zero()
+                            surface = RuledSurfaceClass(geometry.surface_degree, shape.genus[v], shape.k_s[v])
+                            key = RelativeKey(surface, alpha, shape.profile(v) - alpha)
+                            try:
+                                want.append(table.n_sigma(key))
+                            except UnknownInvariant as exc:
+                                want = (UnknownInvariant, str(exc))
+                                break
+                        try:
+                            got = _vertex_factors(geometry, tree, table)
+                            outcomes["value"] += 1
+                        except UnknownInvariant as exc:
+                            got = (type(exc), str(exc))
+                            outcomes["miss"] += 1
+                        assert got == want, canonical_form(tree)
+    assert outcomes == {"value": 769, "miss": 1173}
 
 
 def test_chi_equals_the_sum_over_the_whole_enumeration():

@@ -55,6 +55,15 @@ def test_chi_csv(capsys):
     assert out.splitlines()[1] == "quadric2,4,3,320"
 
 
+def test_chi_csv_with_the_ledger_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", "--geometry", "cp2", "--degree", "6", "--real-points", "1", "--format", "csv", "--ledger"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --ledger: not allowed with --format csv" in captured.err
+
+
 def test_chi_ledger_text(capsys):
     code, out, _ = run(capsys, "chi", "--geometry", "cp2", "--degree", "6", "--real-points", "1", "--ledger")
     assert code == 0

@@ -4,10 +4,11 @@
 r) that ``frontier --max-degree 16`` lists as computable: 19 plane, 12
 2-quadric and 3 3-quadric values.  ``tests/data/output_digests.json`` records
 the sha256 of the ``trees`` JSON and of the ``chi --format json --ledger``
-output for every key of ``TREE_CLASS_COUNTS``.  Changes to the code must
-reproduce both files exactly; the files are never regenerated to make a
-change pass.  ``python tests/test_computed_values.py`` writes both files
-from the current code.
+output for every key of ``TREE_CLASS_COUNTS``, and one sha256 over the
+outcome of chi at every admissible (geometry, d, r) with d <= 16, misses
+included.  Changes to the code must reproduce both files exactly; the files
+are never regenerated to make a change pass.  ``python
+tests/test_computed_values.py`` writes both files from the current code.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import io
 import json
 from pathlib import Path
 
-from welschinger import TREE_CLASS_COUNTS, GeometryKind, chi, chi_polynomial
+from welschinger import TREE_CLASS_COUNTS, GeometryKind, WelschingerError, admissible_real_counts, chi, chi_polynomial
 from welschinger.cli import main
 
 VALUES = Path(__file__).parent / "data" / "computed_values.json"
@@ -44,8 +45,26 @@ def _cli_digest(*argv) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def chi_domain_digest() -> str:
+    """sha256 over chi's outcome at every admissible (geometry, d, r) with
+    d <= MAX_DEGREE, one line each: ``repr((geometry, d, r, value, ledger))``
+    for a value, ``repr((geometry, d, r, exception type, message))`` for a
+    miss; so every miss message is pinned byte for byte."""
+    lines = []
+    for g in GeometryKind:
+        for d in range(1, MAX_DEGREE + 1):
+            for r in admissible_real_counts(g, d):
+                try:
+                    result = chi(g, d, r)
+                except WelschingerError as exc:
+                    lines.append(repr((g, d, r, type(exc).__name__, str(exc))))
+                else:
+                    lines.append(repr((g, d, r, result.value, result.ledger)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def output_digests() -> dict:
-    digests = {"trees": {}, "chi_ledger": {}}
+    digests = {"trees": {}, "chi_ledger": {}, "chi_domain": chi_domain_digest()}
     for family, counts in TREE_CLASS_COUNTS.items():
         g = family.geometry.value
         for d, r in sorted(counts):

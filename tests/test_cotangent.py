@@ -11,6 +11,7 @@ from welschinger import (
     FInvariantEngine,
     FKey,
     LagrangianKind,
+    NegativeDimension,
     UnresolvableFKey,
     WelschingerError,
     basis_f_engine,
@@ -329,3 +330,30 @@ def test_every_packaged_row_is_found_under_its_own_key():
         key = FKey(K(row["kind"]), CV(tuple(row["alpha"])), CV(tuple(row["beta"])), row["r_l"], row["crosses"])
         assert full.lookup(key) == row["value"], row
         assert basis.lookup(key) == (row["value"] if row.get("basis") else None), row
+
+
+def test_value_reads_a_hit_that_derive_agrees_with():
+    # value and plain_value read a table hit without derive; derive's root is that same hit
+    override = FInvariantEngine.from_json_payload(
+        {"entries": [{"kind": "rp2", "alpha": [], "beta": [1], "value": 5}, {"kind": "sphere2", "alpha": [1], "beta": [1], "r_l": 1, "value": 7}]}
+    )
+    packaged = [(K(row["kind"]), row["alpha"], row["beta"], row["r_l"], row["crosses"]) for row in packaged_rows()]
+    cases = [(builtin_f_engine(), packaged), (override, [(K.RP2, [], [1], 0, 0), (K.SPHERE2, [1], [1], 1, 0)])]
+    for engine, rows in cases:
+        for kind, alpha, beta, r_l, crosses in rows:
+            key = FKey(kind, CV(tuple(alpha)), CV(tuple(beta)), r_l, crosses)
+            assert engine.value(key) == engine.lookup(key) == engine.derive(key).value, key
+            if not (r_l or crosses):
+                assert engine.plain_value(kind, key.alpha.counts, key.beta.counts) == engine.value(key), key
+    # a miss is derived from the same key, and a key with no real-point count still raises
+    basis = basis_f_engine()
+    assert basis.lookup(FKey(K.RP2, zero, e1 + e2)) is None
+    assert basis.plain_value(K.RP2, (), (1, 1)) == basis.derive(FKey(K.RP2, zero, e1 + e2)).value == 24
+    with pytest.raises(UnresolvableFKey) as excinfo:
+        override.plain_value(K.RP2, (), (0, 1))
+    assert str(excinfo.value) == "F[rp2]_(1+x,0)(0, e2) is outside the derivable closure"
+    for engine in (builtin_f_engine(), override):
+        with pytest.raises(NegativeDimension):
+            engine.value(FKey(K.RP2, zero, zero))
+        with pytest.raises(NegativeDimension):
+            engine.plain_value(K.RP2, (), ())

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from welschinger import (
     ContactVector,
+    RelativeInvariantTable,
     RelativeKey,
     RuledSurfaceClass,
     UnknownInvariant,
@@ -197,17 +198,35 @@ def test_n_three_preconditions():
         n_three(2, 2, 1, zero, e2)
 
 
+def _outcome(count):
+    try:
+        return count()
+    except UnknownInvariant as exc:
+        return UnknownInvariant, str(exc)
+
+
 def test_three_fold_count():
-    # (g, alpha, beta, pairs needed): 2g - 1 - [prescribed], 1 - [prescribed] at g = 0
-    for g, alpha, beta, need in [(0, zero, e1, 1), (0, e1, zero, 0), (4, zero, e1, 7), (4, e1, zero, 6)]:
-        total = sum(n_three(a, g - a, 1, alpha, beta) for a in range(g + 1))
-        assert three_fold_count(g, 1, alpha, beta, need) == total
-        assert three_fold_count(g, 1, alpha, beta, need + 1) == 0
-        if need:  # a vertex holds no fewer than 0 pairs
-            message = f"N3 of (0, {g}) + 1f moves with {need - 1} < {need} point pairs: count is not defined"
-            with pytest.raises(UnknownInvariant) as excinfo:
-                three_fold_count(g, 1, alpha, beta, need - 1)
-            assert str(excinfo.value) == message
+    # the reference is the sum of n_three over the bidegrees, with its misses in
+    # the same order: one ruled-surface lookup replaces one per bidegree
+    empty = RelativeInvariantTable({})  # misses the ruled-surface count
+    for g in range(9):
+        for c, alpha, beta in [(1, zero, e1), (1, e1, zero), (2, zero, e1), (1, zero, e2)]:
+            # pairs needed: 2g - 1 - [prescribed], 1 - [prescribed] at g = 0
+            need = (2 * g - 1 if g else 1) - (1 if alpha else 0)
+            for table in (None, empty):
+                for pairs in range(max(need - 1, 0), need + 2):
+                    if pairs < need:
+                        message = f"N3 of (0, {g}) + {c}f moves with {pairs} < {need} point pairs: count is not defined"
+                        want = UnknownInvariant, message
+                    elif pairs > need:
+                        want = 0
+                    else:
+                        want = _outcome(lambda: sum(n_three(a, g - a, c, alpha, beta, table) for a in range(g + 1)))
+                    got = _outcome(lambda: three_fold_count(g, c, alpha, beta, pairs, table))
+                    assert got == want, (g, c, alpha, beta, pairs, table)
+    assert three_fold_count(4, 1, zero, e1, 7) == 12 + 1 + 1
+    assert _outcome(lambda: three_fold_count(5, 1, e1, zero, 8)) == (UnknownInvariant, "no curated count for quadric bidegree (1, 4)")
+    assert _outcome(lambda: three_fold_count(5, 1, e1, zero, 8, empty)) == (UnknownInvariant, "N4^{e+f}(e1, 0) is outside the curated table")
     # the minus leaves of the 3-quadric trees: g = 2 holds 4 > 3 pairs, g = 6 holds 10 < 11
     assert three_fold_count(2, 1, zero, e1, 4) == 0
     with pytest.raises(UnknownInvariant) as excinfo:
