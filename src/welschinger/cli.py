@@ -27,6 +27,7 @@ directory holding ``relative_invariants.json`` / ``f_invariants.json``.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -100,9 +101,11 @@ def _cmd_poly(args) -> int:
     if args.format == "json":
         print(json.dumps(poly.to_json_dict(), sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
-        print("geometry,d,r,chi")
-        for r, value in sorted(poly.coefficients.items()):
-            print(f"{geometry.value},{args.degree},{r},{value}")
+        # one row per admissible r; a miss has an empty chi and its reason, which can hold commas
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(["geometry", "d", "r", "chi", "unavailable"])
+        for r in sorted(poly.coefficients.keys() | poly.unavailable.keys()):
+            rows.writerow([geometry.value, args.degree, r, poly.coefficients.get(r, ""), poly.unavailable.get(r, "")])
     else:
         for r, value in sorted(poly.coefficients.items()):
             print(f"r={r}: {value}")

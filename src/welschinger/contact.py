@@ -102,6 +102,16 @@ def _trimmed(counts: tuple[int, ...]) -> tuple[int, ...]:
     return counts[:n]
 
 
+def _moved(counts: tuple[int, ...], order: int, step: int) -> tuple[int, ...]:
+    """The canonical ``counts`` with ``step`` (1 or -1) more contacts of
+    ``order``, a removed one being present; only the changed count can need
+    a trim."""
+    i = order - 1
+    if i < len(counts):
+        return _trimmed(counts[:i] + (counts[i] + step,) + counts[order:])
+    return counts + (0,) * (i - len(counts)) + (step,)
+
+
 def _counts(orders) -> tuple[int, ...]:
     """The canonical counts of the contact orders ``orders`` (each >= 1): the
     ``counts`` of their contact vector, and a table key's field as it stands."""
@@ -131,7 +141,7 @@ class ContactVector(_Record):
         """A vector from counts that are already canonical (non-negative ints,
         trailing zeros trimmed), without the checks of ``__init__``."""
         vector = object.__new__(cls)
-        object.__setattr__(vector, "counts", counts)
+        vector.__dict__["counts"] = counts
         return vector
 
     @classmethod
@@ -188,14 +198,6 @@ class ContactVector(_Record):
         if len(b) > len(a) or min(diff, default=0) < 0:
             raise ValueError("contact vector subtraction went negative")
         return ContactVector._canonical(_trimmed(diff))
-
-    def _moved(self, order: int, step: int) -> "ContactVector":
-        """This vector with ``step`` (1 or -1) more contacts of ``order``, a
-        removed one being present; only the changed count can need a trim."""
-        c, i = self.counts, order - 1
-        if i < len(c):
-            return ContactVector._canonical(_trimmed(c[:i] + (c[i] + step,) + c[order:]))
-        return ContactVector._canonical(c + (0,) * (i - len(c)) + (step,))
 
     @property
     def size(self) -> int:

@@ -8,9 +8,10 @@ of the isolated real double points (dim L = 2) or the spinor state
 dimension equation, so it is no field of a key; a reduction step's children
 take it from their rule, and a pair-to-real child moves one contact.
 
-Two reduction rules resolve values from a small curated basis; a key with
-no table entry takes one reduction step, :func:`reduce_key`, which picks the
-rule that applies and builds its (coefficient, child) terms:
+Two reduction rules resolve values from a small curated basis.  They are
+written once, on count tuples, in :func:`_reduction`: it picks the rule that
+applies to a key's (alpha, beta, r_L, crosses, r) and gives its
+(coefficient, child) terms, each child the same five fields.
 
 * pair-to-real (r_L >= 1):
       F_{(r, r_L)}(alpha, beta)
@@ -22,6 +23,13 @@ rule that applies and builds its (coefficient, child) terms:
   them for either an imposed double point (a "cross", counted twice) or a
   conjugate pair:
       F_{(r, 0), c crosses} = 2 F_{(r-2, 0), c+1} + F_{(r-2, 1), c}.
+
+Two walks apply that rule to a key with no table entry.
+:meth:`FInvariantEngine.value` walks the count tuples for the number alone
+and builds no record; :meth:`FInvariantEngine.derive` builds the
+:class:`FDerivation` audit trail through :func:`reduce_key`, which wraps
+the rule in keys.  Both visit the children in the same order, so they
+reach the same value and name the same missing key.
 
 Cross-marked keys are internal ledger entries only; their curated values
 come from rigid configurations (an imposed double point or tangency).
@@ -35,7 +43,7 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .contact import ContactVector, LagrangianKind, _cached, _Record, f_point_count
+from .contact import ContactVector, LagrangianKind, _cached, _moved, _Record, f_point_count
 from .errors import UnresolvableFKey
 from .tables import F_TABLE, _packaged_payload, _read_json, _table_entries
 
@@ -71,8 +79,10 @@ class FKey(_Record):
     @classmethod
     def _reduced(cls, kind, alpha, beta, r_l, crosses, r) -> "FKey":
         """A child key of :func:`reduce_key`, with the ``r`` its rule fixes."""
-        key = cls(kind, alpha, beta, r_l, crosses)
-        key.__dict__["r"] = r
+        key = object.__new__(cls)
+        fields = key.__dict__  # item writes: faster than __init__'s object.__setattr__ calls
+        fields["kind"], fields["alpha"], fields["beta"] = kind, alpha, beta
+        fields["r_l"], fields["crosses"], fields["r"] = r_l, crosses, r
         return key
 
     def __str__(self) -> str:
@@ -80,23 +90,36 @@ class FKey(_Record):
         return f"F[{self.kind.value}]_({self.r}{marks},{self.r_l})({self.alpha}, {self.beta})"
 
 
-def reduce_key(key: FKey) -> tuple[str, list[tuple[int, FKey]]]:
-    """One reduction step: the rule that applies to ``key`` and its
-    (coefficient, child) terms.  pair-to-real applies when a conjugate pair
-    and a free orbit are left, else real-pair-to-cross when no pair and at
-    least two real points are; UnresolvableFKey when neither does."""
-    kind, alpha, beta, r_l, crosses, r = key.kind, key.alpha, key.beta, key.r_l, key.crosses, key.r
+def _reduction(alpha: tuple, beta: tuple, r_l: int, crosses: int, r: int):
+    """One reduction step on count tuples: the rule's name and its
+    (coefficient, (alpha, beta, r_l, crosses, r)) terms.  pair-to-real
+    applies when a conjugate pair and a free orbit are left, else
+    real-pair-to-cross when no pair and at least two real points are;
+    None when neither does."""
     if r_l >= 1 and beta:
         return "pair-to-real", [
-            (k, FKey._reduced(kind, alpha._moved(k, 1), beta._moved(k, -1), r_l - 1, crosses, r))
-            for k, count in enumerate(beta.counts, 1) if count
+            (k, (_moved(alpha, k, 1), _moved(beta, k, -1), r_l - 1, crosses, r)) for k, count in enumerate(beta, 1) if count
         ]
     if r_l == 0 and r >= 2:
-        return "real-pair-to-cross", [
-            (2, FKey._reduced(kind, alpha, beta, 0, crosses + 1, r - 2)),
-            (1, FKey._reduced(kind, alpha, beta, 1, crosses, r - 2)),
-        ]
-    raise UnresolvableFKey(f"{key} is outside the derivable closure")
+        return "real-pair-to-cross", [(2, (alpha, beta, 0, crosses + 1, r - 2)), (1, (alpha, beta, 1, crosses, r - 2))]
+    return None
+
+
+def reduce_key(key: FKey) -> tuple[str, list[tuple[int, FKey]]]:
+    """:func:`_reduction` of ``key`` with each child an FKey, which shares
+    its parent's vector where the counts are the same; UnresolvableFKey when
+    neither rule applies."""
+    alpha, beta = key.alpha, key.beta
+    a0, b0 = alpha.counts, beta.counts
+    step = _reduction(a0, b0, key.r_l, key.crosses, key.r)
+    if step is None:
+        raise UnresolvableFKey(f"{key} is outside the derivable closure")
+    rule, terms = step
+    kind, vector = key.kind, ContactVector._canonical
+    return rule, [
+        (coeff, FKey._reduced(kind, alpha if a is a0 else vector(a), beta if b is b0 else vector(b), r_l, crosses, r))
+        for coeff, (a, b, r_l, crosses, r) in terms
+    ]
 
 
 class FDerivation(_Record):
@@ -125,7 +148,9 @@ class FInvariantEngine:
 
     ``entries`` maps each table key to its value; lookups go through the
     tuple :meth:`_table_key` of a key, which hashes faster than the record.
-    :meth:`plain_value` looks up that tuple from count tuples directly.
+    :meth:`plain_value` looks up that tuple from count tuples directly.  On a
+    miss, :meth:`value` walks :func:`_reduction` on count tuples for the
+    number alone, and :meth:`derive` records each key it visits.
     """
 
     def __init__(self, entries: dict[FKey, int]):
@@ -151,10 +176,45 @@ class FInvariantEngine:
 
     def value(self, key: FKey, order_seed: int | None = None) -> int:
         """F(key): a table hit is read from the table, and anything else is
-        derived.  No hit is lost to NegativeDimension: every table key's
-        real-point count was checked to be >= 0 when the table loaded."""
+        resolved on count tuples in the order :meth:`derive` takes, to the
+        same value or the same error.  No hit is lost to NegativeDimension:
+        every table key's real-point count was checked to be >= 0 when the
+        table loaded."""
         known = self.lookup(key)
-        return self.derive(key, order_seed=order_seed).value if known is None else known
+        if known is not None:
+            return known
+        r = key.r  # a negative real-point count raises NegativeDimension here, as in derive
+        kind, entries, memo = key.kind, self._entries, {}
+        name = kind._value_
+        rng = random.Random(order_seed) if order_seed is not None else None
+
+        def walk(node, depth_left):
+            alpha, beta, r_l, crosses, r = node
+            tk = (name, alpha, beta, r_l, crosses)
+            known = entries.get(tk)
+            if known is None:
+                known = memo.get(tk)
+            if known is not None:
+                return known
+            step = _reduction(alpha, beta, r_l, crosses, r)
+            if step is None:  # the one key this walk builds: reduce_key names it and raises
+                alpha, beta = ContactVector._canonical(alpha), ContactVector._canonical(beta)
+                reduce_key(FKey._reduced(kind, alpha, beta, r_l, crosses, r))
+            if not depth_left:
+                raise RecursionError
+            combo = step[1]
+            if rng is not None:
+                rng.shuffle(combo)
+            total = 0
+            for coeff, child in combo:  # one frame per reduction, as in _resolve
+                total += coeff * walk(child, depth_left - 1)
+            memo[tk] = total
+            return total
+
+        try:
+            return walk((key.alpha.counts, key.beta.counts, key.r_l, key.crosses, r), MAX_DERIVATION_DEPTH)
+        except RecursionError:
+            raise _too_deep(key) from None
 
     def plain_value(self, kind: LagrangianKind, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
         """:meth:`value` of the key with no pairs or crosses whose profiles
@@ -172,7 +232,7 @@ class FInvariantEngine:
         try:
             return self._resolve(key, {}, rng, MAX_DERIVATION_DEPTH)
         except RecursionError:
-            raise UnresolvableFKey(f"{key} needs a chain of more than {MAX_DERIVATION_DEPTH} reductions") from None
+            raise _too_deep(key) from None
 
     def _resolve(self, key: FKey, memo: dict, rng, depth_left: int) -> FDerivation:
         tk = self._table_key(key)
@@ -198,6 +258,10 @@ class FInvariantEngine:
     def plain_keys(self) -> list[FKey]:
         """Keys without conjugate pairs or crosses (the published values)."""
         return [key for key in self._keys if key.r_l == 0 and key.crosses == 0]
+
+
+def _too_deep(key: FKey) -> UnresolvableFKey:
+    return UnresolvableFKey(f"{key} needs a chain of more than {MAX_DERIVATION_DEPTH} reductions")
 
 
 def _checked_rows(payload: dict, where: str) -> tuple[dict[FKey, int], dict[FKey, int]]:

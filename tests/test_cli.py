@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes, table overrides."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -81,7 +83,27 @@ def test_poly(capsys):
 def test_poly_csv(capsys):
     code, out, _ = run(capsys, "poly", "--geometry", "quadric2", "--degree", "2", "--format", "csv")
     assert code == 0
-    assert out.splitlines() == ["geometry,d,r,chi", "quadric2,2,1,0", "quadric2,2,3,2", "quadric2,2,5,4", "quadric2,2,7,6"]
+    assert out.splitlines() == [
+        "geometry,d,r,chi,unavailable",
+        "quadric2,2,1,0,",
+        "quadric2,2,3,2,",
+        "quadric2,2,5,4,",
+        "quadric2,2,7,6,",
+    ]
+
+
+def test_poly_csv_lists_each_unavailable_value_with_its_reason(capsys):
+    # every admissible r in order; a miss has no chi and the text format's reason, commas quoted
+    code, out, err = run(capsys, "poly", "--geometry", "cp2", "--degree", "5", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["geometry", "d", "r", "chi", "unavailable"]
+    assert rows[1:3] == [["cp2", "5", "0", "64", ""], ["cp2", "5", "2", "64", ""]]
+    text = (Path(__file__).resolve().parent / "data" / "poly_cp2_degree5.txt").read_text().splitlines()[2:]
+    reasons = [re.fullmatch(r"r=(\d+): unavailable \((.*)\)", line).groups() for line in text]
+    assert [int(r) for r, _ in reasons] == list(range(4, 15, 2))
+    assert rows[3:] == [["cp2", "5", r, "", reason] for r, reason in reasons]
+    assert all("," in reason for _, reason in reasons)
 
 
 def test_trees_dump(capsys):

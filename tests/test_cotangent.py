@@ -1,5 +1,6 @@
 """Cotangent invariants: curated bases, reduction rules, derivation engine."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,14 +9,18 @@ import pytest
 
 from welschinger import (
     ContactVector,
+    FDerivation,
     FInvariantEngine,
     FKey,
+    GeometryKind,
     LagrangianKind,
     NegativeDimension,
     UnresolvableFKey,
     WelschingerError,
+    admissible_real_counts,
     basis_f_engine,
     builtin_f_engine,
+    chi,
     reduce_key,
     tables,
 )
@@ -357,3 +362,107 @@ def test_value_reads_a_hit_that_derive_agrees_with():
             engine.value(FKey(K.RP2, zero, zero))
         with pytest.raises(NegativeDimension):
             engine.plain_value(K.RP2, (), ())
+
+
+# -- the value walk and the record walk ---------------------------------------
+
+
+def outcome(resolve, key, seed):
+    """The value ``resolve`` gives ``key`` under ``seed``, or its error's type and message."""
+    try:
+        return resolve(key, seed)
+    except WelschingerError as exc:
+        return type(exc), str(exc)
+
+
+def chi_root_keys(monkeypatch, max_degree):
+    """Every root F key chi looks up at each admissible (geometry, d <= max_degree, r)."""
+    seen = set()
+    plain_value = FInvariantEngine.plain_value
+
+    def recorded(self, kind, alpha, beta):
+        seen.add((kind, alpha, beta))
+        return plain_value(self, kind, alpha, beta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FInvariantEngine, "plain_value", recorded)
+        for geometry in GeometryKind:
+            for d in range(1, max_degree + 1):
+                for r in admissible_real_counts(geometry, d):
+                    try:
+                        chi(geometry, d, r)
+                    except WelschingerError:  # a miss has looked up every key to the failing one
+                        pass
+    return [FKey(kind, CV(alpha), CV(beta)) for kind, alpha, beta in sorted(seen, key=repr)]
+
+
+def test_value_and_derive_agree_on_every_key_and_order(monkeypatch):
+    # value walks count tuples for the number alone, derive builds the records:
+    # the same value, or the same error naming the same key, under every order
+    keys = chi_root_keys(monkeypatch, 12)
+    keys += [FKey(K(row["kind"]), CV(tuple(row["alpha"])), CV(tuple(row["beta"])), row["r_l"], row["crosses"]) for row in packaged_rows()]
+    for alpha, beta, kind in ((zero, e1 + e2, K.RP2), (zero, CV.e(1, 3), K.RP2), (zero, CV.e(1, 2), K.SPHERE2), (zero, e2, K.SPHERE2)):
+        keys += [FKey(kind, alpha, beta, r_l, crosses) for r_l in range(3) for crosses in range(2)]
+    misses = 0
+    for engine in (builtin_f_engine(), basis_f_engine()):
+        for key in keys:
+            for seed in (None, *range(10)):
+                got = outcome(engine.value, key, seed)
+                assert got == outcome(lambda k, s: engine.derive(k, s).value, key, seed), (key, seed)
+                misses += isinstance(got, tuple)
+    assert len(keys) > 250 and misses > 1000
+
+
+@pytest.mark.parametrize(
+    "beta,pairs,message",
+    [
+        (CV.e(1, 600), 500, "F[rp2]_(799,500)(0, 600e1) needs a chain of more than 500 reductions"),
+        (CV.e(1, 1200), 1100, "F[rp2]_(1399,1100)(0, 1200e1) needs a chain of more than 500 reductions"),
+        (CV.e(1, 300), 250, f"F[rp2]_(1+{'x' * 199},0)(250e1, 50e1) is outside the derivable closure"),
+    ],
+)
+def test_value_bounds_the_chain_as_derive_does(beta, pairs, message):
+    # the two keys too deep to resolve, and one that fails 449 reductions down
+    key, engine = FKey(K.RP2, zero, beta, pairs), builtin_f_engine()
+    assert outcome(engine.value, key, None) == (UnresolvableFKey, message)
+    for seed in (None, 3):
+        assert outcome(engine.value, key, seed) == outcome(lambda k, s: engine.derive(k, s).value, key, seed)
+
+
+def test_value_raises_negative_dimension_before_walking(monkeypatch):
+    from welschinger import cotangent
+
+    def no_walk(*args):
+        raise AssertionError("walked a key with no real-point count")
+
+    monkeypatch.setattr(cotangent, "_reduction", no_walk)
+    engine = builtin_f_engine()
+    for key in (FKey(K.RP2, zero, zero), FKey(K.SPHERE2, e1, zero, r_l=1)):
+        with pytest.raises(NegativeDimension) as by_value:
+            engine.value(key)
+        with pytest.raises(NegativeDimension) as by_derive:
+            engine.derive(key)
+        assert str(by_value.value) == str(by_derive.value)
+
+
+def test_chi_builds_no_derivation_records(monkeypatch):
+    # chi's F misses resolve on the value walk alone: with the records and
+    # derive made to raise, chi gives every outcome of the frontier d <= 8
+    # domain as pinned (the sha256 of one repr line per (geometry, d, r))
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a derivation record on chi's path")
+
+    monkeypatch.setattr(FDerivation, "__init__", forbidden)
+    monkeypatch.setattr(FInvariantEngine, "derive", forbidden)
+    lines = []
+    for geometry in GeometryKind:
+        for d in range(1, 9):
+            for r in admissible_real_counts(geometry, d):
+                try:
+                    result = chi(geometry, d, r)
+                except WelschingerError as exc:
+                    lines.append(repr((geometry, d, r, type(exc).__name__, str(exc))))
+                else:
+                    lines.append(repr((geometry, d, r, result.value, result.ledger)))
+    assert len(lines) == 144
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "f28e72ce906aecb00ac04b9997b0a74532648b3b5a35cad978293b8ec8c9654c"
