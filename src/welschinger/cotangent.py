@@ -175,14 +175,11 @@ class FInvariantEngine:
         return self._entries.get(self._table_key(key))
 
     def value(self, key: FKey, order_seed: int | None = None) -> int:
-        """F(key): a table hit is read from the table, and anything else is
-        resolved on count tuples in the order :meth:`derive` takes, to the
-        same value or the same error.  No hit is lost to NegativeDimension:
-        every table key's real-point count was checked to be >= 0 when the
-        table loaded."""
-        known = self.lookup(key)
-        if known is not None:
-            return known
+        """F(key): one walk that reads a table hit at its root, and resolves
+        anything else on count tuples in the order :meth:`derive` takes, to
+        the same value or the same error.  No hit is lost to
+        NegativeDimension: every table key's real-point count was checked to
+        be >= 0 when the table loaded."""
         r = key.r  # a negative real-point count raises NegativeDimension here, as in derive
         kind, entries, memo = key.kind, self._entries, {}
         name = kind._value_

@@ -11,9 +11,11 @@ raise instead of defaulting to zero.
 ``n_three`` covers the 3-fold P(O(1,1) + O) over the 2-dimensional quadric Q:
 a class (a,b) + c f splits into a rational curve of bidegree (a,b) on Q and a
 section-with-fibre curve in the restricted ruling, which is the degree-4
-ruled surface again.  ``three_fold_count`` is the count of a 3-quadric tree
-vertex: the ``n_three`` sum over its bidegrees when its point pairs make the
-curves rigid, 0 when they over-determine them, and a miss when they do not.
+ruled surface again; it alone holds the contact check, the pure fibre and the
+ruled-surface lookup.  ``three_fold_count`` is the count of a 3-quadric tree
+vertex, and holds only the pairs rule: the ``n_three`` sum over its bidegrees
+when its point pairs make the curves rigid, 0 when they over-determine them,
+and a miss when they do not.
 """
 
 from __future__ import annotations
@@ -165,22 +167,6 @@ def quadric_count(a: int, b: int) -> int:
     return value
 
 
-def _check_three_fold_contact(c: int, alpha: ContactVector, beta: ContactVector) -> None:
-    """Raise UnknownInvariant unless a 3-fold count has fibre coefficient 1
-    and a single simple contact, prescribed or free: the only counts that
-    occur in the assembled invariants."""
-    if c != 1:
-        raise UnknownInvariant(f"no curated 3-fold count for fibre coefficient {c}")
-    if (alpha + beta).counts != (1,) or (alpha and beta):
-        raise UnknownInvariant("3-fold counts need exactly one simple contact")
-
-
-def _section_count(alpha: ContactVector, beta: ContactVector, table: RelativeInvariantTable | None) -> int:
-    """The degree-4 ruled-surface count of e + f, the factor of every 3-fold
-    count past the pure fibre."""
-    return (table or builtin_relative_table()).count(4, 1, 1, alpha.counts, beta.counts)
-
-
 def n_three(
     a: int,
     b: int,
@@ -192,13 +178,17 @@ def n_three(
     """Rational curves on the ruled 3-fold in class (a, b) + c f.
 
     Only the fibre coefficient c = 1 with a single simple contact (prescribed
-    or free) occurs in the assembled invariants; the count factors as
-    quadric_count(a, b) times the degree-4 ruled-surface count of e + f.
+    or free) occurs in the assembled invariants; other counts raise
+    UnknownInvariant.  Past the pure fibre (a, b) = (0, 0), the count factors
+    as quadric_count(a, b) times the degree-4 ruled-surface count of e + f.
     """
-    _check_three_fold_contact(c, alpha, beta)
+    if c != 1:
+        raise UnknownInvariant(f"no curated 3-fold count for fibre coefficient {c}")
+    if (alpha + beta).counts != (1,) or (alpha and beta):
+        raise UnknownInvariant("3-fold counts need exactly one simple contact")
     if (a, b) == (0, 0):
         return 1
-    return quadric_count(a, b) * _section_count(alpha, beta, table)
+    return quadric_count(a, b) * (table or builtin_relative_table()).count(4, 1, 1, alpha.counts, beta.counts)
 
 
 def three_fold_count(
@@ -211,17 +201,10 @@ def three_fold_count(
     bidegree (a, g - a); the contact is prescribed when alpha holds it.  With
     more pairs, generic pairs meet no curve and the count is 0; with fewer,
     the curves move and UnknownInvariant is raised; with exactly those, it is
-    the sum of :func:`n_three` over the bidegrees.  That sum is computed as
-    one ruled-surface lookup, the factor every bidegree shares, times the sum
-    of :func:`quadric_count` over the bidegrees; so a ruled-surface miss is
-    raised before the first missing bidegree, as the sum would raise them
-    (``quadric_count(0, g)`` never raises for g >= 1)."""
+    the sum of :func:`n_three` over the bidegrees."""
     need = (2 * g - 1 if g else 1) - (1 if alpha else 0)
     if pairs < need:
         raise UnknownInvariant(f"N3 of (0, {g}) + {c}f moves with {pairs} < {need} point pairs: count is not defined")
     if pairs > need:
         return 0
-    _check_three_fold_contact(c, alpha, beta)
-    if not g:
-        return 1
-    return _section_count(alpha, beta, table) * sum(quadric_count(a, g - a) for a in range(g + 1))
+    return sum(n_three(a, g - a, c, alpha, beta, table) for a in range(g + 1))

@@ -109,10 +109,12 @@ def wdvv_quadric_count(a: int, b: int) -> int:
 _GW_COUNTS = {G.PROJECTIVE_PLANE: kontsevich_count, G.ELLIPSOID_QUADRIC2: lambda d: wdvv_quadric_count(d, d)}
 
 
-def gromov_witten_clause(geometry: GeometryKind, d: int, value: int) -> Clause:
+def gromov_witten_clause(geometry: GeometryKind, d: int, value: int) -> Clause | None:
     """chi^d_r counts with signs the real curves among the N_d complex ones
     through the points, the others coming in conjugate pairs: so chi = N_d
-    mod 2 and |chi| <= N_d.  No N_d is known here over the 3-quadric."""
+    mod 2 and |chi| <= N_d.  None where no N_d is known (over the 3-quadric)."""
+    if geometry not in _GW_COUNTS:
+        return None
     n = _GW_COUNTS[geometry](d)
     return Clause(f"chi = N_d mod 2 and |chi| <= N_d = {n}", None, value % 2 == n % 2 and abs(value) <= n)
 

@@ -29,6 +29,7 @@ from welschinger import (
     enumerate_trees,
     multiplicity,
 )
+from welschinger import relative
 from welschinger.assembly import _vertex_factors, check_admissible
 from welschinger.trees import FAMILY_OF, pair_condition_count
 from welschinger.verification import GOLDEN_VALUES, gromov_witten_clause, kontsevich_count
@@ -216,6 +217,26 @@ def test_vertex_factors_agree_with_n_sigma_of_each_vertex_key():
     assert outcomes == {"value": 769, "miss": 1173}
 
 
+def test_three_quadric_goldens_sum_n_three_over_each_rigid_vertex(monkeypatch):
+    # a 3-fold vertex holding the 2g - 1 - [plus] pairs (1 - [plus] at g = 0)
+    # that make its curves rigid sums n_three over its g + 1 bidegrees, looked
+    # up through relative's module global, so a wrapper there sees each term
+    calls = []
+    n_three = relative.n_three
+    monkeypatch.setattr(relative, "n_three", lambda *args: calls.append(args[:2]) or n_three(*args))
+    want_calls = 0
+    for (d, r), value in GOLDEN_VALUES[G.ELLIPSOID_QUADRIC3].items():
+        assert chi(G.ELLIPSOID_QUADRIC3, d, r).value == value
+        for cls in enumerate_trees(TreeFamily.THREE_SPHERICAL, d, r):
+            for twc in cls.variants:
+                tree, shape = twc.tree, twc.tree.shape
+                for v in shape.odd_vertices:
+                    g = shape.genus[v]
+                    if tree.f_size(v) == (2 * g - 1 if g else 1) - tree.is_plus(v):
+                        want_calls += g + 1
+    assert len(calls) == want_calls == 6  # (2, 1): the pure fibre; (10, 1): one g = 4 vertex
+
+
 def test_chi_equals_the_sum_over_the_whole_enumeration():
     outcomes = {"value": 0, "miss": 0}
     for geometry in G:
@@ -269,6 +290,9 @@ def test_invariants_bounded_by_gromov_witten_counts():
     assert gromov_witten_clause(G.PROJECTIVE_PLANE, 4, -620).passed
     assert not gromov_witten_clause(G.PROJECTIVE_PLANE, 4, 1).passed
     assert not gromov_witten_clause(G.PROJECTIVE_PLANE, 4, 622).passed
+    # no N_d is known over the 3-quadric: no clause, as check_sign_law gives none where no law applies
+    for (d, r), value in GOLDEN_VALUES[G.ELLIPSOID_QUADRIC3].items():
+        assert gromov_witten_clause(G.ELLIPSOID_QUADRIC3, d, value) is None
 
 
 def test_chi_polynomial_reports_unavailable():

@@ -182,6 +182,15 @@ def test_exit_2_on_inadmissible(capsys):
     code, out, err = run(capsys, "poly", "--geometry", "cp2", "--degree", "0")
     assert (code, out) == (2, "")
     assert err == "error: cp2 has no admissible real-point count in degree 0\n"
+    # and a bound below the degree's least admissible r, in every format
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "poly", "--geometry", "quadric3", "--degree", "2", "--real-points-max", "0", "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err == "error: quadric3 has no admissible real-point count <= 0 in degree 2\n"
+    # the bound does not change the message of a degree with no admissible r
+    code, out, err = run(capsys, "poly", "--geometry", "quadric3", "--degree", "3", "--real-points-max", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: quadric3 has no admissible real-point count in degree 3\n"
 
 
 def test_exit_2_on_bad_flags(capsys):

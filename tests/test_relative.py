@@ -18,6 +18,7 @@ from welschinger import (
     tables,
 )
 from welschinger.relative import three_fold_count
+from welschinger.verification import wdvv_quadric_count
 
 CV = ContactVector
 e1, e2, e3 = CV.e(1), CV.e(2), CV.e(3)
@@ -205,12 +206,36 @@ def _outcome(count):
         return UnknownInvariant, str(exc)
 
 
+# the bidegrees with both coefficients positive that quadric_count's table holds
+_CURATED_BIDEGREES = {(1, 1), (3, 1), (1, 3), (2, 2)}
+
+
+def _three_fold_reference(g, alpha, beta, table):
+    """The rigid count of a 3-fold vertex with one simple contact: 1 for the
+    pure fibre, else the N4^{e+f}(alpha, beta) of ``table`` times the WDVV
+    quadric counts, or the miss of the first factor that fails (the a = 0
+    term reads the ruled-surface count before any bidegree can miss)."""
+    if not g:
+        return 1
+    section = _key(4, 1, 1, alpha, beta)
+    if table is not None:  # the empty table
+        return UnknownInvariant, f"{section} is outside the curated table"
+    for a in range(g + 1):
+        if a and g - a and (a, g - a) not in _CURATED_BIDEGREES:
+            return UnknownInvariant, f"no curated count for quadric bidegree ({a}, {g - a})"
+    return builtin_relative_table().n_sigma(section) * sum(wdvv_quadric_count(a, g - a) for a in range(g + 1))
+
+
 def test_three_fold_count():
-    # the reference is the sum of n_three over the bidegrees, with its misses in
-    # the same order: one ruled-surface lookup replaces one per bidegree
     empty = RelativeInvariantTable({})  # misses the ruled-surface count
+    contacts = [
+        (1, zero, e1, None),
+        (1, e1, zero, None),
+        (2, zero, e1, "no curated 3-fold count for fibre coefficient 2"),
+        (1, zero, e2, "3-fold counts need exactly one simple contact"),
+    ]
     for g in range(9):
-        for c, alpha, beta in [(1, zero, e1), (1, e1, zero), (2, zero, e1), (1, zero, e2)]:
+        for c, alpha, beta, contact_miss in contacts:
             # pairs needed: 2g - 1 - [prescribed], 1 - [prescribed] at g = 0
             need = (2 * g - 1 if g else 1) - (1 if alpha else 0)
             for table in (None, empty):
@@ -220,8 +245,10 @@ def test_three_fold_count():
                         want = UnknownInvariant, message
                     elif pairs > need:
                         want = 0
+                    elif contact_miss is not None:
+                        want = UnknownInvariant, contact_miss
                     else:
-                        want = _outcome(lambda: sum(n_three(a, g - a, c, alpha, beta, table) for a in range(g + 1)))
+                        want = _three_fold_reference(g, alpha, beta, table)
                     got = _outcome(lambda: three_fold_count(g, c, alpha, beta, pairs, table))
                     assert got == want, (g, c, alpha, beta, pairs, table)
     assert three_fold_count(4, 1, zero, e1, 7) == 12 + 1 + 1
