@@ -118,7 +118,7 @@ def admissible_real_counts(geometry: GeometryKind, d: int) -> range:
 def check_admissible(geometry: GeometryKind, d: int, r: int) -> None:
     """Raise InadmissiblePair unless chi(geometry, d, r) is defined."""
     if r not in admissible_real_counts(geometry, d):
-        raise InadmissiblePair(f"({geometry.value}, d={d}, r={r}) is not an admissible pair")
+        raise InadmissiblePair.of(geometry, d, r)
 
 
 def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: RelativeInvariantTable) -> list[int]:
@@ -213,10 +213,14 @@ def chi_polynomial(
     f_engine: FInvariantEngine | None = None,
 ) -> ChiPolynomial:
     """chi^d_r for every admissible r <= r_max (every admissible r when
-    r_max is None); a value outside the tables is listed as unavailable."""
+    r_max is None), a value outside the tables listed as unavailable; empty
+    for an empty domain, and InadmissiblePair for an r_max below its least r."""
+    counts = admissible_real_counts(geometry, d)
+    if counts and r_max is not None and r_max < counts[0]:
+        raise InadmissiblePair(f"{geometry.value} has no admissible real-point count <= {r_max} in degree {d}")
     coefficients: dict[int, int] = {}
     unavailable: dict[int, str] = {}
-    for r in admissible_real_counts(geometry, d):
+    for r in counts:
         if r_max is not None and r > r_max:
             break
         try:

@@ -95,12 +95,9 @@ def _cmd_chi(args) -> int:
 def _cmd_poly(args) -> int:
     table, engine = _load_tables(args)
     geometry = _GEOMETRY[args.geometry]
-    counts, r_max = admissible_real_counts(geometry, args.degree), args.real_points_max
-    if not counts:
+    if not admissible_real_counts(geometry, args.degree):  # chi_polynomial gives an empty polynomial here
         raise InadmissiblePair(f"{geometry.value} has no admissible real-point count in degree {args.degree}")
-    if r_max is not None and r_max < counts[0]:
-        raise InadmissiblePair(f"{geometry.value} has no admissible real-point count <= {r_max} in degree {args.degree}")
-    poly = chi_polynomial(geometry, args.degree, r_max, table, engine)
+    poly = chi_polynomial(geometry, args.degree, args.real_points_max, table, engine)
     if args.format == "json":
         print(json.dumps(poly.to_json_dict(), sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":

@@ -287,6 +287,7 @@ def f_point_count(
     alpha: ContactVector,
     beta: ContactVector,
     r_l: int = 0,
+    crosses: int = 0,
 ) -> int:
     """Real-point count r that makes the cotangent moduli problem rigid.
 
@@ -297,12 +298,13 @@ def f_point_count(
     solved for r (:func:`_point_count` gives all but the last term):
 
         r = (2|beta| - 2(n-2)|alpha| + n-3) / (n-1) + eps(Ia+Ib) - 2 r_L
-    """
-    if r_l < 0:
-        raise ValueError("conjugate pair count must be >= 0")
-    r = _point_count(kind, beta.size, alpha.weight + beta.weight, alpha.size) - 2 * r_l
+
+    Each of ``crosses`` imposed double points takes two more; a negative
+    count raises ValueError, and r < 0 NegativeDimension."""
+    if r_l < 0 or crosses < 0:
+        raise ValueError("conjugate pair and cross counts must be >= 0")
+    r = _point_count(kind, beta.size, alpha.weight + beta.weight, alpha.size) - 2 * r_l - 2 * crosses
     if r < 0:
-        raise NegativeDimension(
-            f"no non-negative real-point count for {kind.value}, alpha={alpha}, beta={beta}, r_L={r_l}"
-        )
+        marks = f", crosses={crosses}" if crosses else ""
+        raise NegativeDimension(f"no non-negative real-point count for {kind.value}, alpha={alpha}, beta={beta}, r_L={r_l}{marks}")
     return r

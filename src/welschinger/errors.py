@@ -26,7 +26,11 @@ class NegativeDimension(WelschingerError):
 
 class InadmissiblePair(WelschingerError):
     """(degree, real points) is outside the domain of the invariant (d < 1, no
-    integer pair count r_X >= 0, or r = 0 over the 3-quadric), in every layer."""
+    integer pair count r_X >= 0, or r = 0 over the 3-quadric), named by :meth:`of` in every layer."""
+
+    @classmethod
+    def of(cls, geometry, d: int, r: int) -> "InadmissiblePair":
+        return cls(f"({geometry.value}, d={d}, r={r}) is not an admissible pair")
 
 
 class EnumerationTooLarge(WelschingerError):

@@ -153,12 +153,12 @@ FAMILY_OF: dict[GeometryKind, TreeFamily] = {family.geometry: family for family 
 @cache
 def pair_condition_count(family: TreeFamily, d: int, r: int) -> int:
     """Number r_X of conjugate point pairs imposed together with r real points;
-    raises InadmissiblePair unless r is in :meth:`TreeFamily.real_point_counts`.
-    Cached per (family, d, r): :meth:`DecoratedTree.validate` asks it for
-    every tree."""
+    unless r is in :meth:`TreeFamily.real_point_counts`, raises the
+    InadmissiblePair that ``assembly.check_admissible`` raises.  Cached per
+    (family, d, r): :meth:`DecoratedTree.validate` asks it for every tree."""
     counts = family.real_point_counts(d)
     if r not in counts:
-        raise InadmissiblePair(f"{family.value}: no r_X >= 0 for d={d}, r={r}")
+        raise InadmissiblePair.of(family.geometry, d, r)
     return (counts[-1] - r) // 2
 
 
@@ -648,8 +648,9 @@ def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
     each has a slot in the list, filled with its :func:`_build` on first use."""
     lagrangian = family.geometry.lagrangian
     memo = _Memo(family, d)
+    items = [(c, t) for c in range(1, d + 1) for k in range(1, c // family.scale + 1) for t in _odd_subtrees(memo, c, k)]
     candidates = []
-    for forest in _forests(memo, d, False):
+    for forest in _forests(items, d):
         memo.count(1)
         candidates.append((_point_count(lagrangian, len(forest), sum([t[0] for t in forest])), len(forest), forest))
     candidates.sort(key=lambda c: _code(0, None, [t[4] for t in c[2]]))
@@ -672,29 +673,18 @@ def _decorate(r: int, r_l: int, runs, shape: Shape):
         yield tree
 
 
-def _forests(memo: _Memo, budget: int, via_connector: bool, items=None, start: int = 0, forest=()):
-    """Every multiset of odd subtrees whose costs sum to ``budget``, once, as
-    a non-decreasing tuple after the prefix ``forest``, which each level
-    extends by one subtree.  Root children take any edge multiplicity; a
-    connector child enters on a simple edge and also pays for the
-    connector's upper simple edge."""
+def _forests(items: list, budget: int, start: int = 0, forest=()):
+    """Every multiset of the subtrees in ``items``, (cost, subtree) pairs
+    sorted by cost, whose costs sum to ``budget``, once, as a non-decreasing
+    tuple after the prefix ``forest``, which each level extends by one."""
     if budget == 0:
         yield forest
         return
-    if items is None:
-        family = memo.family
-        if via_connector:
-            top = budget - family.scale if family.connectors else 0
-            items = [(family.scale + c, t) for c in range(1, top + 1) for t in _odd_subtrees(memo, c, 1)]
-        else:
-            items = [
-                (c, t) for c in range(1, budget + 1) for k in range(1, c // family.scale + 1) for t in _odd_subtrees(memo, c, k)
-            ]
     for j in range(start, len(items)):
         cost, subtree = items[j]
         if cost > budget:
-            break  # items come in non-decreasing cost
-        yield from _forests(memo, budget - cost, via_connector, items, j, forest + (subtree,))
+            break
+        yield from _forests(items, budget - cost, j, forest + (subtree,))
 
 
 def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
@@ -720,8 +710,10 @@ def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
     for g in range(first, rest // family.genus_coefficient + 1):
         left = rest - family.genus_coefficient * g
         label = f"({g}, None, None)"
+        top = left - family.scale if family.connectors else 0  # a connector child also pays for its upper edge
+        items = [(family.scale + c, t) for c in range(1, top + 1) for t in _odd_subtrees(memo, c, 1)]
         for pendants in range(left // step + 1 if step else 1):
-            for children in _forests(memo, left - step * pendants, True):
+            for children in _forests(items, left - step * pendants):
                 k_s, valence = k_in + family.pendant * pendants + len(children), 1 + pendants + len(children)
                 if expected_pair_count(family, g, k_s, valence, False) is not None:
                     kids = [memo.pendant] * pendants + [_code(1, None, [child[4]]) for child in children]

@@ -73,7 +73,9 @@ TREE_CLASS_COUNTS = {
 def kontsevich_count(d: int) -> int:
     """Rational plane curves of degree d through 3d - 1 points (Kontsevich
     1994): N_d = sum over a + b = d of N_a N_b (a^2 b^2 C(3d - 4, 3a - 2)
-    - a^3 b C(3d - 4, 3a - 1))."""
+    - a^3 b C(3d - 4, 3a - 1)); ValueError for d < 1."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
     if d == 1:
         return 1
     return sum(
@@ -90,7 +92,9 @@ def wdvv_quadric_count(a: int, b: int) -> int:
     sum over nonzero (a1, b1) + (a2, b2) = (a, b) of N(a1, b1) N(a2, b2)
     (a1^3 b2^3 - a1^2 b1 a2 b2^2) C(2a + 2b - 2, 2a1 + 2b1 - 1), seeded by
     the rulings N(1, 0) = N(0, 1) = 1; a bidegree (a, 0) or (0, b) with a
-    coefficient >= 2 holds no irreducible curve."""
+    coefficient >= 2 holds no irreducible curve; ValueError for (0, 0), a < 0 or b < 0."""
+    if min(a, b) < 0 or a == b == 0:
+        raise ValueError("bidegree must be nonzero with coefficients >= 0")
     if a == 0 or b == 0:
         return int(max(a, b) == 1)
     total = sum(

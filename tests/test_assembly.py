@@ -139,9 +139,10 @@ def test_no_degree_below_one_is_in_the_domain():
             poly = chi_polynomial(geometry, d)
             assert (poly.coefficients, poly.unavailable) == ({}, {})
             for r in range(-1, 4):
-                with pytest.raises(InadmissiblePair, match=rf"^{family.value}: no r_X >= 0 for d={d}, r={r}$"):
+                message = rf"^\({geometry.value}, d={d}, r={r}\) is not an admissible pair$"
+                with pytest.raises(InadmissiblePair, match=message):
                     pair_condition_count(family, d, r)
-                with pytest.raises(InadmissiblePair, match=r"is not an admissible pair$"):
+                with pytest.raises(InadmissiblePair, match=message):
                     chi(geometry, d, r)
 
 
@@ -275,6 +276,17 @@ def test_chi_polynomial_examples():
     assert poly.coefficients == {0: -14336, 2: 11776}
 
 
+def test_chi_polynomial_raises_below_its_least_real_point_count():
+    # the bound poly reports is chi_polynomial's own; an empty domain stays an empty polynomial
+    for geometry, d, r_max in ((G.ELLIPSOID_QUADRIC3, 2, 0), (G.PROJECTIVE_PLANE, 5, -3), (G.PROJECTIVE_PLANE, 6, 0)):
+        message = rf"^{geometry.value} has no admissible real-point count <= {r_max} in degree {d}$"
+        with pytest.raises(InadmissiblePair, match=message):
+            chi_polynomial(geometry, d, r_max)
+    assert chi_polynomial(G.ELLIPSOID_QUADRIC3, 2, 1).coefficients == {1: -1}
+    assert chi_polynomial(G.PROJECTIVE_PLANE, 5, 0).coefficients == {0: 64}
+    assert chi_polynomial(G.ELLIPSOID_QUADRIC3, 3, -3) == chi_polynomial(G.ELLIPSOID_QUADRIC3, 3)
+
+
 def test_invariants_bounded_by_gromov_witten_counts():
     # a Welschinger invariant is a signed count of the real curves among the
     # N_d complex ones through the points
@@ -293,6 +305,13 @@ def test_invariants_bounded_by_gromov_witten_counts():
     # no N_d is known over the 3-quadric: no clause, as check_sign_law gives none where no law applies
     for (d, r), value in GOLDEN_VALUES[G.ELLIPSOID_QUADRIC3].items():
         assert gromov_witten_clause(G.ELLIPSOID_QUADRIC3, d, value) is None
+    # no N_d below degree 1: the recursions raise, and no clause passes for want of a count
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="^degree must be >= 1$"):
+            kontsevich_count(d)
+    for geometry in (G.PROJECTIVE_PLANE, G.ELLIPSOID_QUADRIC2):
+        with pytest.raises(ValueError):
+            gromov_witten_clause(geometry, 0, 0)
 
 
 def test_chi_polynomial_reports_unavailable():
@@ -356,8 +375,13 @@ def test_sign_law_examples():
     [(G.PROJECTIVE_PLANE, 5, 1), (G.ELLIPSOID_QUADRIC2, 2, 2), (G.ELLIPSOID_QUADRIC2, 2, 0), (G.ELLIPSOID_QUADRIC3, 5, 1)],
 )
 def test_laws_reject_a_pair_outside_the_domain(geometry, d, r):
-    # each geometry raises as chi does, with no clause for an undefined value
+    # each geometry raises as chi does, with no clause for an undefined value;
+    # no pair here is in the tree family's domain, and trees names it as chi does
     message = rf"^\({geometry.value}, d={d}, r={r}\) is not an admissible pair$"
+    with pytest.raises(InadmissiblePair, match=message):
+        chi(geometry, d, r)
+    with pytest.raises(InadmissiblePair, match=message):
+        enumerate_trees(FAMILY_OF[geometry], d, r)
     with pytest.raises(InadmissiblePair, match=message):
         check_congruence(geometry, d, r, 5)
     with pytest.raises(InadmissiblePair, match=message):

@@ -273,8 +273,11 @@ def test_reduction_steps_match_the_rules_written_with_vector_arithmetic():
         ({"kind": "rp2", "alpha": [-1], "beta": [1], "value": 1}, "row 1: contact multiplicities must be non-negative"),
         ({"kind": "rp_2", "alpha": [], "beta": [1], "value": 1}, "row 1: 'rp_2' is not a valid LagrangianKind"),
         ({"kind": "sphere2", "alpha": [1], "beta": [], "r_l": 3, "value": 1}, "row 1: no non-negative real-point count"),
-        ({"kind": "rp2", "alpha": [1], "beta": [], "crosses": 1, "value": 1}, "row 1: crosses and the real-point count"),
-        ({"kind": "rp2", "alpha": [], "beta": [1], "crosses": -1, "value": 1}, "row 1: crosses and the real-point count"),
+        (
+            {"kind": "rp2", "alpha": [1], "beta": [], "crosses": 1, "value": 1},
+            "row 1: no non-negative real-point count for rp2, alpha=e1, beta=0, r_L=0, crosses=1",
+        ),
+        ({"kind": "rp2", "alpha": [], "beta": [1], "crosses": -1, "value": 1}, "row 1: conjugate pair and cross counts must be >= 0"),
     ],
 )
 def test_f_table_rejects_bad_rows(row, message):
@@ -437,12 +440,18 @@ def test_value_raises_negative_dimension_before_walking(monkeypatch):
 
     monkeypatch.setattr(cotangent, "_reduction", no_walk)
     engine = builtin_f_engine()
-    for key in (FKey(K.RP2, zero, zero), FKey(K.SPHERE2, e1, zero, r_l=1)):
+    # the last key has 2 real points before its 5 crosses and -8 after them
+    for key in (FKey(K.RP2, zero, zero), FKey(K.SPHERE2, e1, zero, r_l=1), FKey(K.RP2, zero, e1, crosses=5)):
         with pytest.raises(NegativeDimension) as by_value:
             engine.value(key)
         with pytest.raises(NegativeDimension) as by_derive:
             engine.derive(key)
         assert str(by_value.value) == str(by_derive.value)
+    # the key's own r raises, naming its fields (its str would read r)
+    with pytest.raises(NegativeDimension, match=r"^no non-negative real-point count for rp2, alpha=0, beta=e1, r_L=0, crosses=5$"):
+        FKey(K.RP2, zero, e1, crosses=5).r
+    with pytest.raises(ValueError, match=r"^conjugate pair and cross counts must be >= 0$"):
+        FKey(K.RP2, zero, e1, crosses=-1).r
 
 
 def test_chi_builds_no_derivation_records(monkeypatch):

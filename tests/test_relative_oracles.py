@@ -364,6 +364,10 @@ def test_quadric_counts_match_the_wdvv_recursion():
         for b in range(a):
             assert wdvv_quadric_count(a, b) == wdvv_quadric_count(b, a)
     assert [wdvv_quadric_count(*ab) for ab in ((2, 1), (1, 4), (3, 2), (4, 2), (3, 3))] == [1, 1, 96, 640, 3510]
+    # no curve class is (0, 0) or has a negative coefficient: the recursion raises, never counts 0
+    for ab in ((0, 0), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^bidegree must be nonzero with coefficients >= 0$"):
+            wdvv_quadric_count(*ab)
 
 
 def test_two_e_plus_f_count_from_abramovich_bertram():

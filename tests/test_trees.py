@@ -780,7 +780,7 @@ def test_validate_rejects_each_broken_rule(changes, problem):
 def test_validate_raises_outside_the_domain():
     # (d, r) = (4, 1) leaves no integer r_X over the 3-quadric: a domain error, not a rule of the tree
     tree = DecoratedTree.build(**{**_VALID, "family": F.THREE_SPHERICAL, "d": 4, "r": 1})
-    with pytest.raises(InadmissiblePair, match=r"^three-spherical: no r_X >= 0 for d=4, r=1$"):
+    with pytest.raises(InadmissiblePair, match=r"^\(quadric3, d=4, r=1\) is not an admissible pair$"):
         tree.validate()
 
 
