@@ -40,7 +40,10 @@ was generated.  A (family, d) with more candidates than
 a time: a forest becomes a :class:`Shape`, at most once per process, and its
 trees are decorated and validated only when its class is reached.  So chi,
 which stops at the first tree whose key is outside the tables, builds no
-shape after it.
+shape after it.  The shape is made straight from the walk that attaches
+the forest's subtrees (:func:`_build`), which numbers the vertices as it
+goes and so knows each one's parent and children; it is the shape that the
+checked constructor would give for the same edges, without its search.
 
 The counting rules are the same for every family; they read the constants
 of its :class:`TreeFamily` member and the dimension n of its Lagrangian:
@@ -179,9 +182,11 @@ class Shape:
 
     ``edges`` are sorted (parent, child, multiplicity) triples and ``genus``
     maps each odd vertex to g, in vertex order; vertex ids are arbitrary ints.
-    The constructor raises ValueError unless the edges form a tree with
-    multiplicities >= 1 whose odd vertices are exactly the keys of ``genus``,
-    and computes the structure once:
+    The constructor, for hand-written trees, raises ValueError unless the
+    edges form a tree with multiplicities >= 1 whose odd vertices are exactly
+    the keys of ``genus``; the enumeration makes its shapes with
+    :meth:`_walked` from what its walk knows.  Both compute the structure
+    once, in :meth:`_finish`, and give the same fields in the same order:
 
     * ``adjacency``: vertex -> ((neighbour, multiplicity), ...), in vertex
       order;
@@ -208,9 +213,6 @@ class Shape:
         self.genus = dict(sorted((int(v), int(g)) for v, g in dict(genus).items()))
         if any(k < 1 for _, _, k in self.edges):
             raise ValueError("edge multiplicities must be >= 1")
-        # The structure is kept in tuples: it is shared and never modified,
-        # and the garbage collector stops scanning tuples of ints (with lists,
-        # building the 19,852 shapes of plane degree 26 took twice as long).
         verts = {root}
         for u, v, _ in self.edges:
             verts.update((u, v))
@@ -220,29 +222,63 @@ class Shape:
             nbrs[v].append((u, k))
         adj = {v: tuple(vs) for v, vs in nbrs.items()}
         depths = {root: 0}
-        top_down = []
-        queue = [(root, 0)]
-        for v, k_in in queue:  # the queue grows while it is read: breadth-first
-            children = []
+        children: dict[int, list[tuple[int, int]]] = {}
+        queue = [root]
+        for v in queue:  # the queue grows while it is read: breadth-first
+            kids = children[v] = []
             for w, k in adj[v]:
                 if w not in depths:
                     depths[w] = depths[v] + 1
-                    children.append(w)
-                    queue.append((w, k))
-            top_down.append((v, k_in, tuple(children)))
+                    kids.append((w, k))
+                    queue.append(w)
         if len(depths) != len(adj):
             raise ValueError("tree is not connected")
         if len(self.edges) != len(adj) - 1:
             raise ValueError("edge count is not vertex count minus one")
-        self.adjacency = adj
-        self.even_vertices = tuple(v for v in adj if not depths[v] % 2)
-        self.odd_vertices = tuple(v for v in adj if depths[v] % 2)
-        if tuple(self.genus) != self.odd_vertices:
+        if tuple(self.genus) != tuple(v for v in adj if depths[v] % 2):
             raise ValueError("genus must decorate exactly the odd vertices")
-        self.root_edges = root_edges = dict(sorted(adj[root]))
-        self.k_s = {v: sum(k for _, k in vs) for v, vs in adj.items()}
+        self._finish(adj, children)
+
+    @classmethod
+    def _walked(cls, family: TreeFamily, d: int, adjacency, genus) -> "Shape":
+        """The shape of a tree whose vertices are numbered 0 (the root), 1,
+        ... with every vertex after its parent, each adjacency listing the
+        parent first and then the children in vertex order, and ``genus`` in
+        vertex order, as :func:`_build` attaches them: the shape that
+        ``Shape(family, d, 0, edges, genus)`` gives, without its checks and
+        its search for the structure."""
+        shape = cls.__new__(cls)
+        shape.family, shape.d, shape.root, shape.genus = family, d, 0, genus
+        children = {v: vs[1:] for v, vs in adjacency.items()}
+        children[0] = adjacency[0]
+        shape.edges = tuple([(u, w, k) for u, vs in children.items() for w, k in vs])
+        shape._finish(adjacency, children)
+        return shape
+
+    def _finish(self, adjacency, children) -> None:
+        """The structure both constructors share, from the vertex-ordered
+        adjacency and each vertex's (child, multiplicity) pairs in adjacency
+        order; the odd vertices are the keys of ``genus``."""
+        # The structure is kept in tuples: it is shared and never modified,
+        # and the garbage collector stops scanning tuples of ints (with lists,
+        # building the 19,852 shapes of plane degree 26 took twice as long).
+        genus, root = self.genus, self.root
+        self.adjacency = adjacency
+        self.even_vertices = tuple([v for v in adjacency if v not in genus])
+        self.odd_vertices = tuple(genus)
+        self.root_edges = root_edges = dict(sorted(adjacency[root]))
+        self.k_s = k_s = dict.fromkeys(adjacency, 0)
+        for u, v, k in self.edges:
+            k_s[u] += k
+            k_s[v] += k
+        top_down = []
+        queue = [(root, 0)]
+        for v, k_in in queue:  # breadth-first, as the queue grows
+            kids = children[v]
+            queue += kids
+            top_down.append((v, k_in, tuple([w for w, _ in kids]) if kids else ()))
         self.bottom_up = tuple(reversed(top_down))
-        lagrangian = family.geometry.lagrangian
+        lagrangian = self.family.geometry.lagrangian
         self.window_top = _point_count(lagrangian, len(root_edges), sum(root_edges.values())) if root_edges else None
 
     def profile(self, v: int) -> ContactVector:
@@ -310,9 +346,19 @@ class DecoratedTree(_Record):
         return _codes(self.shape, self._sign_map, self._f_map)
 
     @_cached
-    def _aut_order(self) -> int:
-        """|Aut T|, the order of the automorphism group keeping every decoration."""
-        return _symmetries([self.codes[w] for w in children] for _, _, children in self.shape.bottom_up)
+    def _aut_orders(self) -> tuple[int, int]:
+        """(|H|, |K|) of :func:`assignment_count`, from one bottom-up walk:
+        H = Aut T keeps every decoration, and K, its subgroup fixing every
+        vertex that holds pairs, permutes only twin subtrees holding none."""
+        codes, f_map = self.codes, self._f_map
+        holds: dict[int, bool] = {}
+        h = k = 1
+        for v, _, children in self.shape.bottom_up:
+            if len(children) > 1:  # a lone child has no twin
+                h *= _twins([codes[w] for w in children])
+                k *= _twins([codes[w] for w in children if not holds[w]])
+            holds[v] = f_map.get(v, 0) > 0 or any([holds[w] for w in children])
+        return h, k
 
     @_cached
     def _canonical(self) -> bytes:
@@ -464,18 +510,13 @@ def automorphisms(tree: DecoratedTree) -> list[dict[int, int]]:
 # multiplicity and its factors
 
 
-def _symmetries(sibling_codes) -> int:
-    """Product of c! over every c equal codes within each list of sibling
-    codes: the order of a rooted tree's automorphism group when the lists are
-    the child codes of its vertices."""
-    out = 1
-    for codes in sibling_codes:
-        if len(codes) > 1:  # a lone child has no twin
-            seen = {}
-            for code in codes:
-                seen[code] = seen.get(code, 0) + 1
-            out *= math.prod(map(math.factorial, seen.values()))
-    return out
+def _twins(codes: list[str]) -> int:
+    """Product of c! over every c equal codes among sibling codes: the
+    automorphisms of a rooted tree that only permute those siblings' subtrees."""
+    seen: dict[str, int] = {}
+    for code in codes:
+        seen[code] = seen.get(code, 0) + 1
+    return math.prod(map(math.factorial, seen.values()))
 
 
 def m1_minus(tree: DecoratedTree) -> int:
@@ -523,17 +564,18 @@ def m2_reconnection(tree: DecoratedTree) -> int:
         return 1
     slots = {v: sum(w in connectors for w, _ in adj[v]) for v in shape.odd_vertices}
     codes: dict[int, str] = {}
-    siblings, below = [], []
+    below = []
+    aut_f = 1
     for v, k_in, children in shape.bottom_up:
         if v in connectors:  # the piece below is a root of F, a sibling of the others
             below.append(codes[children[0]])
             continue
         kids = [codes[w] for w in children if w not in connectors]
-        siblings.append(kids)
+        aut_f *= _twins(kids)
         label = (shape.genus[v], tree.sign(v), tree.f_size(v), slots[v]) if v in slots else None
         codes[v] = _code(k_in, label, kids)
-    aut_f = _symmetries(siblings + [below])
-    return math.prod(math.factorial(s) for s in slots.values()) * aut_f // tree._aut_order
+    aut_f *= _twins(below)
+    return math.prod(math.factorial(s) for s in slots.values()) * aut_f // tree._aut_orders[0]
 
 
 def multiplicity(tree: DecoratedTree) -> int:
@@ -564,17 +606,14 @@ def assignment_count(tree: DecoratedTree) -> int:
     ``multinomial(r_x; f) * |K| / |H|``.  Both orders are products over
     vertices of c! for every c children with identical codes (the tree's
     own): over all children for H, over children whose subtree holds no
-    pairs for K.
+    pairs for K.  One bottom-up walk gives both, once per tree, when a count
+    first asks (:attr:`DecoratedTree._aut_orders`, which
+    :func:`m2_reconnection` also reads).
     """
     fmap = tree._f_map
     r_x = sum(fmap.values())
     multinomial = math.factorial(r_x) // math.prod(math.factorial(f) for f in fmap.values())
-    codes, bottom_up = tree.codes, tree.shape.bottom_up
-    holds: dict[int, bool] = {}
-    for v, _, children in bottom_up:
-        holds[v] = fmap.get(v, 0) > 0 or any(holds[w] for w in children)
-    h = tree._aut_order
-    k = _symmetries([codes[w] for w in children if not holds[w]] for _, _, children in bottom_up)
+    h, k = tree._aut_orders
     if multinomial * k % h:
         raise ValueError(f"[H:K] = {h // k} does not divide the multinomial {multinomial}")
     return multinomial * k // h
@@ -614,9 +653,9 @@ CANDIDATE_BOUND = 50_000
 :class:`EnumerationTooLarge`.  Tests, ``verify`` and ``frontier --max-degree
 22`` reach 44,143 (two-spherical d = 22); plane d = 26 makes 25,463, d = 28
 56,181.  On a 2-core Xeon, generating them with their codes takes about
-0.1-0.15 s and a 25 MB peak for plane d = 26, and 0.2 s and 32 MB for
-two-spherical d = 22.  A miss then builds one shape; building every shape of
-two-spherical d = 22 takes about 2.6 s more and a 260 MB peak."""
+0.1-0.15 s and a 25 MB peak for plane d = 26, and 0.15 s and 32 MB for
+two-spherical d = 22.  A miss then builds one shape; building all 43,317
+shapes of two-spherical d = 22 takes about 1.5 s more and a 230 MB peak."""
 
 
 class _Memo(dict):
@@ -726,23 +765,32 @@ def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
 def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
     """The shape of a candidate forest, a root 0 carrying its odd subtrees,
     and ``runs``: the root children grouped into runs of identical subtrees
-    (consecutive in the non-decreasing forest)."""
+    (consecutive in the non-decreasing forest).  Vertices are numbered as
+    they are attached, depth-first, so the walk knows each one's parent and
+    children, and :meth:`Shape._walked` makes the shape from them."""
+    nbrs: list[list[tuple[int, int]]] = [[]]  # vertex -> its (neighbour, multiplicity) pairs, parent first
+    pendant = family.pendant
 
-    def attach(parent, subtree, edges, gmap):
+    def attach(parent, subtree):
         k_in, g, pendants, children, _ = subtree
-        v = len(edges) + 1
-        edges.append((parent, v, k_in))
-        gmap[v] = g
-        edges.extend((v, v + 1 + i, family.pendant) for i in range(pendants))
+        v = len(nbrs)
+        nbrs[parent].append((v, k_in))
+        here = [(parent, k_in)]
+        nbrs.append(here)
+        genus[v] = g
+        for w in range(v + 1, v + 1 + pendants):
+            here.append((w, pendant))
+            nbrs.append([(v, pendant)])
         for child in children:
-            edges.append((v, len(edges) + 1, 1))
-            attach(len(edges), child, edges, gmap)  # below the connector just added
+            connector = len(nbrs)
+            here.append((connector, 1))
+            nbrs.append([(v, 1)])
+            attach(connector, child)
         return v
 
-    edges: list[tuple[int, int, int]] = []
-    gmap: dict[int, int] = {}
-    runs = tuple(tuple(attach(0, subtree, edges, gmap) for subtree in run) for _, run in itertools.groupby(forest))
-    return runs, Shape(family, d, 0, edges, gmap)
+    genus: dict[int, int] = {}
+    runs = tuple(tuple(attach(0, subtree) for subtree in run) for _, run in itertools.groupby(forest))
+    return runs, Shape._walked(family, d, {v: tuple(vs) for v, vs in enumerate(nbrs)}, genus)
 
 
 def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:

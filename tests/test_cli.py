@@ -472,6 +472,31 @@ def test_f_table_override_via_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and "= 24" in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("via", ["--f-table", "WELSCHINGER_TABLE_DIR"])
+def test_an_f_table_row_its_basis_contradicts_exits_2(tmp_path, capsys, monkeypatch, via):
+    # the packaged F table with its derived row F[rp2](0, e2) = 4 changed to
+    # 5: the table's own basis rows derive 4, so the file is refused whole;
+    # without the row, the table loads and its basis derives the value
+    payload = json.loads((RELATIVE_TABLE.parent / "f_invariants.json").read_text())
+    row = next(row for row in payload["entries"] if row["kind"] == "rp2" and row["beta"] == [0, 1] and not row["alpha"])
+    assert (row["value"], row["basis"]) == (4, False)
+    row["value"] = 5
+    path = tmp_path / "f_invariants.json"
+    path.write_text(json.dumps(payload))
+    argv = ("derive", "--kind", "rp2", "--beta", "e1+e2")
+    if via == "--f-table":
+        argv += ("--f-table", str(path))
+    else:
+        monkeypatch.setenv("WELSCHINGER_TABLE_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {str(path)!r}: F[rp2]_(3,0)(0, e2) is 5, but the table's basis rows derive 4\n"
+    payload["entries"].remove(row)
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "= 24" in out.splitlines()[0]
+
+
 def test_verify_exits_zero(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

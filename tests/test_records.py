@@ -103,6 +103,22 @@ def test_fields_cannot_be_set_or_deleted(record):
         record.unknown = 0
 
 
+def test_unchecked_constructors_and_cached_reads_keep_records_closed():
+    # _canonical, _reduced and a cached property set their attributes past
+    # the record's own refusal; what they make equals the checked record,
+    # and outside writes are still refused
+    vector = CV._canonical((0, 1))
+    cached = FKey(LagrangianKind.RP2, CV.zero(), CV.e(3), 1)
+    reduced = FKey._reduced(LagrangianKind.RP2, CV.zero(), CV.e(3), 1, 0, cached.r)
+    assert vars(cached)["r"] == reduced.r == 2
+    assert vector == CV.e(2) and reduced == cached and vars(reduced) == vars(cached)
+    for record in (vector, reduced, cached):
+        with pytest.raises(AttributeError):
+            record.r = 0
+        with pytest.raises(AttributeError):
+            del record.r
+
+
 def test_fields_are_the_positional_parameters_of_init():
     class Pair(_Record):
         def __init__(self, first, second=0):

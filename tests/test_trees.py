@@ -181,15 +181,15 @@ def test_assignment_count_multinomial_oracle():
     assert assignment_count(tree) == len(labelings) == 36
 
 
-def burnside_assignment_count(tree, r_x):
-    """Reference count: Burnside averaging over the listed automorphisms that
-    preserve degree and sign decorations (an automorphism fixes an assignment
-    iff it fixes every vertex holding a non-empty subset)."""
+def burnside_assignment_count(tree, r_x, group):
+    """Reference count: Burnside averaging over ``group``, the listed
+    automorphisms that preserve degree and sign decorations (an automorphism
+    fixes an assignment iff it fixes every vertex holding a non-empty
+    subset)."""
     fmap = tree._f_map
     multinomial = math.factorial(r_x)
     for f in fmap.values():
         multinomial //= math.factorial(f)
-    group = automorphisms(tree)
     orbit = {tuple(sorted((pi[v], f) for v, f in fmap.items())) for pi in group}
     hits = sum(1 for pi in group for profile in orbit if all(pi[v] == v for v, f in profile if f > 0))
     assert (multinomial * hits) % len(group) == 0
@@ -207,12 +207,28 @@ def _valid_keys(top_degrees):
 
 
 def test_assignment_count_matches_burnside():
-    checked = 0
-    for family, d, r, r_x in _valid_keys({F.PROJECTIVE: 8, F.TWO_SPHERICAL: 8, F.THREE_SPHERICAL: 12}):
+    # |H| and |K|, read off one bottom-up walk, are the orders of the listed
+    # group and of its subgroup fixing every vertex that holds pairs, for
+    # every enumerated tree with d <= 10 (3-fold d <= 12).  Listing takes
+    # time in the group's order, which reaches 10! at plane and
+    # two-spherical d = 10 (90 s for those trees), so a tree is listed only
+    # when the product of its sibling counts' factorials, a bound on the
+    # order read off the bare shape, is at most 8!: every tree with d <= 8,
+    # and all but 42 with d = 9 or 10
+    listed, unlisted = 0, Counter()
+    for family, d, r, r_x in _valid_keys({F.PROJECTIVE: 10, F.TWO_SPHERICAL: 10, F.THREE_SPHERICAL: 12}):
         for twc in enumerate_decorated_trees(family, d, r):
-            assert twc.assignment_count == burnside_assignment_count(twc.tree, r_x), (family, d, r)
-            checked += 1
-    assert checked == 645
+            tree = twc.tree
+            if math.prod(math.factorial(len(children)) for *_, children in tree.shape.bottom_up) > math.factorial(8):
+                unlisted[d] += 1
+                continue
+            group = automorphisms(tree)
+            holding = [v for v, f in tree._f_map.items() if f > 0]
+            fixing = [pi for pi in group if all(pi[v] == v for v in holding)]
+            assert tree._aut_orders == (len(group), len(fixing)), (family, d, r)
+            assert twc.assignment_count == burnside_assignment_count(tree, r_x, group), (family, d, r)
+            listed += 1
+    assert (listed, unlisted) == (2001, {9: 20, 10: 22})
 
 
 @pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 10), (F.TWO_SPHERICAL, 8), (F.THREE_SPHERICAL, 12)])
@@ -257,6 +273,39 @@ def test_candidate_window_matches_the_shape(family, top):
     # three-spherical: generation leaves out the forests holding a vertex with
     # no integer pair count (30 more up to d = 12)
     assert checked == {F.PROJECTIVE: 64, F.TWO_SPHERICAL: 102, F.THREE_SPHERICAL: 25}[family]
+
+
+def _fields(shape):
+    """Every attribute of a shape, each dict as its item list, so that dict
+    order counts."""
+    return {name: list(value.items()) if isinstance(value, dict) else value for name, value in vars(shape).items()}
+
+
+def _breadth_first(shape):
+    """The vertices breadth-first from the root, neighbours in adjacency order."""
+    order, seen = [shape.root], {shape.root}
+    for v in order:
+        for w, _ in shape.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def test_each_candidate_shape_equals_the_checked_construction():
+    # the enumeration builds a shape from its candidate's walk, without the
+    # checked constructor's search; every field must be the one the checked
+    # constructor gives, dict order included (odd_vertices orders a ledger
+    # row's relative factors), and bottom_up is a reversed breadth-first walk
+    checked = 0
+    for family, top in ((F.PROJECTIVE, 14), (F.TWO_SPHERICAL, 12), (F.THREE_SPHERICAL, 14)):
+        for d in range(1, top + 1):
+            for *_, forest in _candidates(family, d)[0]:
+                shape = _build(family, d, forest)[1]
+                assert _fields(shape) == _fields(Shape(family, d, 0, shape.edges, shape.genus)), (family, d, forest)
+                assert [v for v, _, _ in reversed(shape.bottom_up)] == _breadth_first(shape)
+                checked += 1
+    assert checked == 1307
 
 
 def reference_form(tree, *, with_signs=True, with_f=True):
@@ -327,15 +376,16 @@ def test_shapes_are_generated_once_per_family_and_degree(monkeypatch):
 
 
 def _count_shapes(monkeypatch):
-    """Clear the candidate cache and count Shape constructions from then on."""
+    """Clear the candidate cache and count the shapes the enumeration builds
+    from then on, each by its candidate in :func:`_build`."""
     built = Counter()
 
-    class Counted(Shape):
-        def __init__(self, family, d, root, edges, genus):
-            super().__init__(family, d, root, edges, genus)
-            built[family, d, shape_code(self)] += 1
+    def counted(family, d, forest):
+        runs, shape = _build(family, d, forest)
+        built[family, d, shape_code(shape)] += 1
+        return runs, shape
 
-    monkeypatch.setattr(trees_module, "Shape", Counted)
+    monkeypatch.setattr(trees_module, "_build", counted)
     _candidates.cache_clear()
     return built
 
@@ -463,7 +513,7 @@ def test_m1_plus_injection_counts():
 def test_symmetries_is_the_product_of_factorials_of_equal_sibling_codes(sibling_codes):
     # the Counter formula, as the reference
     expected = math.prod(math.factorial(c) for codes in sibling_codes for c in Counter(codes).values())
-    assert trees_module._symmetries(list(codes) for codes in sibling_codes) == expected
+    assert math.prod(trees_module._twins(list(codes)) for codes in sibling_codes) == expected
 
 
 def _independent_code(edges, decorations, root):
