@@ -16,7 +16,8 @@ The script exits 1 when any check fails.  The checks:
   within 10 s, 3-quadric degree 400 within 5 s.
 * Each bench workload, run for one second, gets every outcome right, also
   traced; the traced golden run reaches ``relative.n_three`` through its
-  3-quadric chi.
+  3-quadric chi, and the traced frontier run reaches
+  ``FInvariantEngine.derive`` through chi's ``F`` misses.
 """
 
 import hashlib
@@ -78,10 +79,12 @@ def check_bench(workload, traced):
         return False, f"bench {workload}{' traced' if traced else ''}: exit {code}, no result line"
     passed = code == 0 and result["correct"] is True
     note = f"correct={result['correct']}, {result['attempted']} attempted, {result['failed']} failed"
-    if traced and workload == "golden":
-        calls = result["metrics"]["relative.n_three_calls"]["value"]
+    # the layer each traced chi workload must reach, so that its counters are seen to move
+    layer = {"golden": "relative.n_three_calls", "frontier": "cotangent.derive_calls"}.get(workload) if traced else None
+    if layer:
+        calls = result["metrics"][layer]["value"]
         passed = passed and calls > 0
-        note += f", relative.n_three_calls={calls} (must be > 0)"
+        note += f", {layer}={calls} (must be > 0)"
     return passed, f"bench {workload}{' traced' if traced else ''}: {note}, {seconds:.1f} s"
 
 

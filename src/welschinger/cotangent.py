@@ -24,12 +24,11 @@ applies to a key's (alpha, beta, r_L, crosses, r) and gives its
   conjugate pair:
       F_{(r, 0), c crosses} = 2 F_{(r-2, 0), c+1} + F_{(r-2, 1), c}.
 
-Two walks apply that rule to a key with no table entry.
-:meth:`FInvariantEngine.value` walks the count tuples for the number alone
-and builds no record; :meth:`FInvariantEngine.derive` builds the
-:class:`FDerivation` audit trail through :func:`reduce_key`, which wraps
-the rule in keys.  Both visit the children in the same order, so they
-reach the same value and name the same missing key.
+One walk applies that rule to a key with no table entry:
+:meth:`FInvariantEngine.derive` walks the count tuples and records each node
+it reaches as an :class:`FDerivation` of its kind and counts, which builds
+its :class:`FKey` only when the record's ``key`` is first read.
+:meth:`FInvariantEngine.value` is the value of that chain.
 
 Cross-marked keys are internal ledger entries only; their curated values
 come from rigid configurations (an imposed double point or tangency).
@@ -53,7 +52,6 @@ __all__ = [
     "FInvariantEngine",
     "builtin_f_engine",
     "basis_f_engine",
-    "reduce_key",
 ]
 
 # One stack frame per nested reduction: far beyond what chi asks for (18 over
@@ -75,19 +73,6 @@ class FKey(_Record):
         outside the domain; computed once (the fields alone decide equality)."""
         return f_point_count(self.kind, self.alpha, self.beta, self.r_l, self.crosses)
 
-    @classmethod
-    def _reduced(cls, kind, alpha, beta, r_l, crosses, r) -> "FKey":
-        """A child key of :func:`reduce_key`, with the ``r`` its rule fixes."""
-        # Item writes into __dict__ build a key in 320 ns, against 770 ns
-        # through six object.__setattr__ calls (CPython 3.11); they slow its
-        # later attribute reads, but a derive reads a reduced key too little
-        # to win that back: with the setattr calls, tables lost 3% ops/s.
-        key = object.__new__(cls)
-        fields = key.__dict__
-        fields["kind"], fields["alpha"], fields["beta"] = kind, alpha, beta
-        fields["r_l"], fields["crosses"], fields["r"] = r_l, crosses, r
-        return key
-
     def __str__(self) -> str:
         marks = "+" + "x" * self.crosses if self.crosses else ""
         return f"F[{self.kind.value}]_({self.r}{marks},{self.r_l})({self.alpha}, {self.beta})"
@@ -108,31 +93,23 @@ def _reduction(alpha: tuple, beta: tuple, r_l: int, crosses: int, r: int):
     return None
 
 
-def reduce_key(key: FKey) -> tuple[str, list[tuple[int, FKey]]]:
-    """:func:`_reduction` of ``key`` with each child an FKey, which shares
-    its parent's vector where the counts are the same; UnresolvableFKey when
-    neither rule applies."""
-    alpha, beta = key.alpha, key.beta
-    a0, b0 = alpha.counts, beta.counts
-    step = _reduction(a0, b0, key.r_l, key.crosses, key.r)
-    if step is None:
-        raise _outside(key)
-    rule, terms = step
-    kind, vector = key.kind, ContactVector._canonical
-    return rule, [
-        (coeff, FKey._reduced(kind, alpha if a is a0 else vector(a), beta if b is b0 else vector(b), r_l, crosses, r))
-        for coeff, (a, b, r_l, crosses, r) in terms
-    ]
-
-
 class FDerivation(_Record):
-    """One node of a derivation chain (audit trail for the derive command)."""
+    """One node of a derivation chain (audit trail for the derive command):
+    the node's kind and its (alpha, beta, r_l, crosses, r) count tuples, its
+    value, the rule that gave it ("table" for a table entry) and its
+    (coefficient, child) terms.  Its FKey is built when :attr:`key` is first
+    read, so a walk builds no key."""
 
-    def __init__(self, key: FKey, value: int, rule: str, terms: tuple[tuple[int, FDerivation], ...] = ()):
-        object.__setattr__(self, "key", key)
+    def __init__(self, kind: LagrangianKind, node: tuple, value: int, rule: str, terms: tuple[tuple[int, FDerivation], ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "node", node)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "terms", terms)
+
+    @_cached
+    def key(self) -> FKey:
+        return _key(self.kind, self.node)
 
     def lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -152,8 +129,8 @@ class FInvariantEngine:
     ``entries`` maps each table key to its value; lookups go through the
     tuple :meth:`_table_key` of a key, which hashes faster than the record.
     :meth:`plain_value` looks up that tuple from count tuples directly.  On a
-    miss, :meth:`value` walks :func:`_reduction` on count tuples for the
-    number alone, and :meth:`derive` records each key it visits.
+    miss, :meth:`derive` walks :func:`_reduction` on count tuples and records
+    each node it reaches; :meth:`value` reads the value of that chain.
     """
 
     def __init__(self, entries: dict[FKey, int]):
@@ -192,41 +169,8 @@ class FInvariantEngine:
         return self._entries.get(self._table_key(key))
 
     def value(self, key: FKey, order_seed: int | None = None) -> int:
-        """F(key): one walk that reads a table hit at its root, and resolves
-        anything else on count tuples in the order :meth:`derive` takes, to
-        the same value or the same error.  A key outside the domain raises
-        from :attr:`FKey.r` first, as no table key does: each was read on load."""
-        r = key.r
-        kind, entries, memo = key.kind, self._entries, {}
-        name = kind._value_
-        rng = random.Random(order_seed) if order_seed is not None else None
-
-        def walk(node, depth_left):
-            alpha, beta, r_l, crosses, r = node
-            tk = (name, alpha, beta, r_l, crosses)
-            known = entries.get(tk)
-            if known is None:
-                known = memo.get(tk)
-            if known is not None:
-                return known
-            step = _reduction(alpha, beta, r_l, crosses, r)
-            if step is None:  # the one key this walk builds, to name it
-                raise _outside(FKey._reduced(kind, ContactVector._canonical(alpha), ContactVector._canonical(beta), r_l, crosses, r))
-            if not depth_left:
-                raise RecursionError
-            combo = step[1]
-            if rng is not None:
-                rng.shuffle(combo)
-            total = 0
-            for coeff, child in combo:  # one frame per reduction, as in _resolve
-                total += coeff * walk(child, depth_left - 1)
-            memo[tk] = total
-            return total
-
-        try:
-            return walk((key.alpha.counts, key.beta.counts, key.r_l, key.crosses, r), MAX_DERIVATION_DEPTH)
-        except RecursionError:
-            raise _too_deep(key) from None
+        """F(key): the value of :meth:`derive`'s chain for ``key``."""
+        return self.derive(key, order_seed).value
 
     def plain_value(self, kind: LagrangianKind, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
         """:meth:`value` of the key with no pairs or crosses whose profiles
@@ -236,48 +180,64 @@ class FInvariantEngine:
         return self.value(FKey(kind, ContactVector(alpha), ContactVector(beta))) if known is None else known
 
     def derive(self, key: FKey, order_seed: int | None = None) -> FDerivation:
-        """The derivation chain of F(key).  A key outside the domain raises
-        from :attr:`FKey.r`; no child is outside it, as pair-to-real keeps r
+        """The derivation chain of F(key): one walk of :func:`_reduction` on
+        count tuples that records each node it reaches once, so a node two
+        branches share is one record; a table hit at the root returns before
+        the walk is set up.  A key outside the domain raises from
+        :attr:`FKey.r` first; no child is outside it, as pair-to-real keeps r
         and real-pair-to-cross needs r >= 2."""
-        key.r
-        rng = random.Random(order_seed) if order_seed is not None else None
-        try:
-            return self._resolve(key, {}, rng, MAX_DERIVATION_DEPTH)
-        except RecursionError:
-            raise _too_deep(key) from None
-
-    def _resolve(self, key: FKey, memo: dict, rng, depth_left: int) -> FDerivation:
-        tk = self._table_key(key)
-        if tk in memo:
-            return memo[tk]
-        known = self._entries.get(tk)
+        r = key.r
+        kind, entries, memo = key.kind, self._entries, {}
+        name = kind._value_
+        root = (key.alpha.counts, key.beta.counts, key.r_l, key.crosses, r)
+        known = entries.get((name, *root[:4]))
         if known is not None:
-            node = FDerivation(key, known, "table")
-            memo[tk] = node
-            return node
-        rule, combo = reduce_key(key)
-        if not depth_left:
-            raise RecursionError
-        if rng is not None:
-            rng.shuffle(combo)
-        terms = []
-        for coeff, child in combo:  # a loop, not a generator: one frame per reduction
-            terms.append((coeff, self._resolve(child, memo, rng, depth_left - 1)))
-        node = FDerivation(key, sum(c * t.value for c, t in terms), rule, tuple(terms))
-        memo[tk] = node
-        return node
+            return FDerivation(kind, root, known, "table")
+        rng = random.Random(order_seed) if order_seed is not None else None
+
+        def walk(node, depth_left):
+            alpha, beta, r_l, crosses, r = node
+            tk = (name, alpha, beta, r_l, crosses)
+            record = memo.get(tk)
+            if record is not None:
+                return record
+            known = entries.get(tk)
+            if known is not None:
+                record = memo[tk] = FDerivation(kind, node, known, "table")
+                return record
+            step = _reduction(alpha, beta, r_l, crosses, r)
+            if step is None:
+                raise UnresolvableFKey(f"{_key(kind, node)} is outside the derivable closure")
+            if not depth_left:
+                raise RecursionError
+            rule, combo = step
+            if rng is not None:
+                rng.shuffle(combo)
+            total, terms = 0, []
+            for coeff, child in combo:  # a loop, not a generator: one frame per reduction
+                child = walk(child, depth_left - 1)
+                total += coeff * child.value
+                terms.append((coeff, child))
+            record = memo[tk] = FDerivation(kind, node, total, rule, tuple(terms))
+            return record
+
+        try:
+            return walk(root, MAX_DERIVATION_DEPTH)
+        except RecursionError:
+            raise UnresolvableFKey(f"{key} needs a chain of more than {MAX_DERIVATION_DEPTH} reductions") from None
 
     def plain_keys(self) -> list[FKey]:
         """Keys without conjugate pairs or crosses (the published values)."""
         return [key for key in self._keys if key.r_l == 0 and key.crosses == 0]
 
 
-def _outside(key: FKey) -> UnresolvableFKey:
-    return UnresolvableFKey(f"{key} is outside the derivable closure")
-
-
-def _too_deep(key: FKey) -> UnresolvableFKey:
-    return UnresolvableFKey(f"{key} needs a chain of more than {MAX_DERIVATION_DEPTH} reductions")
+def _key(kind: LagrangianKind, node: tuple) -> FKey:
+    """The FKey of a walk's node, its (alpha, beta, r_l, crosses, r) count
+    tuples, holding the r its rule gave as the value of :attr:`FKey.r`."""
+    alpha, beta, r_l, crosses, r = node
+    key = FKey(kind, ContactVector._canonical(alpha), ContactVector._canonical(beta), r_l, crosses)
+    object.__setattr__(key, "r", r)  # as the cached read stores it
+    return key
 
 
 def _checked_rows(payload: dict, where: str) -> tuple[dict[FKey, int], dict[FKey, int]]:

@@ -17,8 +17,18 @@ import io
 import json
 from pathlib import Path
 
-from welschinger import TREE_CLASS_COUNTS, GeometryKind, WelschingerError, admissible_real_counts, chi, chi_polynomial
+from welschinger import (
+    TREE_CLASS_COUNTS,
+    GeometryKind,
+    WelschingerError,
+    admissible_real_counts,
+    check_congruence,
+    check_sign_law,
+    chi,
+    chi_polynomial,
+)
 from welschinger.cli import main
+from welschinger.verification import gromov_witten_clause
 
 VALUES = Path(__file__).parent / "data" / "computed_values.json"
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
@@ -82,6 +92,20 @@ def test_every_computed_value():
     for key, want in expected.items():
         g, d, r = key.split("/")
         assert chi(_GEOMETRY[g], int(d), int(r)).value == want, key
+
+
+def test_every_computed_value_keeps_the_laws_that_apply_to_it():
+    # the congruences, the sign law and the Gromov-Witten bound hold for each
+    # pinned value, (cp2, 7, 4) = 36864 included: no law tells it from 54272
+    clauses = 0
+    for key, value in json.loads(VALUES.read_text()).items():
+        g, d, r = key.split("/")
+        geometry, d, r = _GEOMETRY[g], int(d), int(r)
+        laws = [*check_congruence(geometry, d, r, value), check_sign_law(geometry, d, r, value), gromov_witten_clause(geometry, d, value)]
+        for clause in filter(None, laws):
+            assert clause.passed, (key, clause)
+            clauses += 1
+    assert clauses == 90
 
 
 def test_output_digests():

@@ -9,7 +9,6 @@ import pytest
 
 from welschinger import (
     ContactVector,
-    FDerivation,
     FInvariantEngine,
     FKey,
     GeometryKind,
@@ -21,9 +20,9 @@ from welschinger import (
     basis_f_engine,
     builtin_f_engine,
     chi,
-    reduce_key,
     tables,
 )
+from welschinger.cotangent import _reduction
 
 CV = ContactVector
 K = LagrangianKind
@@ -85,25 +84,37 @@ def test_examples_with_specified_real_points():
 # -- reduction rules ----------------------------------------------------------
 
 
+def reduction(key):
+    """:func:`_reduction` of ``key``'s fields, each child as (coefficient,
+    its FKey, the r its rule gives it); None when neither rule applies."""
+    step = _reduction(key.alpha.counts, key.beta.counts, key.r_l, key.crosses, key.r)
+    if step is None:
+        return None
+    rule, terms = step
+    return rule, [(c, FKey(key.kind, CV(a), CV(b), r_l, crosses), r) for c, (a, b, r_l, crosses, r) in terms]
+
+
 def pair_to_real(key):
-    rule, combo = reduce_key(key)
+    rule, combo = reduction(key)
     assert rule == "pair-to-real"
     return combo
 
 
 def assert_unresolvable(key):
+    # neither rule applies, and a walk from an empty table names the key
+    assert reduction(key) is None
     with pytest.raises(UnresolvableFKey, match=re.escape(f"{key} is outside the derivable closure")):
-        reduce_key(key)
+        FInvariantEngine({}).derive(key)
 
 
 def test_pair_to_real_coefficients():
     combo = pair_to_real(FKey(K.SPHERE2, zero, e2, r_l=1))
-    assert [(c, k.alpha, k.beta, k.r_l) for c, k in combo] == [(2, e2, zero, 0)]
+    assert [(c, k.alpha, k.beta, k.r_l) for c, k, _ in combo] == [(2, e2, zero, 0)]
     engine = builtin_f_engine()
     assert engine.value(FKey(K.SPHERE2, zero, e2, r_l=1)) == 4
 
     combo = pair_to_real(FKey(K.RP2, zero, e1 + e2, r_l=1))
-    assert sorted((c, str(k.alpha), str(k.beta)) for c, k in combo) == [
+    assert sorted((c, str(k.alpha), str(k.beta)) for c, k, _ in combo) == [
         (1, "e1", "e2"),
         (2, "e2", "e1"),
     ]
@@ -111,7 +122,7 @@ def test_pair_to_real_coefficients():
 
     # the coefficient is the order k alone, without a beta_k factor
     combo = pair_to_real(FKey(K.SPHERE2, zero, CV.e(1, 2), r_l=1))
-    assert [(c, str(k.alpha), str(k.beta)) for c, k in combo] == [(1, "e1", "e1")]
+    assert [(c, str(k.alpha), str(k.beta)) for c, k, _ in combo] == [(1, "e1", "e1")]
     assert engine.value(FKey(K.SPHERE2, zero, CV.e(1, 2), r_l=1)) == 4
 
 
@@ -123,9 +134,9 @@ def test_pair_to_real_requires_free_contact():
 def test_real_pair_to_cross_chains():
     engine = basis_f_engine()
     # chain: value = 2 * (cross term) + (pair term)
-    rule, combo = reduce_key(FKey(K.SPHERE2, zero, CV.e(1, 2)))
+    rule, combo = reduction(FKey(K.SPHERE2, zero, CV.e(1, 2)))
     assert rule == "real-pair-to-cross"
-    assert [(c, k.crosses, k.r_l) for c, k in combo] == [(2, 1, 0), (1, 0, 1)]
+    assert [(c, k.crosses, k.r_l) for c, k, _ in combo] == [(2, 1, 0), (1, 0, 1)]
     assert engine.value(combo[0][1]) == 1
     assert engine.value(combo[1][1]) == 4
     assert engine.value(FKey(K.SPHERE2, zero, CV.e(1, 2))) == 2 + 4
@@ -137,7 +148,7 @@ def test_real_pair_to_cross_chains():
 def test_real_pair_to_cross_preconditions():
     assert_unresolvable(FKey(K.SPHERE2, e1, zero))  # r = 1
     # a key with a conjugate pair and a free orbit is never collided
-    assert [k.r_l for _, k in pair_to_real(FKey(K.SPHERE2, zero, e2, r_l=1))] == [0]
+    assert [k.r_l for _, k, _ in pair_to_real(FKey(K.SPHERE2, zero, e2, r_l=1))] == [0]
 
 
 # -- closure and confluence ---------------------------------------------------
@@ -194,36 +205,32 @@ GRID_KEYS = [
 ]
 
 
-def fresh(key):
-    """``key`` built anew from its fields, so that its r is computed by
-    f_point_count rather than handed down by a reduction rule."""
-    return FKey(key.kind, key.alpha, key.beta, key.r_l, key.crosses)
-
-
 def reducible(keys):
     """(key, rule, combo) for each key that takes a reduction step."""
     for key in keys:
         try:
-            yield key, *reduce_key(key)
-        except WelschingerError:  # a negative real-point count, or neither rule
+            step = reduction(key)
+        except WelschingerError:  # a negative real-point count
             continue
+        if step is not None:
+            yield key, *step
 
 
 def test_reductions_preserve_dimension_bookkeeping():
     # pair-to-real keeps r, real-pair-to-cross lowers it by 2: the r a child
     # carries must be the one the dimension equation gives its fields
     key = FKey(K.RP2, zero, e1 + e2, r_l=1)
-    for _, child in pair_to_real(key):
-        assert child.r == fresh(child).r == key.r == 4
+    for _, child, r in pair_to_real(key):
+        assert r == child.r == key.r == 4
     key = FKey(K.SPHERE2, zero, e2)
-    for _, child in reduce_key(key)[1]:
-        assert child.r == fresh(child).r == key.r - 2 == 3
+    for _, child, r in reduction(key)[1]:
+        assert r == child.r == key.r - 2 == 3
     # pair-to-real moves one contact from beta to alpha, real-pair-to-cross
     # moves none: every child keeps its parent's kind and total profile
     rules = set()
     for key, rule, combo in reducible(GRID_KEYS):
         rules.add(rule)
-        for _, child in combo:
+        for _, child, _ in combo:
             assert child.kind is key.kind and child.alpha + child.beta == key.alpha + key.beta
     assert rules == {"pair-to-real", "real-pair-to-cross"}
 
@@ -257,8 +264,8 @@ def test_reduction_steps_match_the_rules_written_with_vector_arithmetic():
                 (2, FKey(key.kind, key.alpha, key.beta, 0, key.crosses + 1)),
                 (1, FKey(key.kind, key.alpha, key.beta, 1, key.crosses)),
             ]
-        assert combo == expected, key
-        assert [child.r for _, child in combo] == [oracle.r for _, oracle in expected], key
+        assert [(c, child) for c, child, _ in combo] == expected, key
+        assert [r for _, _, r in combo] == [oracle.r for _, oracle in expected], key
         steps += 1
     assert len(reached) > len(packaged_rows()) and steps > 100
 
@@ -367,7 +374,7 @@ def test_value_reads_a_hit_that_derive_agrees_with():
             engine.plain_value(K.RP2, (), ())
 
 
-# -- the value walk and the record walk ---------------------------------------
+# -- the one walk -------------------------------------------------------------
 
 
 def outcome(resolve, key, seed):
@@ -400,8 +407,8 @@ def chi_root_keys(monkeypatch, max_degree):
 
 
 def test_value_and_derive_agree_on_every_key_and_order(monkeypatch):
-    # value walks count tuples for the number alone, derive builds the records:
-    # the same value, or the same error naming the same key, under every order
+    # value reads derive's chain: the same value, or the same error naming the
+    # same key, under every order
     keys = chi_root_keys(monkeypatch, 12)
     keys += [FKey(K(row["kind"]), CV(tuple(row["alpha"])), CV(tuple(row["beta"])), row["r_l"], row["crosses"]) for row in packaged_rows()]
     for alpha, beta, kind in ((zero, e1 + e2, K.RP2), (zero, CV.e(1, 3), K.RP2), (zero, CV.e(1, 2), K.SPHERE2), (zero, e2, K.SPHERE2)):
@@ -414,6 +421,23 @@ def test_value_and_derive_agree_on_every_key_and_order(monkeypatch):
                 assert got == outcome(lambda k, s: engine.derive(k, s).value, key, seed), (key, seed)
                 misses += isinstance(got, tuple)
     assert len(keys) > 250 and misses > 1000
+
+
+def test_derive_prints_the_pinned_chains(monkeypatch):
+    # the chain text, or the error's type and text, of every root key chi looks
+    # up for d <= 12 and every packaged row, on both engines and under four orders
+    keys = chi_root_keys(monkeypatch, 12)
+    keys += [FKey(K(row["kind"]), CV(tuple(row["alpha"])), CV(tuple(row["beta"])), row["r_l"], row["crosses"]) for row in packaged_rows()]
+    lines = []
+    for engine in (builtin_f_engine(), basis_f_engine()):
+        for key in keys:
+            for seed in (None, 0, 1, 2):
+                try:
+                    lines.append(str(engine.derive(key, seed)))
+                except WelschingerError as exc:
+                    lines.append(repr((type(exc).__name__, str(exc))))
+    assert len(lines) == 2104 and sum(line.startswith("(") for line in lines) == 1536
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "f0b7f44f27dd1cdefd56dc341903aecace2df4513f5961371ef568689e826532"
 
 
 @pytest.mark.parametrize(
@@ -454,15 +478,33 @@ def test_value_raises_negative_dimension_before_walking(monkeypatch):
         FKey(K.RP2, zero, e1, crosses=-1).r
 
 
-def test_chi_builds_no_derivation_records(monkeypatch):
-    # chi's F misses resolve on the value walk alone: with the records and
-    # derive made to raise, chi gives every outcome of the frontier d <= 8
-    # domain as pinned (the sha256 of one repr line per (geometry, d, r))
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a derivation record on chi's path")
+def test_derive_builds_keys_only_when_the_chain_is_read(monkeypatch):
+    # the walk records count tuples: deriving every packaged row from the
+    # basis builds no FKey until str(chain) reads the keys, and then one per
+    # distinct node; chi, which derives its F misses, gives every outcome of
+    # the frontier d <= 8 domain as pinned (one repr line per (geometry, d, r))
+    basis = basis_f_engine()
+    keys = [FKey(K(row["kind"]), CV(tuple(row["alpha"])), CV(tuple(row["beta"])), row["r_l"], row["crosses"]) for row in packaged_rows()]
+    built, nodes = [], set()
+    init = FKey.__init__
 
-    monkeypatch.setattr(FDerivation, "__init__", forbidden)
-    monkeypatch.setattr(FInvariantEngine, "derive", forbidden)
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def visit(node):
+        nodes.add(id(node))
+        for _, child in node.terms:
+            visit(child)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FKey, "__init__", counted)
+        chains = [basis.derive(key) for key in keys]
+        assert built == []
+        texts = [str(chain) for chain in chains]
+    for chain in chains:
+        visit(chain)
+    assert len(built) == len(nodes) > len(keys) and all(texts)
     lines = []
     for geometry in GeometryKind:
         for d in range(1, 9):

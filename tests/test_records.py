@@ -104,19 +104,20 @@ def test_fields_cannot_be_set_or_deleted(record):
 
 
 def test_unchecked_constructors_and_cached_reads_keep_records_closed():
-    # _canonical, _reduced and a cached property set their attributes past
-    # the record's own refusal; what they make equals the checked record,
-    # and outside writes are still refused
+    # _canonical and a cached property (FKey.r, FDerivation.key) set their
+    # attributes past the record's own refusal; what they make equals the
+    # checked record, and outside writes are still refused
     vector = CV._canonical((0, 1))
     cached = FKey(LagrangianKind.RP2, CV.zero(), CV.e(3), 1)
-    reduced = FKey._reduced(LagrangianKind.RP2, CV.zero(), CV.e(3), 1, 0, cached.r)
-    assert vars(cached)["r"] == reduced.r == 2
-    assert vector == CV.e(2) and reduced == cached and vars(reduced) == vars(cached)
-    for record in (vector, reduced, cached):
+    chain = builtin_f_engine().derive(cached)
+    assert cached.r == vars(cached)["r"] == 2 and vector == CV.e(2)
+    assert chain.key == cached and vars(chain)["key"] is chain.key
+    assert chain.terms[0][1].key == FKey(LagrangianKind.RP2, CV.e(3), CV.zero())
+    for record, name in ((vector, "r"), (cached, "r"), (chain, "key")):
         with pytest.raises(AttributeError):
-            record.r = 0
+            setattr(record, name, 0)
         with pytest.raises(AttributeError):
-            del record.r
+            delattr(record, name)
 
 
 def test_fields_are_the_positional_parameters_of_init():

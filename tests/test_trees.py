@@ -243,6 +243,70 @@ def test_each_candidate_shape_is_generated_once(family, top):
         assert len(forms) == len(set(forms)), (family, d, r)
 
 
+def _parent_arrays(n):
+    """Every rooted tree on n vertices numbered breadth-first, as its parent
+    array: p[v] < v for each vertex v >= 1, non-decreasing in v."""
+
+    def extend(parents):
+        if len(parents) == n - 1:
+            yield parents
+            return
+        for p in range(parents[-1] if parents else 0, len(parents) + 1):
+            yield from extend(parents + (p,))
+
+    return extend(())
+
+
+def _compositions(total, parts):
+    """Every ordered way to write ``total`` as ``parts`` integers >= 1."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+
+
+def brute_force_forms(family, d):
+    """{r: canonical forms} of every decorated tree of (family, d) that the
+    checked constructors accept: each rooted tree, each composition of its
+    edge multiplicities, each split of the degree equation's sum(g) over its
+    odd vertices, each sign partition of the root's children and each r."""
+    forms = {r: set() for r in family.real_point_counts(d)}
+    for n in range(2, d // family.scale + 2):  # each edge costs scale at least
+        for parents in _parent_arrays(n):
+            depth = [0]
+            for p in parents:
+                depth.append(depth[p] + 1)
+            odd = [v for v in range(n) if depth[v] % 2]
+            root_children = [v for v, p in enumerate(parents, 1) if p == 0]
+            for k_total in range(n - 1, d // family.scale + 1):
+                g_total = family.genus_total(d, k_total)
+                if g_total is None:
+                    continue
+                for ks in _compositions(k_total, n - 1):
+                    edges = [(p, v, k) for v, (p, k) in enumerate(zip(parents, ks), 1)]
+                    for gs in _compositions(g_total + len(odd), len(odd)):  # each g + 1 >= 1
+                        shape = Shape(family, d, 0, edges, {v: g - 1 for v, g in zip(odd, gs)})
+                        if shape.problems:  # validate() reports them for every decoration
+                            continue
+                        for signs in itertools.product((PLUS, MINUS), repeat=len(root_children)):
+                            for r in forms:
+                                tree = DecoratedTree(shape, r, tuple(zip(root_children, signs)))
+                                if not tree.validate():
+                                    forms[r].add(canonical_form(tree))
+    return forms
+
+
+@pytest.mark.parametrize("family,top", [(F.PROJECTIVE, 8), (F.TWO_SPHERICAL, 7), (F.THREE_SPHERICAL, 12)])
+def test_enumeration_matches_a_brute_force_search(family, top):
+    # the generator's forests, runs and minus counts against a search that
+    # knows none of them, over every admissible (d, r), empty sets included
+    found = 0
+    for d in range(1, top + 1):
+        for r, forms in brute_force_forms(family, d).items():
+            got = [canonical_form(twc.tree) for twc in enumerate_decorated_trees(family, d, r)]
+            assert len(got) == len(set(got)) and set(got) == forms, (family, d, r)
+            found += len(forms)
+    assert found > 50
+
+
 def test_candidate_code_is_the_body_of_its_shape():
     # the candidates come sorted, before any shape is built, by the code read
     # off their subtrees' codes, which is the AHU code of the built shape
