@@ -161,13 +161,13 @@ class ContactVector(_Record):
 
     @classmethod
     def parse(cls, text: str) -> "ContactVector":
-        """Parse strings like ``"0"``, ``"e2"``, ``"2e1"`` or ``"e1+e2"``;
-        ValueError for any other text and for an order above
-        :data:`MAX_PARSED_ORDER`."""
+        """Parse strings like ``"0"``, ``"e2"``, ``"2e1"`` or ``"e1+e2"``,
+        summing each order's counts over the terms; ValueError for any other
+        text and for an order above :data:`MAX_PARSED_ORDER`."""
         text = text.strip().replace(" ", "")
         if text in ("", "0"):
             return cls.zero()
-        out = cls.zero()
+        counts = []
         for term in text.split("+"):
             m = _TERM_RE.match(term)
             if m is None:
@@ -176,32 +176,14 @@ class ContactVector(_Record):
             order = int(m.group(2))
             if order > MAX_PARSED_ORDER:
                 raise ValueError(f"contact order {order} is above the bound {MAX_PARSED_ORDER:,}")
-            out = out + cls.e(order, coeff)
-        return out
-
-    def __getitem__(self, order: int) -> int:
-        if order < 1:
-            raise IndexError("contact orders are 1-based")
-        return self.counts[order - 1] if order <= len(self.counts) else 0
+            if order < 1:
+                raise ValueError("contact order must be >= 1")
+            counts += [0] * (order - len(counts))
+            counts[order - 1] += coeff
+        return cls(tuple(counts))
 
     def __bool__(self) -> bool:
         return bool(self.counts)
-
-    def __add__(self, other: "ContactVector") -> "ContactVector":
-        # the sum of two canonical vectors is canonical: the longer one's last
-        # count is positive and nothing negative is added to it
-        a, b = self.counts, other.counts
-        if len(a) < len(b):
-            a, b = b, a
-        return ContactVector._canonical(tuple(map(operator.add, a, b)) + a[len(b):])
-
-    def __sub__(self, other: "ContactVector") -> "ContactVector":
-        # a longer ``other`` ends in a positive count that nothing offsets
-        a, b = self.counts, other.counts
-        diff = tuple(map(operator.sub, a, b)) + a[len(b):]
-        if len(b) > len(a) or min(diff, default=0) < 0:
-            raise ValueError("contact vector subtraction went negative")
-        return ContactVector._canonical(_trimmed(diff))
 
     @property
     def size(self) -> int:

@@ -84,7 +84,6 @@ class RelativeInvariantTable:
     """
 
     def __init__(self, entries: dict[RelativeKey, int]):
-        self._keys = tuple(entries)
         self._entries = {self._key(key): value for key, value in entries.items()}
 
     @staticmethod
@@ -127,9 +126,6 @@ class RelativeInvariantTable:
             reason = " is outside the curated table"
         key = RelativeKey(RuledSurfaceClass(n, a, b), ContactVector(alpha), ContactVector(beta))
         raise UnknownInvariant(f"{key}{reason}")
-
-    def known_keys(self) -> list[RelativeKey]:
-        return list(self._keys)
 
 
 @cache
@@ -184,7 +180,7 @@ def n_three(
     """
     if c != 1:
         raise UnknownInvariant(f"no curated 3-fold count for fibre coefficient {c}")
-    if (alpha + beta).counts != (1,) or (alpha and beta):
+    if (alpha or beta).counts != (1,) or (alpha and beta):
         raise UnknownInvariant("3-fold counts need exactly one simple contact")
     if (a, b) == (0, 0):
         return 1

@@ -69,7 +69,7 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import cache
 
-from .contact import ContactVector, GeometryKind, _cached, _counts, _point_count, _Record
+from .contact import GeometryKind, _cached, _counts, _point_count, _Record
 from .errors import EnumerationTooLarge, InadmissiblePair
 
 __all__ = [
@@ -281,10 +281,6 @@ class Shape:
         lagrangian = self.family.geometry.lagrangian
         self.window_top = _point_count(lagrangian, len(root_edges), sum(root_edges.values())) if root_edges else None
 
-    def profile(self, v: int) -> ContactVector:
-        """Multiset of adjacent-edge multiplicities as a contact vector."""
-        return ContactVector._canonical(_counts([k for _, k in self.adjacency[v]]))
-
     @_cached
     def problems(self) -> tuple[str, ...]:
         """The family rules that do not depend on r that the shape breaks,
@@ -388,11 +384,6 @@ class DecoratedTree(_Record):
             _counts([k for v, k in edges if not self.is_plus(v)]),
             _counts([k for v, k in edges if self.is_plus(v)]),
         )
-
-    def root_profiles(self) -> tuple[ContactVector, ContactVector]:
-        """(alpha_minus, beta_plus) of :attr:`root_counts` as contact vectors."""
-        minus, plus = self.root_counts
-        return ContactVector._canonical(minus), ContactVector._canonical(plus)
 
     def sign_factor(self) -> int:
         """Global sign of the tree's contribution, (-1)^(#even vertices + 1):

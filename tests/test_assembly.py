@@ -178,7 +178,7 @@ def _eager_chi(geometry, d, r):
             tree = twc.tree
             label = canonical_form(tree).decode()
             try:
-                f_value = engine.value(FKey(geometry.lagrangian, *tree.root_profiles()))
+                f_value = engine.value(FKey(geometry.lagrangian, *map(ContactVector, tree.root_counts)))
                 factors = _vertex_factors(geometry, tree, table)
             except (UnknownInvariant, UnresolvableFKey) as exc:
                 return type(exc), f"{exc} [required by tree {label}]"
@@ -201,8 +201,12 @@ def test_vertex_factors_agree_with_n_sigma_of_each_vertex_key():
                         want = []
                         for v in shape.odd_vertices:
                             alpha = ContactVector.e(shape.root_edges[v]) if tree.is_plus(v) else ContactVector.zero()
+                            free = [k for _, k in shape.adjacency[v]]  # the vertex's edges less its prescribed one
+                            if alpha:
+                                free.remove(shape.root_edges[v])
+                            beta = ContactVector(tuple(free.count(i) for i in range(1, max(free, default=0) + 1)))
                             surface = RuledSurfaceClass(geometry.surface_degree, shape.genus[v], shape.k_s[v])
-                            key = RelativeKey(surface, alpha, shape.profile(v) - alpha)
+                            key = RelativeKey(surface, alpha, beta)
                             try:
                                 want.append(table.n_sigma(key))
                             except UnknownInvariant as exc:

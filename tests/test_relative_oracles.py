@@ -284,7 +284,7 @@ RIGID_CASES = [
     (4, 2, [2], 0, CV.e(2), CV.zero()),
     (4, 2, [], 2, CV.zero(), CV.e(1, 2)),
     (4, 2, [1], 1, CV.e(1), CV.e(1)),
-    (4, 3, [1, 2], 0, CV.e(1) + CV.e(2), CV.zero()),
+    (4, 3, [1, 2], 0, CV((1, 1)), CV.zero()),
     (4, 3, [2], 1, CV.e(2), CV.e(1)),
     (4, 3, [3], 0, CV.e(3), CV.zero()),
     (4, 4, [2, 2], 0, CV.e(2, 2), CV.zero()),
@@ -309,7 +309,7 @@ def test_rigid_sections_match_table(n, b, prescribed, free, alpha, beta):
         (4, 2, 0, CV.zero(), CV.e(2)),
         (2, 2, 0, CV.zero(), CV.e(2)),
         (4, 3, 1, CV.e(1), CV.e(2)),
-        (4, 3, 0, CV.zero(), CV.e(1) + CV.e(2)),
+        (4, 3, 0, CV.zero(), CV((1, 1))),
     ],
 )
 def test_free_double_contacts_match_table(n, b, fixed_simple, alpha, beta):

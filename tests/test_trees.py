@@ -57,6 +57,12 @@ def shape_form(tree):
     return _form(tree.shape, tree.r, shape_code(tree.shape))
 
 
+def profile(shape, v):
+    """The contact profile of vertex ``v``: its edge multiplicities as a vector."""
+    orders = [k for _, k in shape.adjacency[v]]
+    return ContactVector(tuple(orders.count(i) for i in range(1, max(orders, default=0) + 1)))
+
+
 EXPECTED_CLASS_COUNTS = {
     F.PROJECTIVE: {(4, 1): 0, (5, 0): 1, (5, 2): 1, (6, 1): 2, (6, 3): 2, (7, 0): 2, (7, 2): 5, (8, 1): 4},
     F.TWO_SPHERICAL: {(3, 1): 1, (3, 3): 1, (4, 1): 1, (4, 3): 3, (5, 1): 2},
@@ -332,7 +338,7 @@ def test_candidate_window_matches_the_shape(family, top):
         for window_top, v0, forest in _candidates(family, d)[0]:
             shape = _build(family, d, forest)[1]
             assert (window_top, v0) == (shape.window_top, len(shape.root_edges)), (family, d, forest)
-            assert window_top == f_point_count(family.geometry.lagrangian, ContactVector.zero(), shape.profile(0))
+            assert window_top == f_point_count(family.geometry.lagrangian, ContactVector.zero(), profile(shape, 0))
             checked += 1
     # three-spherical: generation leaves out the forests holding a vertex with
     # no integer pair count (30 more up to d = 12)
@@ -806,7 +812,7 @@ def test_pair_totals_match_the_bookkeeping():
                 assert sum(twc.tree._f_map.values()) == r_x
 
 
-def test_root_profiles_match_real_point_count():
+def test_root_counts_match_real_point_count():
     from welschinger import LagrangianKind, f_point_count
 
     kind_of = {
@@ -817,7 +823,7 @@ def test_root_profiles_match_real_point_count():
     for family, table in EXPECTED_CLASS_COUNTS.items():
         for d, r in table:
             for twc in enumerate_decorated_trees(family, d, r):
-                alpha, beta = twc.tree.root_profiles()
+                alpha, beta = map(ContactVector, twc.tree.root_counts)
                 assert f_point_count(kind_of[family], alpha, beta) == r
 
 
@@ -841,7 +847,7 @@ def test_deterministic_order():
 def test_profiles_as_contact_vectors():
     tree = next(v.tree for c in enumerate_trees(F.PROJECTIVE, 6, 1) for v in c.variants if len(v.tree.shape.adjacency) == 2)
     (vertex,) = tree.shape.odd_vertices
-    assert tree.shape.profile(vertex) == ContactVector.e(2)
+    assert profile(tree.shape, vertex) == ContactVector.e(2)
     # an edge of multiplicity 0 is no contact: no tree holds one
     with pytest.raises(ValueError, match="edge multiplicities must be >= 1"):
         DecoratedTree.build(**{**_VALID, "edges": [(0, 1, 0)]})
