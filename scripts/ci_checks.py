@@ -17,6 +17,10 @@ The script exits 1 when any check fails.  The checks:
 * The longest profile one argument holds, 18,000 terms ``e10000`` (125,999
   characters, under Linux's 128 KiB limit on one argument), parses as one
   vector: ``derive --kind rp2 --beta`` with it exits 3 within 5 s.
+* Start-up: ten fresh interpreters each import the package and load both
+  packaged tables, with bytecode cached as the benchmark caches it; none may
+  import ``json``, which only an override file needs.  The median import and
+  load times are printed, not bounded.
 * Each bench workload, run for one second, gets every outcome right, also
   traced; the traced golden run reaches ``relative.n_three`` through its
   3-quadric chi, and the traced frontier run reaches
@@ -26,6 +30,7 @@ The script exits 1 when any check fails.  The checks:
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -36,13 +41,29 @@ ROOT = Path(__file__).resolve().parent.parent
 FRONTIER_22_SHA256 = "403ca753a39053dfc6a456bafa3baca5e5cca21a9a7b11ae1ad04b8a2d4a72cd"
 FRONTIER_PEAK_MB = 40
 CLI = [sys.executable, "-m", "welschinger.cli"]
+STARTUP_RUNS = 10
+# one start-up: ns to import the package, ns to load both packaged tables, whether json was imported
+STARTUP = """
+import sys, time
+start = time.perf_counter_ns()
+import welschinger
+imported = time.perf_counter_ns()
+welschinger.builtin_relative_table(), welschinger.builtin_f_engine()
+loaded = time.perf_counter_ns()
+print(imported - start, loaded - imported, int("json" in sys.modules))
+"""
 
 
-def _run(argv, timeout_s):
+def _run(argv, timeout_s, cache_bytecode=False):
     """(exit code, stdout, seconds, peak resident set in MB) of one child
     process, killed after ``timeout_s``.  The peak is the child's own, from
-    wait4, so no earlier child's peak can leak into it."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    wait4, so no earlier child's peak can leak into it.  ``cache_bytecode``
+    drops PYTHONDONTWRITEBYTECODE, as bench/run.py does for its passes, so
+    that a start-up is timed as for an installed package."""
+    env = dict(os.environ)
+    if cache_bytecode:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     timer = threading.Timer(timeout_s, child.kill)
@@ -73,6 +94,21 @@ def check_bound(argv, bound_s):
     return code == 3 and seconds < bound_s, f"{label}: exit {code} (expected 3) in {seconds:.2f} s (bound {bound_s} s)"
 
 
+def check_startup():
+    samples = []
+    for _ in range(STARTUP_RUNS):
+        code, out, _, _ = _run([sys.executable, "-c", STARTUP], 30, cache_bytecode=True)
+        if code != 0:
+            return False, f"start-up: exit {code}"
+        samples.append([int(x) for x in out.split()])
+    with_json = sum(json_loaded for *_, json_loaded in samples)
+    import_ms, load_ms = (statistics.median(sample[i] for sample in samples) / 1e6 for i in (0, 1))
+    return with_json == 0, (
+        f"start-up: {with_json} of {STARTUP_RUNS} fresh interpreters imported json (must be 0); "
+        f"median import {import_ms:.2f} ms, table load {load_ms:.2f} ms"
+    )
+
+
 def check_bench(workload, traced):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"]
     code, out, seconds, _ = _run(argv + ["--trace", "1" if traced else "0"], 600)
@@ -99,6 +135,7 @@ def main() -> int:
         lambda: check_bound("chi --geometry quadric3 --degree 1000000000 --real-points 2".split(), 10),
         lambda: check_bound("chi --geometry quadric3 --degree 400 --real-points 2".split(), 5),
         lambda: check_bound(["derive", "--kind", "rp2", "--beta", "+".join(["e10000"] * 18000)], 5),
+        check_startup,
     ]
     checks += [lambda w=w: check_bench(w, False) for w in ("golden", "frontier", "deep", "tables")]
     checks += [lambda w=w: check_bench(w, True) for w in ("golden", "frontier", "tables")]

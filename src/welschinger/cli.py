@@ -20,15 +20,15 @@ invariant is outside the curated tables (the missing key is printed) or the
 degree has more candidate trees than the enumeration bound.
 
 Table overrides: ``--invariant-table`` / ``--f-table`` point at JSON files in
-the packaged format; the WELSCHINGER_TABLE_DIR environment variable names a
-directory holding ``relative_invariants.json`` / ``f_invariants.json``.
+the packaged tables' format; the WELSCHINGER_TABLE_DIR environment variable
+names a directory holding ``relative_invariants.json`` / ``f_invariants.json``.
+``json`` and ``csv`` are imported only by the branches that print them, so a
+text-format call loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -65,6 +65,8 @@ def _load_tables(args) -> tuple[RelativeInvariantTable, FInvariantEngine]:
 
 def _emit_chi(result, fmt: str, with_ledger: bool) -> None:
     if fmt == "json":
+        import json
+
         payload = result.to_json_dict()
         if not with_ledger:
             payload.pop("ledger")
@@ -99,8 +101,12 @@ def _cmd_poly(args) -> int:
         raise InadmissiblePair(f"{geometry.value} has no admissible real-point count in degree {args.degree}")
     poly = chi_polynomial(geometry, args.degree, args.real_points_max, table, engine)
     if args.format == "json":
+        import json
+
         print(json.dumps(poly.to_json_dict(), sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
+        import csv
+
         # one row per admissible r; a miss has an empty chi and its reason, which can hold commas
         rows = csv.writer(sys.stdout, lineterminator="\n")
         rows.writerow(["geometry", "d", "r", "chi", "unavailable"])

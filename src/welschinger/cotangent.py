@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .contact import ContactVector, LagrangianKind, _cached, _moved, _Record, f_point_count
+from .contact import ContactVector, LagrangianKind, _cached, _f_point_count, _moved, _non_negative, _Record, f_point_count
 from .errors import UnresolvableFKey, WelschingerError
 from .tables import F_TABLE, _packaged_payload, _read_json, _table_entries
 
@@ -126,19 +126,20 @@ class FDerivation(_Record):
 class FInvariantEngine:
     """Resolve F-keys against a table, falling back to the reduction rules.
 
-    ``entries`` maps each table key to its value; lookups go through the
-    tuple :meth:`_table_key` of a key, which hashes faster than the record.
-    :meth:`plain_value` looks up that tuple from count tuples directly.  On a
-    miss, :meth:`derive` walks :func:`_reduction` on count tuples and records
-    each node it reaches; :meth:`value` reads the value of that chain.
+    ``entries`` maps the tuple :meth:`_table_key` of each table key, which
+    hashes faster than the record, to its value; the engine keeps its own
+    copy.  :meth:`plain_value` looks up that tuple from count tuples
+    directly.  On a miss, :meth:`derive` walks :func:`_reduction` on count
+    tuples and records each node it reaches; :meth:`value` reads the value
+    of that chain.
     """
 
-    def __init__(self, entries: dict[FKey, int]):
-        self._keys = tuple(entries)
-        self._entries = {self._table_key(key): value for key, value in entries.items()}
+    def __init__(self, entries: dict[tuple, int]):
+        self._entries = dict(entries)
 
     @staticmethod
     def _table_key(key: FKey) -> tuple:
+        """(kind value, alpha counts, beta counts, r_l, crosses) of ``key``."""
         # _value_ is the plain attribute each member holds; .value is a descriptor call
         return (key.kind._value_, key.alpha.counts, key.beta.counts, key.r_l, key.crosses)
 
@@ -150,9 +151,10 @@ class FInvariantEngine:
         table and the key; a row they do not derive is curated, and stands."""
         entries, basis = _checked_rows(payload, where)
         derive = cls(basis).value
-        for key, value in entries.items():
-            if key in basis:
+        for table_key, value in entries.items():
+            if table_key in basis:
                 continue
+            key = _row_key(table_key)
             try:
                 derived = derive(key)
             except UnresolvableFKey:
@@ -227,8 +229,9 @@ class FInvariantEngine:
             raise UnresolvableFKey(f"{key} needs a chain of more than {MAX_DERIVATION_DEPTH} reductions") from None
 
     def plain_keys(self) -> list[FKey]:
-        """Keys without conjugate pairs or crosses (the published values)."""
-        return [key for key in self._keys if key.r_l == 0 and key.crosses == 0]
+        """Keys without conjugate pairs or crosses (the published values),
+        built on each call."""
+        return [_row_key(key) for key in self._entries if key[3:] == (0, 0)]
 
 
 def _key(kind: LagrangianKind, node: tuple) -> FKey:
@@ -240,17 +243,27 @@ def _key(kind: LagrangianKind, node: tuple) -> FKey:
     return key
 
 
-def _checked_rows(payload: dict, where: str) -> tuple[dict[FKey, int], dict[FKey, int]]:
-    """The checked entries of an F-table payload, and those of its basis rows."""
+def _row_key(table_key: tuple) -> FKey:
+    """The FKey of a table key, the tuple :meth:`FInvariantEngine._table_key`."""
+    name, alpha, beta, r_l, crosses = table_key
+    return FKey(LagrangianKind(name), ContactVector._canonical(alpha), ContactVector._canonical(beta), r_l, crosses)
+
+
+def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tuple, int]]:
+    """The checked entries of an F-table payload, and those of its basis
+    rows, keyed by table key tuples: the checks of ContactVector and
+    :attr:`FKey.r`, made on count tuples, so that no record is built."""
     fields = [("kind", str), ("alpha", list), ("beta", list)]
     fields += [("r_l", int, 0), ("crosses", int, 0), ("basis", bool, False)]
-    basis_keys = set()
+    basis_keys = []
 
     def key_of(kind, alpha, beta, r_l, crosses, basis):
-        key = FKey(LagrangianKind(kind), ContactVector(tuple(alpha)), ContactVector(tuple(beta)), r_l, crosses)
-        key.r  # a key outside the domain raises here
+        kind = LagrangianKind(kind)
+        alpha, beta = _non_negative(tuple(alpha)), _non_negative(tuple(beta))
+        _f_point_count(kind, alpha, beta, r_l, crosses)  # a key outside the domain raises here
+        key = (kind._value_, alpha, beta, r_l, crosses)
         if basis:
-            basis_keys.add(key)
+            basis_keys.append(key)
         return key
 
     entries = _table_entries(payload, fields, key_of, where)
@@ -261,9 +274,9 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[FKey, int], dict[FKey
 # gives chi the same outcome on the 163 golden and frontier bench operations,
 # but 14% and 6% slower per in-process pass (CPython 3.11, 2-core Xeon).
 @cache
-def _packaged_table() -> tuple[dict[FKey, int], dict[FKey, int]]:
-    """(entries, basis entries) of the packaged F table, read and checked
-    once per process."""
+def _packaged_table() -> tuple[dict[tuple, int], dict[tuple, int]]:
+    """(entries, basis entries) of the packaged F table, checked once per
+    process for both the built-in engine and every basis engine."""
     return _checked_rows(_packaged_payload(F_TABLE), "F table")
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .contact import ContactVector, _Record
+from .contact import ContactVector, _non_negative, _Record, _weight
 from .errors import UnknownInvariant
 from .tables import RELATIVE_TABLE, _packaged_payload, _read_json, _table_entries
 
@@ -37,14 +37,28 @@ __all__ = [
 ]
 
 
+def _check_class(n: int, a: int, b: int) -> None:
+    """ValueError unless a*e + b*f is a class on a ruled surface that occurs."""
+    if n not in (2, 4):
+        raise ValueError("only the degree-2 and degree-4 ruled surfaces occur")
+    if a < 0 or b < 0 or (a, b) == (0, 0):
+        raise ValueError("class coefficients must be non-negative and not both zero")
+
+
+def _check_weight(b: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
+    """ValueError unless the contact counts ``alpha`` and ``beta`` weigh b, the
+    contact of a*e + b*f with the exceptional section; this also keeps the
+    key's point conditions, (n+2)a + b - 1 + |beta|, >= 0."""
+    weight = _weight(alpha) + _weight(beta)
+    if weight != b:
+        raise ValueError(f"contact weight {weight} differs from b={b}")
+
+
 class RuledSurfaceClass(_Record):
     """Class a*e + b*f on the ruled surface of degree n (n = 2 or 4)."""
 
     def __init__(self, n: int, a: int, b: int):
-        if n not in (2, 4):
-            raise ValueError("only the degree-2 and degree-4 ruled surfaces occur")
-        if a < 0 or b < 0 or (a, b) == (0, 0):
-            raise ValueError("class coefficients must be non-negative and not both zero")
+        _check_class(n, a, b)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -61,9 +75,7 @@ class RuledSurfaceClass(_Record):
 
 class RelativeKey(_Record):
     def __init__(self, surface: RuledSurfaceClass, alpha: ContactVector, beta: ContactVector):
-        # total contact with the exceptional section equals b
-        if alpha.weight + beta.weight != surface.b:
-            raise ValueError(f"contact weight {alpha.weight + beta.weight} differs from b={surface.b}")
+        _check_weight(surface.b, alpha.counts, beta.counts)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -79,25 +91,32 @@ class RelativeInvariantTable:
     rule-based (the unique fibre through a point, b = 1 with one simple
     contact, counts 1), and every other key must be present in the table;
     otherwise UnknownInvariant is raised (never a silent zero).  ``n_sigma``
-    unpacks its key and applies the same rule.  Entries are keyed by the
-    tuple :meth:`_key` of a key, which hashes faster than the record.
+    unpacks its key and applies the same rule.  ``entries`` maps the tuple
+    :meth:`_key` of each key, which hashes faster than the record, to its
+    value.
     """
 
-    def __init__(self, entries: dict[RelativeKey, int]):
-        self._entries = {self._key(key): value for key, value in entries.items()}
+    def __init__(self, entries: dict[tuple, int]):
+        self._entries = entries
 
     @staticmethod
     def _key(key: RelativeKey) -> tuple:
+        """(n, a, b, alpha counts, beta counts) of ``key``."""
         s = key.surface
         return (s.n, s.a, s.b, key.alpha.counts, key.beta.counts)
 
     @classmethod
     def from_json_payload(cls, payload: dict, where: str = "relative table") -> "RelativeInvariantTable":
+        """A table over checked rows: the checks of RuledSurfaceClass,
+        ContactVector and RelativeKey, made on count tuples, so that no
+        record is built."""
         fields = [("n", int), ("a", int), ("b", int), ("alpha", list), ("beta", list)]
 
         def key_of(n, a, b, alpha, beta):
-            # RelativeKey's weight rule also keeps the key's point conditions, (n+2)a + b - 1 + |beta|, >= 0
-            return RelativeKey(RuledSurfaceClass(n, a, b), ContactVector(tuple(alpha)), ContactVector(tuple(beta)))
+            _check_class(n, a, b)
+            alpha, beta = _non_negative(tuple(alpha)), _non_negative(tuple(beta))
+            _check_weight(b, alpha, beta)
+            return (n, a, b, alpha, beta)
 
         return cls(_table_entries(payload, fields, key_of, where))
 

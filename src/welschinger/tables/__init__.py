@@ -1,4 +1,11 @@
-"""The curated JSON tables, and the checks every table file passes on load.
+"""The curated tables, and the checks every table passes on load.
+
+The packaged tables are the Python literals ``f_invariants.py`` and
+``relative_invariants.py`` in this package: each one's ``payload()`` is in
+the format of the JSON file that overrides it (``--f-table``,
+``--invariant-table`` or WELSCHINGER_TABLE_DIR), an object with an
+``entries`` list of rows, and passes the same checks.  Loading them imports
+no ``json``; only an override file does.
 
 A bad table is rejected whole, never half-read: an unreadable file, invalid
 JSON, a row with a missing or mistyped field, a row whose key means nothing
@@ -7,22 +14,26 @@ differs from the class, a negative real-point count), and a key listed twice
 with different values each raise WelschingerError naming the file and the row.
 """
 
-import json
-import os
-
 from ..errors import NegativeDimension, WelschingerError
 
-# The packaged tables' file names, also those looked up in WELSCHINGER_TABLE_DIR.
+# The override files' names in WELSCHINGER_TABLE_DIR, which also name the packaged tables.
 RELATIVE_TABLE = "relative_invariants.json"
 F_TABLE = "f_invariants.json"
 
 
-def _packaged_payload(name: str):
-    """The JSON payload of the table file ``name`` shipped in this package."""
-    return _read_json(os.path.join(os.path.dirname(__file__), name))
+def _packaged_payload(name: str) -> dict:
+    """A new copy of the payload of the packaged table that the file
+    ``name`` overrides."""
+    if name == F_TABLE:
+        from .f_invariants import payload
+    else:
+        from .relative_invariants import payload
+    return payload()
 
 
 def _read_json(path):
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)

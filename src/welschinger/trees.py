@@ -63,7 +63,6 @@ of its :class:`TreeFamily` member and the dimension n of its Lagrangian:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Iterator
 from enum import Enum
@@ -871,5 +870,7 @@ def tree_to_json_dict(twc: TreeWithCount) -> dict:
 
 
 def trees_to_json(classes: list[TreeClass]) -> str:
+    import json  # here, not at the top: no computation needs it
+
     payload = [tree_to_json_dict(v) for cls in classes for v in cls.variants]
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from welschinger.cli import main
+from welschinger import builtin_f_engine, builtin_relative_table, cotangent, tables
+from welschinger.cli import _load_tables, build_parser, main
 
 
 def run(capsys, *argv):
@@ -277,13 +278,10 @@ def test_table_override_via_flag(tmp_path, capsys):
     assert code == 3 and "outside the curated table" in err
 
 
-RELATIVE_TABLE = Path(__file__).resolve().parent.parent / "src" / "welschinger" / "tables" / "relative_invariants.json"
-
-
 def _table_with_extra_row(path, change):
     """The built-in relative table plus a changed copy of its first row,
     N4^{e+f}(0, e1) = 1; returns the index of the added row."""
-    payload = json.loads(RELATIVE_TABLE.read_text())
+    payload = tables._packaged_payload(tables.RELATIVE_TABLE)
     row = dict(payload["entries"][0])
     change(row)
     payload["entries"].append(row)
@@ -467,8 +465,9 @@ def test_f_table_override_via_env(tmp_path, capsys, monkeypatch):
     assert err == "missing invariant: F[rp2]_(0+xxx,0)(0, e1+e2) is outside the derivable closure\n"
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "1", "--real-points", "0")
     assert code == 3 and "outside the derivable closure" in err
-    packaged = RELATIVE_TABLE.parent / "f_invariants.json"
-    code, out, _ = run(capsys, "derive", "--kind", "rp2", "--beta", "e1+e2", "--f-table", str(packaged))
+    path = tmp_path / "packaged.json"
+    path.write_text(json.dumps(tables._packaged_payload(tables.F_TABLE)))
+    code, out, _ = run(capsys, "derive", "--kind", "rp2", "--beta", "e1+e2", "--f-table", str(path))
     assert code == 0 and "= 24" in out.splitlines()[0]
 
 
@@ -477,7 +476,7 @@ def test_an_f_table_row_its_basis_contradicts_exits_2(tmp_path, capsys, monkeypa
     # the packaged F table with its derived row F[rp2](0, e2) = 4 changed to
     # 5: the table's own basis rows derive 4, so the file is refused whole;
     # without the row, the table loads and its basis derives the value
-    payload = json.loads((RELATIVE_TABLE.parent / "f_invariants.json").read_text())
+    payload = tables._packaged_payload(tables.F_TABLE)
     row = next(row for row in payload["entries"] if row["kind"] == "rp2" and row["beta"] == [0, 1] and not row["alpha"])
     assert (row["value"], row["basis"]) == (4, False)
     row["value"] = 5
@@ -495,6 +494,30 @@ def test_an_f_table_row_its_basis_contradicts_exits_2(tmp_path, capsys, monkeypa
     path.write_text(json.dumps(payload))
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "= 24" in out.splitlines()[0]
+
+
+def test_packaged_tables_load_as_override_files(tmp_path, monkeypatch):
+    # each packaged payload, dumped to JSON, is an override file that gives
+    # the built-in entries; the F file's 17 derived rows each pass the
+    # override check against its 30 basis rows
+    derived = []
+    value = cotangent.FInvariantEngine.value
+
+    def counted(engine, key, order_seed=None):
+        derived.append(key)
+        return value(engine, key, order_seed)
+
+    monkeypatch.setattr(cotangent.FInvariantEngine, "value", counted)
+    f_path, relative_path = tmp_path / "f.json", tmp_path / "relative.json"
+    assert tables._packaged_payload(tables.F_TABLE) is not tables._packaged_payload(tables.F_TABLE)  # a copy per call
+    f_path.write_text(json.dumps(tables._packaged_payload(tables.F_TABLE)))
+    relative_path.write_text(json.dumps(tables._packaged_payload(tables.RELATIVE_TABLE)))
+    args = build_parser().parse_args(["frontier", "--f-table", str(f_path), "--invariant-table", str(relative_path)])
+    table, engine = _load_tables(args)
+    assert table is not builtin_relative_table() and engine is not builtin_f_engine()
+    assert table._entries == builtin_relative_table()._entries and len(table._entries) == 22
+    assert engine._entries == builtin_f_engine()._entries and len(engine._entries) == 47
+    assert len(derived) == len(set(derived)) == 17
 
 
 def test_verify_exits_zero(capsys):

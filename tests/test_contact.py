@@ -111,6 +111,18 @@ def test_a_vector_is_not_read_as_counts():
         builtin_relative_table().count(4, 1, 2, CV.zero(), CV.e(2))
 
 
+def test_a_str_or_a_non_int_count_is_refused():
+    # read through int(), "21" was 2e1+e2 and (1.7, 2.2) was e1+2e2
+    for counts in ("21", "", "e1", (1.7, 2.2), (1, 2.0), (True,), (0, False), ("1",), [None]):
+        with pytest.raises(TypeError):
+            CV(counts)
+    # tuples, lists and other iterables of ints stay counts
+    assert CV((2, 1)) == CV([2, 1]) == CV(iter((2, 1, 0))) == CV.parse("2e1+e2")
+    assert CV(range(3)).counts == (0, 1, 2) and CV.e(3, 2).counts == (0, 0, 2) and CV.zero().counts == ()
+    with pytest.raises(ValueError, match="non-negative"):
+        CV((1, -1))
+
+
 @given(st.lists(st.integers(min_value=0, max_value=5), max_size=6))
 def test_contact_vector_weight_dominates_size(counts):
     v = CV(tuple(counts))

@@ -1,10 +1,8 @@
 """Cotangent invariants: curated bases, reduction rules, derivation engine."""
 
 import hashlib
-import json
 import re
 from itertools import zip_longest
-from pathlib import Path
 
 import pytest
 
@@ -249,7 +247,7 @@ def test_reductions_preserve_dimension_bookkeeping():
 
 
 def packaged_rows():
-    return json.loads(Path(tables.__file__).with_name(tables.F_TABLE).read_text())["entries"]
+    return tables._packaged_payload(tables.F_TABLE)["entries"]
 
 
 def test_reduction_steps_match_the_rules_written_with_vector_arithmetic():
@@ -322,11 +320,15 @@ def test_packaged_table_is_checked_once_and_each_basis_engine_is_fresh(monkeypat
 
     monkeypatch.setattr(cotangent, "_checked_rows", counted)
     cotangent._packaged_table.cache_clear()
+    cotangent.builtin_f_engine.cache_clear()
     first, second = basis_f_engine(), basis_f_engine()
     assert calls == ["F table"]
     assert first is not second and first._entries == second._entries
     first._entries.clear()
     assert len(second._entries) == len(basis_f_engine()._entries) == 30
+    # the built-in engine reads the same check, and holds its own copy
+    assert len(builtin_f_engine()._entries) == 47 and calls == ["F table"]
+    assert len(basis_f_engine()._entries) == 30
 
 
 def test_real_point_count_is_computed_once_per_key(monkeypatch):

@@ -152,14 +152,42 @@ def test_keyword_construction_and_defaults():
 
 
 def test_import_loads_no_unneeded_modules():
-    # the records are plain classes and the tables are read from a path
+    # the records are plain classes, the packaged tables are Python literals,
+    # and the CLI imports json and csv only to print them
     code = (
         "import sys; before = set(sys.modules); import welschinger, welschinger.cli; "
+        "welschinger.builtin_relative_table(); welschinger.builtin_f_engine(); welschinger.basis_f_engine(); "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
-    assert "welschinger.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "importlib.resources", "typing"})
+    assert {"welschinger.cli", "welschinger.tables.f_invariants", "welschinger.tables.relative_invariants"} <= added
+    assert added.isdisjoint({"dataclasses", "inspect", "importlib.resources", "typing", "json", "csv"})
+
+
+def test_loading_the_packaged_tables_builds_no_record():
+    # the loads check and key their rows on count tuples; a profile hook
+    # sees every record constructor that runs, as plain_keys() shows
+    code = """
+import sys
+import welschinger as w
+records = (w.FKey, w.ContactVector, w.RelativeKey, w.RuledSurfaceClass)
+names = {cls.__init__.__code__: cls.__name__ for cls in records}
+names[w.ContactVector._canonical.__func__.__code__] = "ContactVector"
+built = []
+hook = lambda frame, event, arg: event == "call" and frame.f_code in names and built.append(names[frame.f_code])
+sys.setprofile(hook)
+w.builtin_relative_table(); w.builtin_f_engine(); w.basis_f_engine()
+sys.setprofile(None)
+print(len(built))
+sys.setprofile(hook)
+keys = w.basis_f_engine().plain_keys()
+sys.setprofile(None)
+print(len(keys), sorted(set(built)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "8 ['ContactVector', 'FKey']"]

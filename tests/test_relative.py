@@ -1,8 +1,5 @@
 """Curated relative invariants on the ruled surfaces and the ruled 3-fold."""
 
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,7 +76,7 @@ def test_n_sigma_full_curated_table():
 
 
 def test_every_packaged_row_is_found_under_its_own_key():
-    rows = json.loads(Path(tables.__file__).with_name(tables.RELATIVE_TABLE).read_text())["entries"]
+    rows = tables._packaged_payload(tables.RELATIVE_TABLE)["entries"]
     assert len(rows) == 22
     table = builtin_relative_table()
     for row in rows:
