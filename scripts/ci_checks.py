@@ -10,8 +10,13 @@ The script exits 1 when any check fails.  The checks:
 * ``frontier --max-degree 22`` prints the pinned output (sha256) within 30 s
   and under a 40 MB peak resident set.  The peak guards frontier's per-degree
   ``trees._candidates.cache_clear()``: on CPython 3.10-3.13 the run peaks at
-  29-35 MB with it and 46-51 MB without it, and no bench workload runs
-  frontier.
+  29-34 MB with it and 44-48 MB without it (the families' odd-subtree
+  stores are kept either way), and no bench workload runs frontier.
+* The frontier-22 domain, ``chi_polynomial`` for every geometry and degree
+  up to 22 with the candidates cleared after each degree as ``frontier``
+  clears them, leaves no reference cycle: with the collector off,
+  ``gc.collect()`` finds nothing after it.  It calls the library, not the
+  command line, whose argument parser leaves cycles of its own.
 * Huge degrees stop at the enumeration bound with exit code 3: degree 10^9
   within 10 s, 3-quadric degree 400 within 5 s.
 * The longest profile one argument holds, 18,000 terms ``e10000`` (125,999
@@ -53,6 +58,19 @@ loaded = time.perf_counter_ns()
 print(imported - start, loaded - imported, int("json" in sys.modules))
 """
 
+# the frontier-22 domain with the collector off: prints the unreachable objects it leaves
+CYCLES = """
+import gc
+from welschinger import GeometryKind, chi_polynomial, trees
+gc.collect()
+gc.disable()
+for geometry in GeometryKind:
+    for d in range(1, 23):
+        chi_polynomial(geometry, d)
+        trees._candidates.cache_clear()
+print(gc.collect())
+"""
+
 
 def _run(argv, timeout_s, cache_bytecode=False):
     """(exit code, stdout, seconds, peak resident set in MB) of one child
@@ -86,6 +104,12 @@ def check_frontier():
         f"frontier --max-degree 22: exit {code}, sha256 {digest[:8]}… (pinned {FRONTIER_22_SHA256[:8]}…), "
         f"peak RSS {peak:.1f} MB (bound {FRONTIER_PEAK_MB} MB), {seconds:.2f} s (bound 30 s)"
     )
+
+
+def check_cycles():
+    code, out, seconds, _ = _run([sys.executable, "-c", CYCLES], 30)
+    left = out.decode().strip() or "nothing"
+    return code == 0 and left == "0", f"frontier-22 domain: exit {code}, {left} objects in reference cycles (must be 0), {seconds:.2f} s"
 
 
 def check_bound(argv, bound_s):
@@ -131,6 +155,7 @@ def check_bench(workload, traced):
 def main() -> int:
     checks = [
         check_frontier,
+        check_cycles,
         lambda: check_bound("poly --geometry cp2 --degree 1000000000".split(), 10),
         lambda: check_bound("chi --geometry quadric3 --degree 1000000000 --real-points 2".split(), 10),
         lambda: check_bound("chi --geometry quadric3 --degree 400 --real-points 2".split(), 5),

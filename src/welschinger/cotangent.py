@@ -227,6 +227,8 @@ class FInvariantEngine:
             return walk(root, MAX_DERIVATION_DEPTH)
         except RecursionError:
             raise UnresolvableFKey(f"{key} needs a chain of more than {MAX_DERIVATION_DEPTH} reductions") from None
+        finally:
+            del walk  # the closure holds itself: left bound, each derivation would wait for the garbage collector
 
     def plain_keys(self) -> list[FKey]:
         """Keys without conjugate pairs or crosses (the published values),

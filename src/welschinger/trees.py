@@ -34,16 +34,19 @@ Enumeration generates the candidate forests of each (family, d) once per
 process, as light tuples that carry their root window (the window needs only
 the root edges' multiplicities), and sorts them once by the degree-labelled
 AHU code their shape will have, read off the codes each subtree got when it
-was generated.  A (family, d) with more candidates than
-:data:`CANDIDATE_BOUND` raises EnumerationTooLarge.
+was generated.  The odd subtrees do not depend on d: each family generates
+them once per process, into a store that every degree reads.  A (family, d)
+with more candidate subtrees and forests than :data:`CANDIDATE_BOUND`
+raises EnumerationTooLarge.
 :func:`tree_classes` walks the sorted candidates in r's window one class at
 a time: a forest becomes a :class:`Shape`, at most once per process, and its
 trees are decorated and validated only when its class is reached.  So chi,
 which stops at the first tree whose key is outside the tables, builds no
-shape after it.  The shape is made straight from the walk that attaches
-the forest's subtrees (:func:`_build`), which numbers the vertices as it
-goes and so knows each one's parent and children; it is the shape that the
-checked constructor would give for the same edges, without its search.
+shape after it.  The shape is made straight from one depth-first walk
+that attaches the forest's subtrees (:func:`_build`), which numbers the
+vertices as it goes and so knows each one's parent and children; it is the
+shape that the checked constructor would give for the same edges, without
+its search.
 
 The counting rules are the same for every family; they read the constants
 of its :class:`TreeFamily` member and the dimension n of its Lagrangian:
@@ -183,8 +186,8 @@ class Shape:
     maps each odd vertex to g, in vertex order; vertex ids are arbitrary ints.
     The constructor, for hand-written trees, raises ValueError unless the
     edges form a tree with multiplicities >= 1 whose odd vertices are exactly
-    the keys of ``genus``; the enumeration makes its shapes with
-    :meth:`_walked` from what its walk knows.  Both compute the structure
+    the keys of ``genus``; the enumeration makes its shapes in
+    :func:`_build` from what its walk knows.  Both compute the structure
     once, in :meth:`_finish`, and give the same fields in the same order:
 
     * ``adjacency``: vertex -> ((neighbour, multiplicity), ...), in vertex
@@ -237,22 +240,6 @@ class Shape:
         if tuple(self.genus) != tuple(v for v in adj if depths[v] % 2):
             raise ValueError("genus must decorate exactly the odd vertices")
         self._finish(adj, children)
-
-    @classmethod
-    def _walked(cls, family: TreeFamily, d: int, adjacency, genus) -> "Shape":
-        """The shape of a tree whose vertices are numbered 0 (the root), 1,
-        ... with every vertex after its parent, each adjacency listing the
-        parent first and then the children in vertex order, and ``genus`` in
-        vertex order, as :func:`_build` attaches them: the shape that
-        ``Shape(family, d, 0, edges, genus)`` gives, without its checks and
-        its search for the structure."""
-        shape = cls.__new__(cls)
-        shape.family, shape.d, shape.root, shape.genus = family, d, 0, genus
-        children = {v: vs[1:] for v, vs in adjacency.items()}
-        children[0] = adjacency[0]
-        shape.edges = tuple([(u, w, k) for u, vs in children.items() for w, k in vs])
-        shape._finish(adjacency, children)
-        return shape
 
     def _finish(self, adjacency, children) -> None:
         """The structure both constructors share, from the vertex-ordered
@@ -639,23 +626,30 @@ class TreeClass(_Record):
 
 
 CANDIDATE_BOUND = 50_000
-"""Most odd subtrees plus forests one (family, d) may generate before
-:class:`EnumerationTooLarge`.  Tests, ``verify`` and ``frontier --max-degree
-22`` reach 44,143 (two-spherical d = 22); plane d = 26 makes 25,463, d = 28
-56,181.  On a 2-core Xeon, generating them with their codes takes about
-0.1-0.15 s and a 25 MB peak for plane d = 26, and 0.15 s and 32 MB for
-two-spherical d = 22.  A miss then builds one shape; building all 43,317
-shapes of two-spherical d = 22 takes about 1.5 s more and a 230 MB peak."""
+"""Most odd subtrees plus forests one (family, d) may count (:class:`_Memo`)
+before :class:`EnumerationTooLarge`.  Tests, ``verify`` and ``frontier
+--max-degree 22`` reach 44,143 (two-spherical d = 22); plane d = 26 makes
+25,463, d = 28 56,181.  On a 2-core Xeon, generating them with their codes
+from an empty store takes about 0.15-0.2 s and a 24 MB peak for plane
+d = 26, and 0.2-0.3 s and 31 MB for two-spherical d = 22.  A miss then
+builds one shape; building all 43,317 shapes of two-spherical d = 22 takes
+about 3 s more and a 245 MB peak."""
 
 
-class _Memo(dict):
-    """The odd-subtree lists of one generation run, keyed by (cost, k_in),
-    and the code of the family's pendant leaf; :meth:`count` adds the run's
-    subtrees and forests up against the bound."""
+_SUBTREES: dict[TreeFamily, dict[tuple[int, int], list]] = {family: {} for family in TreeFamily}
+"""Each family's complete odd-subtree lists, keyed by (cost, k_in): a list
+does not depend on d, so one store per process serves every degree."""
+
+
+class _Memo:
+    """One generation run of (family, d) over the family's subtree store,
+    with the code of its pendant leaf; :meth:`count` adds up the subtrees of
+    every list the run reads, once each, and its forests against the bound,
+    whether or not an earlier run stored the lists."""
 
     def __init__(self, family: TreeFamily, d: int):
-        super().__init__()
         self.family, self.d, self.made = family, d, 0
+        self.store = _SUBTREES[family]
         self.pendant = _code(family.pendant, None, [])
 
     def count(self, n: int) -> None:
@@ -671,13 +665,20 @@ class _Memo(dict):
 def _candidates(family: TreeFamily, d: int) -> tuple[tuple, list]:
     """The candidate forests of (family, d), generated once per process since
     they do not depend on r, as tuples (window_top, v0, forest): the root's
-    :attr:`Shape.window_top` and edge count, read off the forest.  They come
-    sorted, once for every r, by the degree-labelled AHU code of their
-    shapes, built from their odd subtrees' codes (no two shapes share one);
-    each has a slot in the list, filled with its :func:`_build` on first use."""
-    lagrangian = family.geometry.lagrangian
+    :attr:`Shape.window_top` and edge count, read off the forest.  The run
+    reads the stored odd subtrees of each (cost, k_in) that can hold one, in
+    increasing cost.  The candidates come sorted, once for every r, by the
+    degree-labelled AHU code of their shapes, built from their odd subtrees'
+    codes (no two shapes share one); each has a slot in the list, filled
+    with its :func:`_build` on first use."""
+    lagrangian, scale, least = family.geometry.lagrangian, family.scale, family.genus_coefficient
     memo = _Memo(family, d)
-    items = [(c, t) for c in range(1, d + 1) for k in range(1, c // family.scale + 1) for t in _odd_subtrees(memo, c, k)]
+    items = []
+    for c in range(scale, d + 1):  # lazily: a huge d stops at the bound
+        for k in range(1, 2 if c == scale else (c - least) // scale + 1):  # the g = 0 leaf, or room for g >= 1
+            subtrees = _odd_subtrees(memo, c, k)
+            memo.count(len(subtrees))
+            items += [(c, t) for t in subtrees]
     candidates = []
     for forest in _forests(items, d):
         memo.count(1)
@@ -726,10 +727,11 @@ def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
     above its odd subtree.  A g = 0 vertex is a leaf on a simple edge: any
     other is a multiple fibre class, which :attr:`Shape.problems` reports.  A
     vertex with no integer pair count carries no tree for either sign, so it
-    is not generated.  Each list is built once per ``memo``, which lives for
-    one :func:`_candidates` run."""
-    if (cost, k_in) in memo:
-        return memo[cost, k_in]
+    is not generated.  Each list is built once per process, into the
+    family's store, and counted by the :func:`_candidates` run that reads it."""
+    store = memo.store
+    if (cost, k_in) in store:
+        return store[cost, k_in]
     family = memo.family
     rest = cost - family.scale * k_in
     out = [(1, 0, 0, (), _code(1, "(0, None, None)", []))] if rest == 0 and k_in == 1 else []
@@ -747,40 +749,49 @@ def _odd_subtrees(memo: _Memo, cost: int, k_in: int) -> list:
                 if expected_pair_count(family, g, k_s, valence, False) is not None:
                     kids = [memo.pendant] * pendants + [_code(1, None, [child[4]]) for child in children]
                     out.append((k_in, g, pendants, children, _code(k_in, label, kids)))
-    memo.count(len(out))
-    memo[cost, k_in] = out
+    store[cost, k_in] = out
     return out
 
 
 def _build(family: TreeFamily, d: int, forest) -> tuple[tuple, Shape]:
     """The shape of a candidate forest, a root 0 carrying its odd subtrees,
     and ``runs``: the root children grouped into runs of identical subtrees
-    (consecutive in the non-decreasing forest).  Vertices are numbered as
-    they are attached, depth-first, so the walk knows each one's parent and
-    children, and :meth:`Shape._walked` makes the shape from them."""
-    nbrs: list[list[tuple[int, int]]] = [[]]  # vertex -> its (neighbour, multiplicity) pairs, parent first
+    (consecutive in the non-decreasing forest).  One depth-first walk
+    numbers the vertices as it attaches them, each subtree's as one range
+    from its top vertex: an odd vertex, its pendants, then each connector
+    just before its odd child.  So every vertex comes after its parent and
+    lists it first among its neighbours, then its children in vertex order,
+    and the walk hands :meth:`Shape._finish` the adjacency and children
+    without the checked constructor's search."""
     pendant = family.pendant
-
-    def attach(parent, subtree):
-        k_in, g, pendants, children, _ = subtree
+    nbrs: list[list[tuple[int, int]]] = [[]]  # vertex -> its (neighbour, multiplicity) pairs, parent first
+    genus: dict[int, int] = {}
+    stack = [(0, subtree) for subtree in reversed(forest)]  # (odd parent or the root, subtree)
+    while stack:
+        parent, (k_in, g, pendants, children, _) = stack.pop()
+        if parent:  # an odd parent: the connector between them comes just before the child
+            nbrs[parent].append((len(nbrs), 1))
+            nbrs.append([(parent, 1)])
+            parent = len(nbrs) - 1
         v = len(nbrs)
         nbrs[parent].append((v, k_in))
-        here = [(parent, k_in)]
-        nbrs.append(here)
         genus[v] = g
-        for w in range(v + 1, v + 1 + pendants):
-            here.append((w, pendant))
-            nbrs.append([(v, pendant)])
-        for child in children:
-            connector = len(nbrs)
-            here.append((connector, 1))
-            nbrs.append([(v, 1)])
-            attach(connector, child)
-        return v
-
-    genus: dict[int, int] = {}
-    runs = tuple(tuple(attach(0, subtree) for subtree in run) for _, run in itertools.groupby(forest))
-    return runs, Shape._walked(family, d, {v: tuple(vs) for v, vs in enumerate(nbrs)}, genus)
+        if pendants:
+            nbrs.append([(parent, k_in)] + [(w, pendant) for w in range(v + 1, v + 1 + pendants)])
+            nbrs += [[(v, pendant)] for _ in range(pendants)]
+        else:
+            nbrs.append([(parent, k_in)])
+        if children:
+            stack += [(v, child) for child in reversed(children)]
+    adjacency = {v: tuple(vs) for v, vs in enumerate(nbrs)}
+    children = {v: vs[1:] for v, vs in adjacency.items()}
+    children[0] = adjacency[0]
+    shape = Shape.__new__(Shape)
+    shape.family, shape.d, shape.root, shape.genus = family, d, 0, genus
+    shape.edges = tuple([(u, w, k) for u, vs in children.items() for w, k in vs])
+    shape._finish(adjacency, children)
+    tops = iter(adjacency[0])
+    return tuple(tuple(next(tops)[0] for _ in run) for _, run in itertools.groupby(forest)), shape
 
 
 def tree_classes(family: TreeFamily, d: int, r: int) -> Iterator[TreeClass]:
@@ -827,13 +838,11 @@ def _canonical_order(tree: DecoratedTree) -> list[int]:
     codes = tree.codes
     children = {v: sorted(kids, key=codes.__getitem__) for v, _, kids in tree.shape.bottom_up}
     order: list[int] = []
-
-    def walk(v):
+    stack = [tree.shape.root]
+    while stack:
+        v = stack.pop()
         order.append(v)
-        for w in children[v]:
-            walk(w)
-
-    walk(tree.shape.root)
+        stack += reversed(children[v])  # so that the first child is taken next
     return order
 
 
@@ -870,7 +879,20 @@ def tree_to_json_dict(twc: TreeWithCount) -> dict:
 
 
 def trees_to_json(classes: list[TreeClass]) -> str:
+    return _json_text([tree_to_json_dict(v) for cls in classes for v in cls.variants])
+
+
+def _json_text(value, margin: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with string keys, lists and scalars.  The standard library indents
+    in closures that refer to each other, a cycle that each call would leave
+    to the garbage collector; this recursion leaves none."""
     import json  # here, not at the top: no computation needs it
 
-    payload = [tree_to_json_dict(v) for cls in classes for v in cls.variants]
-    return json.dumps(payload, indent=2, sort_keys=True)
+    inner = margin + "  "
+    if isinstance(value, dict) and value:
+        lines = [f"{inner}{json.dumps(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        return "{\n" + ",\n".join(lines) + f"\n{margin}}}"
+    if isinstance(value, list) and value:
+        return "[\n" + ",\n".join([inner + _json_text(item, inner) for item in value]) + f"\n{margin}]"
+    return json.dumps(value)

@@ -3,6 +3,7 @@
 import copy
 import functools
 import itertools
+import json
 import math
 import pickle
 from collections import Counter
@@ -247,6 +248,69 @@ def test_each_candidate_shape_is_generated_once(family, top):
     for _, d, r, _ in _valid_keys({family: top}):
         forms = [canonical_form(twc.tree) for twc in enumerate_decorated_trees(family, d, r)]
         assert len(forms) == len(set(forms)), (family, d, r)
+
+
+STORE_DEGREES = {F.PROJECTIVE: 14, F.TWO_SPHERICAL: 11, F.THREE_SPHERICAL: 14}
+
+
+@pytest.mark.parametrize("family", list(STORE_DEGREES))
+def test_candidates_do_not_depend_on_the_subtree_store(monkeypatch, family):
+    # the odd-subtree lists are shared by every degree of a family: a run
+    # from an empty store and a run after every other degree, larger ones
+    # first, give the same candidates in the same order
+    top = STORE_DEGREES[family]
+    cold = {}
+    for d in range(1, top + 1):
+        monkeypatch.setitem(trees_module._SUBTREES, family, {})
+        _candidates.cache_clear()
+        cold[d] = _candidates(family, d)[0]
+    for d in range(1, top + 1):
+        monkeypatch.setitem(trees_module._SUBTREES, family, {})
+        for other in range(top, 0, -1):
+            if other != d:
+                _candidates(family, other)
+        _candidates.cache_clear()
+        assert _candidates(family, d)[0] == cold[d], (family, d)
+    _candidates.cache_clear()
+
+
+@pytest.mark.parametrize("warm", [(), (11,), (13,), (14, 5)], ids=["empty", "11", "13", "14-then-5"])
+def test_the_enumeration_bound_is_exact_with_any_stored_subtrees(monkeypatch, warm):
+    # plane d = 12 makes 51 subtrees and 57 forests; a run counts every
+    # subtree list it reads, whether or not an earlier degree stored it
+    monkeypatch.setitem(trees_module._SUBTREES, F.PROJECTIVE, {})
+    _candidates.cache_clear()
+    for d in warm:
+        _candidates(F.PROJECTIVE, d)
+    _candidates.cache_clear()
+    monkeypatch.setattr(trees_module, "CANDIDATE_BOUND", 108)
+    assert len(_candidates(F.PROJECTIVE, 12)[0]) == 57
+    _candidates.cache_clear()
+    monkeypatch.setattr(trees_module, "CANDIDATE_BOUND", 107)
+    with pytest.raises(EnumerationTooLarge, match=r"^\(projective, d=12\) has more than 107 candidate subtrees and forests"):
+        _candidates(F.PROJECTIVE, 12)
+    _candidates.cache_clear()
+
+
+def test_build_numbers_each_subtree_as_one_range():
+    # _build walks depth-first: the vertices below each vertex, itself
+    # included, are the ids from it up to the last of them, so a connector
+    # comes just before its odd child and the root children's runs name
+    # the top vertices of the forest's subtrees
+    shapes = 0
+    for family in F:
+        for d in range(1, 13):
+            for *_, forest in _candidates(family, d)[0]:
+                runs, shape = _build(family, d, forest)
+                size, last = {}, {}
+                for v, _, children in shape.bottom_up:
+                    size[v] = 1 + sum(size[w] for w in children)
+                    last[v] = max([v] + [last[w] for w in children])
+                    assert all(w > v for w in children) and last[v] == v + size[v] - 1, (family, d, v)
+                assert [v for run in runs for v in run] == [w for w, _ in shape.adjacency[0]]
+                assert [len(run) for run in runs] == [len(list(run)) for _, run in itertools.groupby(forest)]
+                shapes += 1
+    assert shapes == 1068
 
 
 def _parent_arrays(n):
@@ -834,6 +898,12 @@ def test_json_dump_schema_and_stability():
     assert {"id", "parity", "sign", "g", "f_size"} == set(payload["vertices"][0])
     assert {"u", "v", "k"} == set(payload["edges"][0])
     assert trees_to_json(classes) == trees_to_json(enumerate_trees(F.PROJECTIVE, 6, 1))
+    # the dump is the standard library's indented, key-sorted JSON, byte for byte
+    for family, d, r in ((F.PROJECTIVE, 8, 1), (F.TWO_SPHERICAL, 5, 3), (F.THREE_SPHERICAL, 10, 1)):
+        classes = enumerate_trees(family, d, r)
+        payload = [tree_to_json_dict(twc) for cls in classes for twc in cls.variants]
+        assert trees_to_json(classes) == json.dumps(payload, indent=2, sort_keys=True)
+    assert trees_to_json([]) == "[]"
 
 
 def test_deterministic_order():
@@ -929,7 +999,7 @@ def test_enumeration_bound_raises_a_typed_error(monkeypatch):
     message = r"^\(projective, d=12\) has more than 60 candidate subtrees and forests, the enumeration bound$"
     with pytest.raises(EnumerationTooLarge, match=message):
         enumerate_trees(F.PROJECTIVE, 12, 1)  # 57 forests, 51 subtrees
-    with pytest.raises(EnumerationTooLarge, match=message):  # a failed run caches nothing
+    with pytest.raises(EnumerationTooLarge, match=message):  # a failed run caches no candidates
         enumerate_trees(F.PROJECTIVE, 12, 1)
     assert _candidates.cache_info().currsize == 1
 
