@@ -135,7 +135,7 @@ def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: Relative
             factors.append(table.count(n, g, k_s, alpha, beta))
         else:
             alpha, beta = ContactVector._canonical(alpha), ContactVector._canonical(beta)
-            factors.append(three_fold_count(g, k_s, alpha, beta, tree.f_size(v), table))
+            factors.append(three_fold_count(g, k_s, alpha, beta, tree.f_size(v)))
     return factors
 
 
@@ -149,40 +149,44 @@ def chi(
     """The invariant chi^d_r with its full contribution ledger.  A key
     outside the tables raises at the first tree that needs it, in the order
     of :func:`~welschinger.trees.tree_classes`, and no later shape is
-    decorated."""
+    decorated.  Every tree's table values are resolved before any tree's
+    label, counts and multiplicity, which a miss never reads."""
     check_admissible(geometry, d, r)
     table = relative_table or builtin_relative_table()
     engine = f_engine or builtin_f_engine()
     family = FAMILY_OF[geometry]
     kind = geometry.lagrangian
 
-    rows: list[LedgerRow] = []
-    total = 0
+    resolved = []
     for cls in tree_classes(family, d, r):
         for twc in cls.variants:
             tree = twc.tree
-            label = canonical_form(tree).decode()
             try:
                 f_value = engine.plain_value(kind, *tree.root_counts)
-                factors = _vertex_factors(geometry, tree, table)
+                resolved.append((twc, f_value, _vertex_factors(geometry, tree, table)))
             except (UnknownInvariant, UnresolvableFKey) as exc:
-                raise type(exc)(f"{exc} [required by tree {label}]") from exc
-            sign = tree.sign_factor()
-            contribution = sign * twc.assignment_count * twc.multiplicity * f_value
-            for factor in factors:
-                contribution *= factor
-            rows.append(
-                LedgerRow(
-                    tree=label,
-                    assignment_count=twc.assignment_count,
-                    multiplicity=twc.multiplicity,
-                    sign=sign,
-                    f_value=f_value,
-                    relative_factors=tuple(factors),
-                    contribution=contribution,
-                )
+                raise type(exc)(f"{exc} [required by tree {canonical_form(tree).decode()}]") from exc
+    rows: list[LedgerRow] = []
+    total = 0
+    for twc, f_value, factors in resolved:
+        tree = twc.tree
+        label = canonical_form(tree).decode()
+        sign = tree.sign_factor()
+        contribution = sign * twc.assignment_count * twc.multiplicity * f_value
+        for factor in factors:
+            contribution *= factor
+        rows.append(
+            LedgerRow(
+                tree=label,
+                assignment_count=twc.assignment_count,
+                multiplicity=twc.multiplicity,
+                sign=sign,
+                f_value=f_value,
+                relative_factors=tuple(factors),
+                contribution=contribution,
             )
-            total += contribution
+        )
+        total += contribution
     return ChiResult(geometry=geometry, d=d, r=r, value=total, ledger=tuple(rows))
 
 

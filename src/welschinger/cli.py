@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tables(p):
-        p.add_argument("--invariant-table", help="JSON override for the relative-invariant table")
+        p.add_argument("--invariant-table", help="JSON override for the relative-invariant rows of a >= 2 (a = 1 is computed)")
         p.add_argument("--f-table", help="JSON override for the cotangent-invariant table")
 
     def add_geometry(p):

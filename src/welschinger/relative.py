@@ -4,23 +4,28 @@
 rational ruled surface (n = 2 or 4) in class a*e + b*f, where e is a section
 of self-intersection n and f a fibre, with prescribed (alpha) and free (beta)
 tangency profiles along the exceptional section E = e - n f, through the
-adequate number of fixed points.  Values are curated: each one is pinned by
-dividing a contribution ledger of the assembled invariants, and unknown keys
-raise instead of defaulting to zero.
+adequate number of fixed points.  The section classes e + b f (a = 1) are
+computed: a section restricts onto all of H^0(O_E(b)), and each prescribed
+contact is one linear condition on it, so the count is the degree of the
+coincident-root locus of beta, I^beta |beta|! / prod beta_k! with
+I^beta = prod k^beta_k, whatever n and alpha are.  The classes with a >= 2
+are curated rows, and an unknown key raises instead of defaulting to zero.
 
 ``n_three`` covers the 3-fold P(O(1,1) + O) over the 2-dimensional quadric Q:
 a class (a,b) + c f splits into a rational curve of bidegree (a,b) on Q and a
 section-with-fibre curve in the restricted ruling, which is the degree-4
-ruled surface again; it alone holds the contact check, the pure fibre and the
-ruled-surface lookup.  ``three_fold_count`` is the count of a 3-quadric tree
-vertex, and holds only the pairs rule: the ``n_three`` sum over its bidegrees
-when its point pairs make the curves rigid, 0 when they over-determine them,
-and a miss when they do not.
+ruled surface again, whose e + f count with one simple contact is 1, so it
+reads no table; it alone holds the contact check and the pure fibre.
+``three_fold_count`` is the count of a 3-quadric tree vertex, and holds only
+the pairs rule: the ``n_three`` sum over its bidegrees when its point pairs
+make the curves rigid, 0 when they over-determine them, and a miss when they
+do not.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import factorial, prod
 
 from .contact import ContactVector, _non_negative, _Record, _weight
 from .errors import UnknownInvariant
@@ -84,38 +89,45 @@ class RelativeKey(_Record):
         return f"N{self.surface.n}^{{{self.surface}}}({self.alpha}, {self.beta})"
 
 
+@cache
+def _section_count(beta: tuple[int, ...]) -> int:
+    """The count of a section class e + b f with the free contact counts
+    ``beta``, on either ruled surface and whatever its prescribed contacts:
+    I^beta |beta|! / prod beta_k!, the degree of the locus of polynomials
+    whose roots coincide as beta says."""
+    return prod(k**m for k, m in enumerate(beta, 1)) * factorial(sum(beta)) // prod(map(factorial, beta))
+
+
 class RelativeInvariantTable:
-    """Exact curated table behind the ``n_sigma`` contract.
+    """The curated a >= 2 rows behind the ``n_sigma`` contract.
 
     One lookup rule, :meth:`count`, keyed by plain values: fibre classes are
     rule-based (the unique fibre through a point, b = 1 with one simple
-    contact, counts 1), and every other key must be present in the table;
-    otherwise UnknownInvariant is raised (never a silent zero).  ``n_sigma``
-    unpacks its key and applies the same rule.  ``entries`` maps the tuple
-    :meth:`_key` of each key, which hashes faster than the record, to its
-    value.
+    contact, counts 1), section classes (a = 1) are :func:`_section_count`,
+    and every other key must be present in the table; otherwise
+    UnknownInvariant is raised (never a silent zero).  ``n_sigma`` unpacks
+    its key and applies the same rule.  ``entries`` maps the tuple
+    (n, a, b, alpha counts, beta counts) of each key, which hashes faster
+    than the record, to its value.
     """
 
     def __init__(self, entries: dict[tuple, int]):
         self._entries = entries
 
-    @staticmethod
-    def _key(key: RelativeKey) -> tuple:
-        """(n, a, b, alpha counts, beta counts) of ``key``."""
-        s = key.surface
-        return (s.n, s.a, s.b, key.alpha.counts, key.beta.counts)
-
     @classmethod
     def from_json_payload(cls, payload: dict, where: str = "relative table") -> "RelativeInvariantTable":
         """A table over checked rows: the checks of RuledSurfaceClass,
         ContactVector and RelativeKey, made on count tuples, so that no
-        record is built."""
-        fields = [("n", int), ("a", int), ("b", int), ("alpha", list), ("beta", list)]
+        record is built.  A section-class row must hold its
+        :func:`_section_count`, which is what :meth:`count` answers for it."""
+        fields = [("n", int), ("a", int), ("b", int), ("alpha", list), ("beta", list), ("value", int)]
 
-        def key_of(n, a, b, alpha, beta):
+        def key_of(n, a, b, alpha, beta, value):
             _check_class(n, a, b)
             alpha, beta = _non_negative(tuple(alpha)), _non_negative(tuple(beta))
             _check_weight(b, alpha, beta)
+            if a == 1 and value != _section_count(beta):
+                raise ValueError(f"a section class counts {_section_count(beta)}, not {value}")
             return (n, a, b, alpha, beta)
 
         return cls(_table_entries(payload, fields, key_of, where))
@@ -125,13 +137,16 @@ class RelativeInvariantTable:
         return cls.from_json_payload(_read_json(path), where=repr(str(path)))
 
     def n_sigma(self, key: RelativeKey) -> int:
-        return self.count(*self._key(key))
+        s = key.surface
+        return self.count(s.n, s.a, s.b, key.alpha.counts, key.beta.counts)
 
     def count(self, n: int, a: int, b: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
         """The count of class a*e + b*f on the degree-n ruled surface with the
         contact counts ``alpha`` (prescribed) and ``beta`` (free), whose
         weights add up to b; RelativeKey and RuledSurfaceClass are built only
         to name a miss."""
+        if a == 1:
+            return _section_count(beta)
         if a == 0:
             # a curve with zero section coefficient is a union of fibres;
             # only the single fibre through a point is irreducible rational
@@ -182,20 +197,14 @@ def quadric_count(a: int, b: int) -> int:
     return value
 
 
-def n_three(
-    a: int,
-    b: int,
-    c: int,
-    alpha: ContactVector,
-    beta: ContactVector,
-    table: RelativeInvariantTable | None = None,
-) -> int:
+def n_three(a: int, b: int, c: int, alpha: ContactVector, beta: ContactVector) -> int:
     """Rational curves on the ruled 3-fold in class (a, b) + c f.
 
     Only the fibre coefficient c = 1 with a single simple contact (prescribed
     or free) occurs in the assembled invariants; other counts raise
     UnknownInvariant.  Past the pure fibre (a, b) = (0, 0), the count factors
-    as quadric_count(a, b) times the degree-4 ruled-surface count of e + f.
+    as quadric_count(a, b) times the degree-4 ruled-surface count of e + f
+    with one simple contact, whose :func:`_section_count` is 1.
     """
     if c != 1:
         raise UnknownInvariant(f"no curated 3-fold count for fibre coefficient {c}")
@@ -203,12 +212,10 @@ def n_three(
         raise UnknownInvariant("3-fold counts need exactly one simple contact")
     if (a, b) == (0, 0):
         return 1
-    return quadric_count(a, b) * (table or builtin_relative_table()).count(4, 1, 1, alpha.counts, beta.counts)
+    return quadric_count(a, b)
 
 
-def three_fold_count(
-    g: int, c: int, alpha: ContactVector, beta: ContactVector, pairs: int, table: RelativeInvariantTable | None = None
-) -> int:
+def three_fold_count(g: int, c: int, alpha: ContactVector, beta: ContactVector, pairs: int) -> int:
     """The count of a 3-fold tree vertex of degree g holding ``pairs`` point
     pairs.  A bidegree term counts only when the pairs make both the quadric
     projection and the ruled-surface curve rigid.  The pairs needed,
@@ -222,4 +229,4 @@ def three_fold_count(
         raise UnknownInvariant(f"N3 of (0, {g}) + {c}f moves with {pairs} < {need} point pairs: count is not defined")
     if pairs > need:
         return 0
-    return sum(n_three(a, g - a, c, alpha, beta, table) for a in range(g + 1))
+    return sum(n_three(a, g - a, c, alpha, beta) for a in range(g + 1))

@@ -10,7 +10,8 @@ no ``json``; only an override file does.
 A bad table is rejected whole, never half-read: an unreadable file, invalid
 JSON, a row with a missing or mistyped field, a row whose key means nothing
 (a ruled surface or Lagrangian that does not occur, a contact weight that
-differs from the class, a negative real-point count), and a key listed twice
+differs from the class, a negative real-point count), a section-class
+relative row whose value is not the computed count, and a key listed twice
 with different values each raise WelschingerError naming the file and the row.
 """
 

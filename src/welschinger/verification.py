@@ -200,7 +200,7 @@ def _property_suite():
     raised = 0
     for _ in range(100):
         n = rng.choice([2, 4])
-        a = rng.randint(1, 3)
+        a = rng.randint(2, 3)  # a section class (a = 1) is computed, never unknown
         b = rng.randint(5, 9)
         alpha = ContactVector.e(1, rng.randint(0, b))
         beta = ContactVector.e(1, b - alpha.size)

@@ -266,13 +266,14 @@ def test_poly_text_names_the_first_failing_tree_past_the_tables(capsys, geometry
 
 
 def test_table_override_via_flag(tmp_path, capsys):
-    # shrink the relative table to the fibre rule only: degree 5 must now fail
+    # shrink the relative table to the fibre and section rules only: the
+    # 2-quadric degree 5, which reads the 2e+f row, must now fail
     table = {"version": 1, "entries": []}
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(table))
     code, _, err = run(
         capsys,
-        "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0",
+        "chi", "--geometry", "quadric2", "--degree", "5", "--real-points", "1",
         "--invariant-table", str(path),
     )
     assert code == 3 and "outside the curated table" in err
@@ -280,7 +281,7 @@ def test_table_override_via_flag(tmp_path, capsys):
 
 def _table_with_extra_row(path, change):
     """The built-in relative table plus a changed copy of its first row,
-    N4^{e+f}(0, e1) = 1; returns the index of the added row."""
+    N2^{2e+f}(0, e1) = 93; returns the index of the added row."""
     payload = tables._packaged_payload(tables.RELATIVE_TABLE)
     row = dict(payload["entries"][0])
     change(row)
@@ -292,13 +293,14 @@ def _table_with_extra_row(path, change):
 @pytest.mark.parametrize(
     "case,message",
     [
-        ("duplicate key", "lists a key again with value 7, not 1"),
+        ("duplicate key", "lists a key again with value 7, not 93"),
         ("row without alpha", "missing field 'alpha'"),
         ("missing file", "cannot read table"),
         ("invalid JSON", "cannot read table"),
         ("ruled surface of degree 3", "only the degree-2 and degree-4 ruled surfaces occur"),
         ("negative section coefficient", "class coefficients must be non-negative"),
         ("contact weight not b", "contact weight 2 differs from b=1"),
+        ("section row off the formula", "a section class counts 1, not 93"),
     ],
 )
 def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
@@ -316,6 +318,8 @@ def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
         row = _table_with_extra_row(path, lambda row: row.update(a=-1))
     elif case == "contact weight not b":
         row = _table_with_extra_row(path, lambda row: row.update(beta=[0, 1]))
+    elif case == "section row off the formula":
+        row = _table_with_extra_row(path, lambda row: row.update(a=1))
     args = ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--invariant-table", str(path))
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
@@ -434,7 +438,7 @@ def test_table_override_via_env(tmp_path, capsys, monkeypatch):
     table = {"version": 1, "entries": []}
     (tmp_path / "relative_invariants.json").write_text(json.dumps(table))
     monkeypatch.setenv("WELSCHINGER_TABLE_DIR", str(tmp_path))
-    code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0")
+    code, _, err = run(capsys, "chi", "--geometry", "quadric2", "--degree", "5", "--real-points", "1")
     assert code == 3
 
 
@@ -515,7 +519,7 @@ def test_packaged_tables_load_as_override_files(tmp_path, monkeypatch):
     args = build_parser().parse_args(["frontier", "--f-table", str(f_path), "--invariant-table", str(relative_path)])
     table, engine = _load_tables(args)
     assert table is not builtin_relative_table() and engine is not builtin_f_engine()
-    assert table._entries == builtin_relative_table()._entries and len(table._entries) == 22
+    assert table._entries == builtin_relative_table()._entries and len(table._entries) == 1
     assert engine._entries == builtin_f_engine()._entries and len(engine._entries) == 47
     assert len(derived) == len(set(derived)) == 17
 

@@ -536,4 +536,4 @@ def test_derive_builds_keys_only_when_the_chain_is_read(monkeypatch):
                 else:
                     lines.append(repr((geometry, d, r, result.value, result.ledger)))
     assert len(lines) == 144
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "f28e72ce906aecb00ac04b9997b0a74532648b3b5a35cad978293b8ec8c9654c"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "833b995f77743dc7ac4740be0179128ad3d71feb403952190ad57aa20c8fd70c"

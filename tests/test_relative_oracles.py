@@ -1,4 +1,4 @@
-"""Independent algebraic oracles for the curated relative invariants.
+"""Independent algebraic oracles for the relative invariants.
 
 A rational curve in class e + b f on the degree-n ruled surface is a section
 of P(O(n) + O) -> P1: a pair (U, V) of polynomials of degrees (n + b, b)
@@ -7,12 +7,17 @@ E = {V = 0} exactly at the zeros of V, with contact order the vanishing
 order, and it passes through a fibre point (z, [a : b]) iff
 b U(z) - a V(z) = 0, a linear condition on the coefficients.
 
-This reduces every a = 1 table entry to classical elimination over Q:
+``n_sigma`` answers every such key (a = 1) with the section-class formula
+I^beta |beta|! / prod beta_k!, I^beta = prod k^beta_k, the degree of the
+locus where the free contacts coincide as beta says.  The model reduces each
+key to classical elimination over Q, and checks the formula on the keys the
+goldens read and on keys they never read:
 
 * counts with no free multiple contact are nullspace computations
   (unique section iff the kernel is a line);
-* one free double contact cuts a pencil by the discriminant of V
-  (count = discriminant degree in the pencil parameter);
+* one free double contact, with any number of free simple ones, cuts a
+  pencil by the discriminant of V (count = discriminant degree in the
+  pencil parameter);
 * a free triple contact or two free double contacts intersect a plane of
   polynomials with the locus of perfect cubes / perfect squares, counted
   by resultant elimination after splitting off the rational degenerate
@@ -27,8 +32,9 @@ Two counts lie outside the section model and are checked by
 Gromov-Witten theory instead.  The WDVV recursion for P1 x P1 gives every
 curated 2-quadric count.  The Abramovich-Bertram formula then relates the
 counts of the 2-quadric, which the degree-2 ruled surface deforms to, to
-those of the ruled surface; it gives the class 2e + f count (93) from the
-WDVV count 96 and the section-model count of e + 3f.
+those of the ruled surface; it gives the class 2e + f count (93), the one
+curated relative row, from the WDVV count 96 and the section-model count of
+e + 3f.
 """
 
 import random
@@ -272,7 +278,8 @@ def graph_count(a, seed):
     return 1
 
 
-def _table(n, b, alpha, beta):
+def _formula(n, b, alpha, beta):
+    """``n_sigma`` of the section class e + b f: the section-class formula."""
     key = RelativeKey(RuledSurfaceClass(n, 1, b), alpha, beta)
     return builtin_relative_table().n_sigma(key)
 
@@ -294,13 +301,16 @@ RIGID_CASES = [
     (2, 2, [], 2, CV.zero(), CV.e(1, 2)),
     (2, 2, [1], 1, CV.e(1), CV.e(1)),
     (2, 3, [], 3, CV.zero(), CV.e(1, 3)),
+    # never table rows
+    (4, 5, [], 5, CV.zero(), CV.e(1, 5)),
+    (2, 5, [2, 1], 2, CV((1, 1)), CV.e(1, 2)),
 ]
 
 
 @pytest.mark.parametrize("n,b,prescribed,free,alpha,beta", RIGID_CASES)
 def test_rigid_sections_match_table(n, b, prescribed, free, alpha, beta):
     for seed in (11, 17):
-        assert rigid_section_count(n, b, prescribed, free, seed) == _table(n, b, alpha, beta) == 1
+        assert rigid_section_count(n, b, prescribed, free, seed) == _formula(n, b, alpha, beta) == 1
 
 
 @pytest.mark.parametrize(
@@ -310,22 +320,26 @@ def test_rigid_sections_match_table(n, b, prescribed, free, alpha, beta):
         (2, 2, 0, CV.zero(), CV.e(2)),
         (4, 3, 1, CV.e(1), CV.e(2)),
         (4, 3, 0, CV.zero(), CV((1, 1))),
+        # never table rows: one free double contact beside free simple ones
+        (4, 4, 0, CV.zero(), CV((2, 1))),
+        (2, 4, 0, CV.zero(), CV((2, 1))),
+        (2, 3, 0, CV.zero(), CV((1, 1))),
     ],
 )
 def test_free_double_contacts_match_table(n, b, fixed_simple, alpha, beta):
-    expected = _table(n, b, alpha, beta)
+    expected = _formula(n, b, alpha, beta)
     for seed in (5, 23):
         assert pencil_double_root_count(n, b, fixed_simple, seed) == expected
 
 
 def test_free_triple_contact_matches_table():
-    expected = _table(4, 3, CV.zero(), CV.e(3))
+    expected = _formula(4, 3, CV.zero(), CV.e(3))
     for seed in (7, 29):
         assert plane_triple_root_count(seed) == expected == 3
 
 
 def test_two_free_double_contacts_match_table():
-    expected = _table(4, 4, CV.zero(), CV.e(2, 2))
+    expected = _formula(4, 4, CV.zero(), CV.e(2, 2))
     for seed in (13, 31):
         assert plane_double_double_count(seed) == expected == 4
 
@@ -333,7 +347,7 @@ def test_two_free_double_contacts_match_table():
 def test_prescribed_double_plus_free_simple_is_one():
     # the section model pins this entry to 1: V = c (z - z0)^2 (z - w) is
     # forced by eleven independent linear conditions
-    assert _table(4, 3, CV.e(2), CV.e(1)) == 1
+    assert _formula(4, 3, CV.e(2), CV.e(1)) == 1
     for seed in (3, 41):
         assert rigid_section_count(4, 3, [2], 1, seed) == 1
 
@@ -381,7 +395,7 @@ def test_two_e_plus_f_count_from_abramovich_bertram():
     meeting E only in simple free contacts is counted by the table with
     beta = (beta.E) e1, so these are the absolute counts.
     """
-    e_plus_3f = _table(2, 3, CV.zero(), CV.e(1, 3))  # section model: 1
+    e_plus_3f = _formula(2, 3, CV.zero(), CV.e(1, 3))  # section model: 1
     assert wdvv_quadric_count(1, 4) == e_plus_3f + comb(5, 1) * 0
     two_e_plus_f = wdvv_quadric_count(2, 3) - comb(3, 1) * e_plus_3f - comb(5, 2) * 0
     key = RelativeKey(RuledSurfaceClass(2, 2, 1), CV.zero(), CV.e(1))

@@ -538,8 +538,9 @@ def test_shapes_are_built_only_inside_the_root_window(monkeypatch, d, r, shapes,
 
 
 def test_plane_degree_26_builds_only_the_shapes_it_reaches(monkeypatch, capsys):
-    # a miss stops at its first class: of the 2,137 candidates in the root
-    # window, only the one whose class is reached becomes a shape
+    # a miss stops at its first class whose key is unknown: of the 2,137
+    # candidates in the root window, only the 16 whose classes are reached
+    # become shapes
     from welschinger.cli import main
 
     built = _count_shapes(monkeypatch)
@@ -548,7 +549,7 @@ def test_plane_degree_26_builds_only_the_shapes_it_reaches(monkeypatch, capsys):
     monkeypatch.setattr(trees_module, "_decorate", lambda *args: reached.append(args[-1]) or decorate(*args))
     assert main(["chi", "--geometry", "cp2", "--degree", "26", "--real-points", "1"]) == 3
     assert "missing invariant" in capsys.readouterr().err
-    assert sum(built.values()) == len(reached) == 1
+    assert sum(built.values()) == len(reached) == 16
     assert len(_inside_the_window(F.PROJECTIVE, 26, 1)) == 2137
     assert len(_candidates(F.PROJECTIVE, 26)[0]) == 19852
 
