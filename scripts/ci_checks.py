@@ -22,10 +22,11 @@ The script exits 1 when any check fails.  The checks:
 * The longest profile one argument holds, 18,000 terms ``e10000`` (125,999
   characters, under Linux's 128 KiB limit on one argument), parses as one
   vector: ``derive --kind rp2 --beta`` with it exits 3 within 5 s.
-* Start-up: ten fresh interpreters each import the package and load both
-  packaged tables, with bytecode cached as the benchmark caches it; none may
-  import ``json``, which only an override file needs.  The median import and
-  load times are printed, not bounded.
+* Start-up: ten fresh interpreters each import the package and load the
+  packaged F table and the built-in relative table, with bytecode cached as
+  the benchmark caches it; none may import ``json``, which only an F
+  override file needs.  The median import and load times are printed, not
+  bounded.
 * Each bench workload, run for one second, gets every outcome right, also
   traced; the traced golden run reaches ``relative.n_three`` through its
   3-quadric chi, and the traced frontier run reaches
@@ -47,7 +48,7 @@ FRONTIER_22_SHA256 = "403ca753a39053dfc6a456bafa3baca5e5cca21a9a7b11ae1ad04b8a2d
 FRONTIER_PEAK_MB = 40
 CLI = [sys.executable, "-m", "welschinger.cli"]
 STARTUP_RUNS = 10
-# one start-up: ns to import the package, ns to load both packaged tables, whether json was imported
+# one start-up: ns to import the package, ns to load the F and relative tables, whether json was imported
 STARTUP = """
 import sys, time
 start = time.perf_counter_ns()

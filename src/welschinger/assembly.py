@@ -139,20 +139,16 @@ def _vertex_factors(geometry: GeometryKind, tree: DecoratedTree, table: Relative
     return factors
 
 
-def chi(
-    geometry: GeometryKind,
-    d: int,
-    r: int,
-    relative_table: RelativeInvariantTable | None = None,
-    f_engine: FInvariantEngine | None = None,
-) -> ChiResult:
-    """The invariant chi^d_r with its full contribution ledger.  A key
-    outside the tables raises at the first tree that needs it, in the order
-    of :func:`~welschinger.trees.tree_classes`, and no later shape is
+def chi(geometry: GeometryKind, d: int, r: int, *, f_engine: FInvariantEngine | None = None) -> ChiResult:
+    """The invariant chi^d_r with its full contribution ledger, over the F
+    table of ``f_engine`` (the packaged one when None) and the built-in
+    relative counts, which take no override.  A key outside the tables
+    raises at the first tree that needs it, in the order of
+    :func:`~welschinger.trees.tree_classes`, and no later shape is
     decorated.  Every tree's table values are resolved before any tree's
     label, counts and multiplicity, which a miss never reads."""
     check_admissible(geometry, d, r)
-    table = relative_table or builtin_relative_table()
+    table = builtin_relative_table()
     engine = f_engine or builtin_f_engine()
     family = FAMILY_OF[geometry]
     kind = geometry.lagrangian
@@ -210,15 +206,12 @@ class ChiPolynomial(_Record):
 
 
 def chi_polynomial(
-    geometry: GeometryKind,
-    d: int,
-    r_max: int | None = None,
-    relative_table: RelativeInvariantTable | None = None,
-    f_engine: FInvariantEngine | None = None,
+    geometry: GeometryKind, d: int, r_max: int | None = None, *, f_engine: FInvariantEngine | None = None
 ) -> ChiPolynomial:
     """chi^d_r for every admissible r <= r_max (every admissible r when
-    r_max is None), a value outside the tables listed as unavailable; empty
-    for an empty domain, and InadmissiblePair for an r_max below its least r."""
+    r_max is None), over the F table of ``f_engine`` as in :func:`chi`, a
+    value outside the tables listed as unavailable; empty for an empty
+    domain, and InadmissiblePair for an r_max below its least r."""
     counts = admissible_real_counts(geometry, d)
     if counts and r_max is not None and r_max < counts[0]:
         raise InadmissiblePair(f"{geometry.value} has no admissible real-point count <= {r_max} in degree {d}")
@@ -228,7 +221,7 @@ def chi_polynomial(
         if r_max is not None and r > r_max:
             break
         try:
-            coefficients[r] = chi(geometry, d, r, relative_table, f_engine).value
+            coefficients[r] = chi(geometry, d, r, f_engine=f_engine).value
         except (UnknownInvariant, UnresolvableFKey) as exc:
             unavailable[r] = str(exc)
     return ChiPolynomial(geometry=geometry, d=d, coefficients=coefficients, unavailable=unavailable)

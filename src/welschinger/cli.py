@@ -19,9 +19,12 @@ Exit codes: 0 success, 1 verification failure, 2 flag errors, 3 a required
 invariant is outside the curated tables (the missing key is printed) or the
 degree has more candidate trees than the enumeration bound.
 
-Table overrides: ``--invariant-table`` / ``--f-table`` point at JSON files in
-the packaged tables' format; the WELSCHINGER_TABLE_DIR environment variable
-names a directory holding ``relative_invariants.json`` / ``f_invariants.json``.
+Table override: the cotangent-invariant table F is the one table that can
+be overridden, by ``--f-table``, a JSON file in the packaged table's format,
+or by the WELSCHINGER_TABLE_DIR environment variable, which names a
+directory holding ``f_invariants.json``.  The relative counts are computed
+or a curated constant, and take no override: a ``relative_invariants.json``
+left in that directory is an error, not silently ignored.
 ``json`` and ``csv`` are imported only by the branches that print them, so a
 text-format call loads neither.
 """
@@ -37,8 +40,7 @@ from .assembly import admissible_real_counts, check_admissible, chi, chi_polynom
 from .contact import ContactVector, GeometryKind, LagrangianKind
 from .cotangent import FInvariantEngine, FKey, builtin_f_engine
 from .errors import EnumerationTooLarge, InadmissiblePair, UnknownInvariant, UnresolvableFKey, WelschingerError
-from .relative import RelativeInvariantTable, builtin_relative_table
-from .tables import F_TABLE, RELATIVE_TABLE
+from .tables import F_TABLE
 from .trees import FAMILY_OF, enumerate_trees, trees_to_json
 from .verification import run_all
 
@@ -46,21 +48,23 @@ _GEOMETRY = {g.value: g for g in GeometryKind}
 _KIND = {k.value: k for k in LagrangianKind}
 
 
-def _load_tables(args) -> tuple[RelativeInvariantTable, FInvariantEngine]:
-    """The tables the options name, else those in WELSCHINGER_TABLE_DIR,
-    else the packaged ones; each file is looked up the same way.  A set
-    WELSCHINGER_TABLE_DIR that holds neither file is an error."""
+def _load_engine(args) -> FInvariantEngine:
+    """The F engine of the table ``--f-table`` names, else of the one in
+    WELSCHINGER_TABLE_DIR, else the packaged one.  A set
+    WELSCHINGER_TABLE_DIR that does not hold ``f_invariants.json``, or that
+    holds ``relative_invariants.json``, which would otherwise be silently
+    ignored, is an error."""
+    f_path = args.f_table
     table_dir = os.environ.get("WELSCHINGER_TABLE_DIR")
-    names = (RELATIVE_TABLE, F_TABLE)
-    found = {name: os.path.join(table_dir, name) for name in names} if table_dir else {}
-    found = {name: path for name, path in found.items() if os.path.exists(path)}
-    if table_dir and not found:
-        raise WelschingerError(f"WELSCHINGER_TABLE_DIR={table_dir} is not a directory holding {' or '.join(names)}")
-    inv_path = found.get(names[0]) if args.invariant_table is None else args.invariant_table
-    f_path = found.get(names[1]) if args.f_table is None else args.f_table
-    table = builtin_relative_table() if inv_path is None else RelativeInvariantTable.from_path(inv_path)
-    engine = builtin_f_engine() if f_path is None else FInvariantEngine.from_path(f_path)
-    return table, engine
+    if table_dir:
+        relative_path = os.path.join(table_dir, "relative_invariants.json")
+        if os.path.exists(relative_path):
+            raise WelschingerError(f"{relative_path}: the relative counts are built in and take no override")
+        in_dir = os.path.join(table_dir, F_TABLE)
+        if not os.path.exists(in_dir):
+            raise WelschingerError(f"WELSCHINGER_TABLE_DIR={table_dir} is not a directory holding {F_TABLE}")
+        f_path = in_dir if f_path is None else f_path
+    return builtin_f_engine() if f_path is None else FInvariantEngine.from_path(f_path)
 
 
 def _emit_chi(result, fmt: str, with_ledger: bool) -> None:
@@ -87,19 +91,19 @@ def _emit_chi(result, fmt: str, with_ledger: bool) -> None:
 
 
 def _cmd_chi(args) -> int:
-    table, engine = _load_tables(args)
+    engine = _load_engine(args)
     geometry = _GEOMETRY[args.geometry]
-    result = chi(geometry, args.degree, args.real_points, table, engine)
+    result = chi(geometry, args.degree, args.real_points, f_engine=engine)
     _emit_chi(result, args.format, args.ledger)
     return 0
 
 
 def _cmd_poly(args) -> int:
-    table, engine = _load_tables(args)
+    engine = _load_engine(args)
     geometry = _GEOMETRY[args.geometry]
     if not admissible_real_counts(geometry, args.degree):  # chi_polynomial gives an empty polynomial here
         raise InadmissiblePair(f"{geometry.value} has no admissible real-point count in degree {args.degree}")
-    poly = chi_polynomial(geometry, args.degree, args.real_points_max, table, engine)
+    poly = chi_polynomial(geometry, args.degree, args.real_points_max, f_engine=engine)
     if args.format == "json":
         import json
 
@@ -134,7 +138,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    _, engine = _load_tables(args)
+    engine = _load_engine(args)
     kind = _KIND[args.kind]
     key = FKey(kind, args.alpha, args.beta, args.pairs)
     print(engine.derive(key))
@@ -142,11 +146,11 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    table, engine = _load_tables(args)
+    engine = _load_engine(args)
     for name, geometry in _GEOMETRY.items():
         print(f"{name}:")
         for d in range(1, args.max_degree + 1):
-            poly = chi_polynomial(geometry, d, None, table, engine)
+            poly = chi_polynomial(geometry, d, f_engine=engine)
             if poly.coefficients or poly.unavailable:
                 ok = ",".join(map(str, sorted(poly.coefficients))) or "-"
                 gap = ",".join(map(str, sorted(poly.unavailable))) or "-"
@@ -177,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tables(p):
-        p.add_argument("--invariant-table", help="JSON override for the relative-invariant rows of a >= 2 (a = 1 is computed)")
         p.add_argument("--f-table", help="JSON override for the cotangent-invariant table")
 
     def add_geometry(p):

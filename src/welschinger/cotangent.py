@@ -44,7 +44,7 @@ from functools import cache
 
 from .contact import ContactVector, LagrangianKind, _cached, _f_point_count, _moved, _non_negative, _Record, f_point_count
 from .errors import UnresolvableFKey, WelschingerError
-from .tables import F_TABLE, _packaged_payload, _read_json, _table_entries
+from .tables import _packaged_payload, _read_json, _table_entries
 
 __all__ = [
     "FKey",
@@ -279,7 +279,7 @@ def _checked_rows(payload: dict, where: str) -> tuple[dict[tuple, int], dict[tup
 def _packaged_table() -> tuple[dict[tuple, int], dict[tuple, int]]:
     """(entries, basis entries) of the packaged F table, checked once per
     process for both the built-in engine and every basis engine."""
-    return _checked_rows(_packaged_payload(F_TABLE), "F table")
+    return _checked_rows(_packaged_payload(), "F table")
 
 
 @cache

@@ -1,34 +1,30 @@
-"""The curated tables, and the checks every table passes on load.
+"""The curated table of cotangent invariants F, and the checks it passes on load.
 
-The packaged tables are the Python literals ``f_invariants.py`` and
-``relative_invariants.py`` in this package: each one's ``payload()`` is in
-the format of the JSON file that overrides it (``--f-table``,
-``--invariant-table`` or WELSCHINGER_TABLE_DIR), an object with an
-``entries`` list of rows, and passes the same checks.  Loading them imports
-no ``json``; only an override file does.
+The packaged table is the Python literal ``f_invariants.py`` in this
+package: its ``payload()`` is in the format of the JSON file that overrides
+it (``--f-table`` or ``f_invariants.json`` in WELSCHINGER_TABLE_DIR), an
+object with an ``entries`` list of rows, and passes the same checks.
+Loading it imports no ``json``; only an override file does.  It is the one
+table that can be overridden: the relative counts are computed, but for one
+curated constant in :mod:`welschinger.relative`.
 
 A bad table is rejected whole, never half-read: an unreadable file, invalid
 JSON, a row with a missing or mistyped field, a row whose key means nothing
-(a ruled surface or Lagrangian that does not occur, a contact weight that
-differs from the class, a negative real-point count), a section-class
-relative row whose value is not the computed count, and a key listed twice
-with different values each raise WelschingerError naming the file and the row.
+(a Lagrangian that does not occur, a negative contact count, a negative
+real-point count), and a key listed twice with different values each raise
+WelschingerError naming the file and the row.
 """
 
 from ..errors import NegativeDimension, WelschingerError
 
-# The override files' names in WELSCHINGER_TABLE_DIR, which also name the packaged tables.
-RELATIVE_TABLE = "relative_invariants.json"
+# The override file's name in WELSCHINGER_TABLE_DIR.
 F_TABLE = "f_invariants.json"
 
 
-def _packaged_payload(name: str) -> dict:
-    """A new copy of the payload of the packaged table that the file
-    ``name`` overrides."""
-    if name == F_TABLE:
-        from .f_invariants import payload
-    else:
-        from .relative_invariants import payload
+def _packaged_payload() -> dict:
+    """A new copy of the payload of the packaged F table."""
+    from .f_invariants import payload
+
     return payload()
 
 

@@ -87,6 +87,17 @@ def test_chi_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_the_f_engine_is_passed_by_keyword_only():
+    # the relative counts take no override, and f_engine is keyword-only, so
+    # a table passed positionally is refused, never read as the F engine
+    table, engine = builtin_relative_table(), builtin_f_engine()
+    with pytest.raises(TypeError):
+        chi(G.PROJECTIVE_PLANE, 1, 0, table)
+    with pytest.raises(TypeError):
+        chi_polynomial(G.PROJECTIVE_PLANE, 1, None, table, engine)
+    assert chi(G.PROJECTIVE_PLANE, 1, 0, f_engine=engine).value == chi(G.PROJECTIVE_PLANE, 1, 0).value
+
+
 def test_admissible_real_counts():
     assert list(admissible_real_counts(G.PROJECTIVE_PLANE, 5)) == [0, 2, 4, 6, 8, 10, 12, 14]
     assert list(admissible_real_counts(G.ELLIPSOID_QUADRIC2, 2)) == [1, 3, 5, 7]
@@ -226,13 +237,19 @@ def test_three_quadric_goldens_sum_n_three_over_each_rigid_vertex(monkeypatch):
     # a 3-fold vertex holding the 2g - 1 - [plus] pairs (1 - [plus] at g = 0)
     # that make its curves rigid sums n_three over its g + 1 bidegrees, looked
     # up through relative's module global, so a wrapper there sees each term;
-    # the 3-fold path reads no relative table, so an empty one changes nothing
+    # the 3-fold path reads no relative table, so a lookup that raises is
+    # never reached
     calls = []
     n_three = relative.n_three
     monkeypatch.setattr(relative, "n_three", lambda *args: calls.append(args[:2]) or n_three(*args))
+
+    def unread(*args):
+        raise AssertionError(f"the 3-fold path read the relative table at {args}")
+
+    monkeypatch.setattr(relative.RelativeInvariantTable, "count", unread)
     want_calls = 0
     for (d, r), value in GOLDEN_VALUES[G.ELLIPSOID_QUADRIC3].items():
-        assert chi(G.ELLIPSOID_QUADRIC3, d, r, relative.RelativeInvariantTable({})).value == value
+        assert chi(G.ELLIPSOID_QUADRIC3, d, r).value == value
         for cls in enumerate_trees(TreeFamily.THREE_SPHERICAL, d, r):
             for twc in cls.variants:
                 tree, shape = twc.tree, twc.tree.shape

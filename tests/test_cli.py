@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from welschinger import builtin_f_engine, builtin_relative_table, cotangent, tables
-from welschinger.cli import _load_tables, build_parser, main
+from welschinger import builtin_f_engine, cotangent, tables
+from welschinger.cli import _load_engine, build_parser, main
 
 
 def run(capsys, *argv):
@@ -265,29 +265,14 @@ def test_poly_text_names_the_first_failing_tree_past_the_tables(capsys, geometry
     assert run(capsys, "poly", "--geometry", geometry, "--degree", str(d)) == (0, expected, "")
 
 
-def test_table_override_via_flag(tmp_path, capsys):
-    # shrink the relative table to the fibre and section rules only: the
-    # 2-quadric degree 5, which reads the 2e+f row, must now fail
-    table = {"version": 1, "entries": []}
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(table))
-    code, _, err = run(
-        capsys,
-        "chi", "--geometry", "quadric2", "--degree", "5", "--real-points", "1",
-        "--invariant-table", str(path),
-    )
-    assert code == 3 and "outside the curated table" in err
-
-
-def _table_with_extra_row(path, change):
-    """The built-in relative table plus a changed copy of its first row,
-    N2^{2e+f}(0, e1) = 93; returns the index of the added row."""
-    payload = tables._packaged_payload(tables.RELATIVE_TABLE)
-    row = dict(payload["entries"][0])
-    change(row)
-    payload["entries"].append(row)
-    path.write_text(json.dumps(payload))
-    return len(payload["entries"]) - 1
+def test_table_override_via_flag(capsys):
+    # the relative counts take no override: the flag is gone, and argparse
+    # refuses it rather than reading the file
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", "--geometry", "quadric2", "--degree", "5", "--real-points", "1", "--invariant-table", "t.json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --invariant-table t.json" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -297,30 +282,26 @@ def _table_with_extra_row(path, change):
         ("row without alpha", "missing field 'alpha'"),
         ("missing file", "cannot read table"),
         ("invalid JSON", "cannot read table"),
-        ("ruled surface of degree 3", "only the degree-2 and degree-4 ruled surfaces occur"),
-        ("negative section coefficient", "class coefficients must be non-negative"),
-        ("contact weight not b", "contact weight 2 differs from b=1"),
-        ("section row off the formula", "a section class counts 1, not 93"),
     ],
 )
 def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
     path = tmp_path / "table.json"
     row = None
     if case == "duplicate key":
-        row = _table_with_extra_row(path, lambda row: row.update(value=7))
+        # a key listed twice with different values is refused before any
+        # value is checked against the basis
+        entry = {"kind": "rp2", "alpha": [], "beta": [1]}
+        path.write_text(json.dumps({"entries": [dict(entry, value=93), dict(entry, value=7)]}))
+        row = 1
     elif case == "row without alpha":
-        row = _table_with_extra_row(path, lambda row: row.pop("alpha"))
+        # the packaged F table plus a copy of its first row without alpha
+        payload = tables._packaged_payload()
+        payload["entries"].append({k: v for k, v in payload["entries"][0].items() if k != "alpha"})
+        path.write_text(json.dumps(payload))
+        row = len(payload["entries"]) - 1
     elif case == "invalid JSON":
         path.write_text('{"entries": [')
-    elif case == "ruled surface of degree 3":
-        row = _table_with_extra_row(path, lambda row: row.update(n=3))
-    elif case == "negative section coefficient":
-        row = _table_with_extra_row(path, lambda row: row.update(a=-1))
-    elif case == "contact weight not b":
-        row = _table_with_extra_row(path, lambda row: row.update(beta=[0, 1]))
-    elif case == "section row off the formula":
-        row = _table_with_extra_row(path, lambda row: row.update(a=1))
-    args = ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--invariant-table", str(path))
+    args = ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--f-table", str(path))
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {str(path)!r}: ") and message in err
@@ -328,7 +309,7 @@ def test_bad_table_override_exits_2(tmp_path, capsys, case, message):
         assert f"row {row}" in err
 
 
-@pytest.mark.parametrize("flag", ["--invariant-table", "--f-table"])
+@pytest.mark.parametrize("flag", ["--f-table"])
 def test_deeply_nested_table_exits_2(tmp_path, capsys, flag):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
@@ -340,7 +321,7 @@ def test_deeply_nested_table_exits_2(tmp_path, capsys, flag):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--invariant-table", ""),
+        ("poly", "--geometry", "cp2", "--degree", "5", "--f-table", ""),
         ("chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0", "--f-table", ""),
         ("derive", "--kind", "rp2", "--beta", "e1+e2", "--f-table", ""),
     ],
@@ -435,11 +416,17 @@ def test_negative_bounds_exit_2(capsys, argv):
 
 
 def test_table_override_via_env(tmp_path, capsys, monkeypatch):
-    table = {"version": 1, "entries": []}
-    (tmp_path / "relative_invariants.json").write_text(json.dumps(table))
+    # a relative table left in the directory would silently lose to the
+    # built-in count, so it is refused, also beside an F table
+    path = tmp_path / "relative_invariants.json"
+    path.write_text(json.dumps({"version": 1, "entries": []}))
     monkeypatch.setenv("WELSCHINGER_TABLE_DIR", str(tmp_path))
-    code, _, err = run(capsys, "chi", "--geometry", "quadric2", "--degree", "5", "--real-points", "1")
-    assert code == 3
+    for f_table in (False, True):
+        if f_table:
+            (tmp_path / "f_invariants.json").write_text(json.dumps(tables._packaged_payload()))
+        code, out, err = run(capsys, "chi", "--geometry", "quadric2", "--degree", "5", "--real-points", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: the relative counts are built in and take no override\n"
 
 
 @pytest.mark.parametrize("kind", ["file", "missing", "empty directory"])
@@ -454,8 +441,7 @@ def test_a_table_dir_without_tables_exits_2(tmp_path, capsys, monkeypatch, kind)
     code, out, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "5", "--real-points", "0")
     assert (code, out) == (2, "")
     assert err == (
-        f"error: WELSCHINGER_TABLE_DIR={table_dir} is not a directory holding "
-        "relative_invariants.json or f_invariants.json\n"
+        f"error: WELSCHINGER_TABLE_DIR={table_dir} is not a directory holding f_invariants.json\n"
     )
 
 
@@ -470,7 +456,7 @@ def test_f_table_override_via_env(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "chi", "--geometry", "cp2", "--degree", "1", "--real-points", "0")
     assert code == 3 and "outside the derivable closure" in err
     path = tmp_path / "packaged.json"
-    path.write_text(json.dumps(tables._packaged_payload(tables.F_TABLE)))
+    path.write_text(json.dumps(tables._packaged_payload()))
     code, out, _ = run(capsys, "derive", "--kind", "rp2", "--beta", "e1+e2", "--f-table", str(path))
     assert code == 0 and "= 24" in out.splitlines()[0]
 
@@ -480,7 +466,7 @@ def test_an_f_table_row_its_basis_contradicts_exits_2(tmp_path, capsys, monkeypa
     # the packaged F table with its derived row F[rp2](0, e2) = 4 changed to
     # 5: the table's own basis rows derive 4, so the file is refused whole;
     # without the row, the table loads and its basis derives the value
-    payload = tables._packaged_payload(tables.F_TABLE)
+    payload = tables._packaged_payload()
     row = next(row for row in payload["entries"] if row["kind"] == "rp2" and row["beta"] == [0, 1] and not row["alpha"])
     assert (row["value"], row["basis"]) == (4, False)
     row["value"] = 5
@@ -501,9 +487,9 @@ def test_an_f_table_row_its_basis_contradicts_exits_2(tmp_path, capsys, monkeypa
 
 
 def test_packaged_tables_load_as_override_files(tmp_path, monkeypatch):
-    # each packaged payload, dumped to JSON, is an override file that gives
-    # the built-in entries; the F file's 17 derived rows each pass the
-    # override check against its 30 basis rows
+    # the packaged F payload, dumped to JSON, is an override file that gives
+    # the built-in entries; its 17 derived rows each pass the override check
+    # against its 30 basis rows
     derived = []
     value = cotangent.FInvariantEngine.value
 
@@ -512,14 +498,11 @@ def test_packaged_tables_load_as_override_files(tmp_path, monkeypatch):
         return value(engine, key, order_seed)
 
     monkeypatch.setattr(cotangent.FInvariantEngine, "value", counted)
-    f_path, relative_path = tmp_path / "f.json", tmp_path / "relative.json"
-    assert tables._packaged_payload(tables.F_TABLE) is not tables._packaged_payload(tables.F_TABLE)  # a copy per call
-    f_path.write_text(json.dumps(tables._packaged_payload(tables.F_TABLE)))
-    relative_path.write_text(json.dumps(tables._packaged_payload(tables.RELATIVE_TABLE)))
-    args = build_parser().parse_args(["frontier", "--f-table", str(f_path), "--invariant-table", str(relative_path)])
-    table, engine = _load_tables(args)
-    assert table is not builtin_relative_table() and engine is not builtin_f_engine()
-    assert table._entries == builtin_relative_table()._entries and len(table._entries) == 1
+    f_path = tmp_path / "f.json"
+    assert tables._packaged_payload() is not tables._packaged_payload()  # a copy per call
+    f_path.write_text(json.dumps(tables._packaged_payload()))
+    engine = _load_engine(build_parser().parse_args(["frontier", "--f-table", str(f_path)]))
+    assert engine is not builtin_f_engine()
     assert engine._entries == builtin_f_engine()._entries and len(engine._entries) == 47
     assert len(derived) == len(set(derived)) == 17
 
@@ -559,11 +542,10 @@ _VALUES = {
     "--beta": st.sampled_from(["0", "e1", "e2", "3e1", "e1+e2", "2e1+e3", "e0", "x"]),
     "--pairs": st.integers(-3, 6).map(str),
     "--max-degree": st.integers(-3, 5).map(str),
-    "--invariant-table": st.just("no-such-table.json"),
     "--f-table": st.just("no-such-table.json"),
     "--ledger": st.none(),
 }
-_TABLES = ["--invariant-table", "--f-table"]
+_TABLES = ["--f-table"]
 # (required flags, optional flags) of every subcommand but verify
 _FLAGS = {
     "chi": (["--geometry", "--degree", "--real-points"], ["--format", "--ledger", *_TABLES]),

@@ -247,7 +247,7 @@ def test_reductions_preserve_dimension_bookkeeping():
 
 
 def packaged_rows():
-    return tables._packaged_payload(tables.F_TABLE)["entries"]
+    return tables._packaged_payload()["entries"]
 
 
 def test_reduction_steps_match_the_rules_written_with_vector_arithmetic():

@@ -152,8 +152,8 @@ def test_keyword_construction_and_defaults():
 
 
 def test_import_loads_no_unneeded_modules():
-    # the records are plain classes, the packaged tables are Python literals,
-    # and the CLI imports json and csv only to print them
+    # the records are plain classes, the packaged F table is a Python
+    # literal, and the CLI imports json and csv only to print them
     code = (
         "import sys; before = set(sys.modules); import welschinger, welschinger.cli; "
         "welschinger.builtin_relative_table(); welschinger.builtin_f_engine(); welschinger.basis_f_engine(); "
@@ -163,7 +163,7 @@ def test_import_loads_no_unneeded_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
-    assert {"welschinger.cli", "welschinger.tables.f_invariants", "welschinger.tables.relative_invariants"} <= added
+    assert {"welschinger.cli", "welschinger.tables.f_invariants"} <= added
     assert added.isdisjoint({"dataclasses", "inspect", "importlib.resources", "typing", "json", "csv"})
 
 

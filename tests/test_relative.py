@@ -12,7 +12,7 @@ from welschinger import (
     builtin_relative_table,
     n_three,
     quadric_count,
-    tables,
+    relative,
 )
 from welschinger.relative import three_fold_count
 from welschinger.verification import wdvv_quadric_count
@@ -41,6 +41,21 @@ def point_count(key: RelativeKey) -> int:
 def test_key_invariant_contact_weight():
     with pytest.raises(ValueError):
         _key(4, 1, 2, e1, zero)  # weight 1 != b = 2
+
+
+@pytest.mark.parametrize(
+    "n,a,b,beta,message",
+    [
+        (3, 2, 1, e1, "only the degree-2 and degree-4 ruled surfaces occur"),
+        (2, -1, 1, e1, "class coefficients must be non-negative and not both zero"),
+        (2, 0, 0, zero, "class coefficients must be non-negative and not both zero"),
+        (2, 2, 1, e2, "contact weight 2 differs from b=1"),
+    ],
+)
+def test_a_key_that_means_nothing_is_refused(n, a, b, beta, message):
+    with pytest.raises(ValueError) as exc:
+        _key(n, a, b, zero, beta)
+    assert str(exc.value) == message
 
 
 def test_n_sigma_examples():
@@ -78,12 +93,10 @@ def test_n_sigma_full_curated_table():
 
 
 def test_every_packaged_row_is_found_under_its_own_key():
-    rows = tables._packaged_payload(tables.RELATIVE_TABLE)["entries"]
-    assert [(row["n"], row["a"], row["b"], row["value"]) for row in rows] == [(2, 2, 1, 93)]
+    assert relative._CURATED == {(2, 2, 1, (), (1,)): 93}
     table = builtin_relative_table()
-    for row in rows:
-        key = _key(row["n"], row["a"], row["b"], CV(tuple(row["alpha"])), CV(tuple(row["beta"])))
-        assert table.n_sigma(key) == row["value"], row
+    for (n, a, b, alpha, beta), value in relative._CURATED.items():
+        assert table.n_sigma(_key(n, a, b, CV(alpha), CV(beta))) == value
 
 
 def test_n_sigma_error_on_unknown():
@@ -140,10 +153,11 @@ def test_point_count_matches_tree_pair_counts():
 
 
 def test_table_keys_have_consistent_dimension():
+    # each curated key passes the class and contact-weight checks of RelativeKey
     table = builtin_relative_table()
-    for row in tables._packaged_payload(tables.RELATIVE_TABLE)["entries"]:
-        key = _key(row["n"], row["a"], row["b"], CV(tuple(row["alpha"])), CV(tuple(row["beta"])))
-        assert table.n_sigma(key) == row["value"]
+    for (n, a, b, alpha, beta), value in relative._CURATED.items():
+        key = _key(n, a, b, CV(alpha), CV(beta))
+        assert table.n_sigma(key) == value
         assert point_count(key) >= 0
         assert key.alpha.weight + key.beta.weight == key.surface.b
 
